@@ -29,6 +29,12 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.execStmt(stmt)
+}
+
+// execStmt executes one parsed statement; Exec and the network server (which
+// has already parsed the frame's text to classify it) both end here.
+func (db *DB) execStmt(stmt sqlparse.Stmt) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.CreateTable:
 		cols := make([]Column, len(s.Cols))
@@ -246,6 +252,11 @@ func (db *DB) ExecIn(tx *Txn, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.execStmtIn(tx, stmt)
+}
+
+// execStmtIn executes one parsed DML statement or SELECT inside tx.
+func (db *DB) execStmtIn(tx *Txn, stmt sqlparse.Stmt) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		res, err := s.Query.Run(tx, query.TxnResolver{})

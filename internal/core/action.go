@@ -152,13 +152,16 @@ type actionPayload struct {
 	// lockedReads mirrors Rule.LockedReads: the action's queries take S
 	// locks instead of reading the begin snapshot.
 	lockedReads bool
-	// triggers are the transactions whose commits fired (or merged into)
-	// this task. Tasks are submitted from inside the commit hook — before
-	// the trigger's WAL write and commit stamping — so the action waits
-	// for them before taking its read snapshot; otherwise a lock-free
-	// recompute could miss the very update that triggered it. Guarded by
+	// triggers are the completion signals (Txn.Done) of the transactions
+	// whose commits fired (or merged into) this task. Tasks are submitted
+	// from inside the commit hook — before the trigger's WAL write and
+	// commit stamping — so the action waits for them before taking its
+	// read snapshot; otherwise a lock-free recompute could miss the very
+	// update that triggered it. Only the channel is kept: holding the
+	// transaction itself would keep its write log and lock tables alive
+	// for the whole batching window, once per merged firing. Guarded by
 	// set.mu while the task is queued (merge appends under it).
-	triggers []*txn.Txn
+	triggers []<-chan struct{}
 	// createdAt is the triggering transaction's commit time: the moment the
 	// derived data went stale and the measurement origin for the action
 	// latency span. staleTok closes the staleness sample at action commit.
@@ -225,7 +228,7 @@ func (e *Engine) newActionTask(trig *txn.Txn, rule *Rule, fn ActionFunc, stats *
 		staleTok:       stats.stale.Track(stamp),
 	}
 	if trig != nil {
-		payload.triggers = []*txn.Txn{trig}
+		payload.triggers = []<-chan struct{}{trig.Done()}
 	}
 	task := &sched.Task{
 		// The id is reserved up front (not at Submit) so merge trace events
@@ -328,8 +331,8 @@ func (e *Engine) runAction(task *sched.Task) error {
 	// incremental writes must go through QueryLocked (or the rule sets
 	// LockedReads), since two snapshot readers updating the same row would
 	// lose one update.
-	for _, trig := range p.triggers {
-		trig.Wait()
+	for _, done := range p.triggers {
+		<-done
 	}
 	p.triggers = nil
 

@@ -170,7 +170,12 @@ type Engine struct {
 	sets map[string]*uniqueSet
 	// bindSig records each function's bound-table definitions; rules
 	// executing the same function must define them identically (paper §2).
+	// A function's entry is written once, by its first firing, and never
+	// changed, so later firings check against it outside the lock.
 	bindSig map[string]map[string]*catalog.Schema
+	// transProtos caches, per table, the four empty transition tables
+	// (schema + column map) every commit on that table clones from.
+	transProtos map[string]*transProtos
 
 	// stats caches per-function instrument handles (guarded by mu).
 	stats map[string]*fnMetrics
@@ -189,20 +194,21 @@ type Engine struct {
 // and registers itself as the commit hook.
 func NewEngine(txns *txn.Manager, scheduler *sched.Scheduler) *Engine {
 	e := &Engine{
-		Txns:     txns,
-		Sched:    scheduler,
-		clk:      txns.Clock,
-		meter:    txns.Meter,
-		model:    txns.Model,
-		obs:      txns.Obs,
-		tracer:   txns.Obs.Tracer(),
-		rules:    make(map[string]*Rule),
-		byTable:  make(map[string][]*Rule),
-		funcs:    make(map[string]ActionFunc),
-		sets:     make(map[string]*uniqueSet),
-		bindSig:  make(map[string]map[string]*catalog.Schema),
-		stats:    make(map[string]*fnMetrics),
-		breakers: make(map[string]*breaker),
+		Txns:        txns,
+		Sched:       scheduler,
+		clk:         txns.Clock,
+		meter:       txns.Meter,
+		model:       txns.Model,
+		obs:         txns.Obs,
+		tracer:      txns.Obs.Tracer(),
+		rules:       make(map[string]*Rule),
+		byTable:     make(map[string][]*Rule),
+		funcs:       make(map[string]ActionFunc),
+		sets:        make(map[string]*uniqueSet),
+		bindSig:     make(map[string]map[string]*catalog.Schema),
+		transProtos: make(map[string]*transProtos),
+		stats:       make(map[string]*fnMetrics),
+		breakers:    make(map[string]*breaker),
 	}
 	_, e.virtualClk = txns.Clock.(*clock.Virtual)
 	txns.SetCommitHook(e.ProcessCommit)
@@ -381,17 +387,25 @@ func (e *Engine) ProcessCommit(tx *txn.Txn) error {
 	}
 
 	for _, table := range tableOrder {
+		recs := byTable[table]
+		base := logRecTable(recs[0]).Schema()
 		e.mu.RLock()
 		rules := append([]*Rule(nil), e.byTable[table]...)
+		protos := e.transProtos[table]
 		e.mu.RUnlock()
 		if len(rules) == 0 {
 			continue
 		}
-		recs := byTable[table]
-		trans, err := buildTransitions(table, e.Txns, recs)
-		if err != nil {
-			return err
+		if protos == nil || protos.base != base {
+			var err error
+			if protos, err = e.cacheTransProtos(table, base); err != nil {
+				return err
+			}
 		}
+		for range recs {
+			e.meter.Charge(e.model.ScanRow) // one pass over the table's log
+		}
+		trans := &transitions{protos: protos, recs: recs}
 		for _, rule := range rules {
 			e.meter.Charge(e.model.EventCheck)
 			if !triggered(rule, recs) {
@@ -407,86 +421,114 @@ func (e *Engine) ProcessCommit(tx *txn.Txn) error {
 	return nil
 }
 
-// transitions holds the four transition tables for one table's changes.
-type transitions struct {
-	inserted, deleted, new, old *storage.TempTable
-}
-
-func (tr *transitions) retire() {
-	tr.inserted.Retire()
-	tr.deleted.Retire()
-	tr.new.Retire()
-	tr.old.Retire()
-}
-
-func (tr *transitions) lookup(name string) (*storage.TempTable, bool) {
-	switch name {
-	case transInserted:
-		return tr.inserted, true
-	case transDeleted:
-		return tr.deleted, true
-	case transNew:
-		return tr.new, true
-	case transOld:
-		return tr.old, true
+// logRecTable returns the table a log record's images belong to.
+func logRecTable(rec txn.LogRec) *storage.Table {
+	if rec.New != nil {
+		return rec.New.Table()
 	}
-	return nil, false
+	return rec.Old.Table()
 }
 
-// buildTransitions constructs inserted/deleted/new/old for a table from its
-// log records, each with the execute_order column (paper §2: no net-effect
-// reduction — every change appears).
-func buildTransitions(table string, mgr *txn.Manager, recs []txn.LogRec) (*transitions, error) {
-	base, ok := mgr.Catalog.Lookup(table)
-	if !ok {
-		return nil, fmt.Errorf("core: table %q missing from catalog", table)
+// Transition tables, in transProtos / transitions slot order.
+var transNames = [4]string{transInserted, transDeleted, transNew, transOld}
+
+// transProtos holds one table's four empty transition tables: the base
+// schema renamed and extended by execute_order, with the column map that
+// resolves base columns through the changed record. Built once per table
+// (again if the table is re-created: base is then a different schema).
+type transProtos struct {
+	base   *catalog.Schema
+	tables [4]*storage.TempTable
+}
+
+func newTransProtos(base *catalog.Schema) (*transProtos, error) {
+	srcMap := make([]storage.ColSource, base.NumCols()+1)
+	for i := 0; i < base.NumCols(); i++ {
+		srcMap[i] = storage.FromRecord(0, i)
 	}
-	mk := func(name string) (*storage.TempTable, error) {
+	srcMap[base.NumCols()] = storage.Materialized(0)
+	p := &transProtos{base: base}
+	for i, name := range transNames {
 		schema, err := base.Rename(name).WithColumns(catalog.Column{Name: ExecuteOrderCol, Kind: types.KindInt})
 		if err != nil {
 			return nil, err
 		}
-		srcMap := make([]storage.ColSource, schema.NumCols())
-		for i := 0; i < base.NumCols(); i++ {
-			srcMap[i] = storage.FromRecord(0, i)
-		}
-		srcMap[base.NumCols()] = storage.Materialized(0)
-		return storage.NewTempTable(schema, srcMap, 1)
-	}
-	tr := &transitions{}
-	var err error
-	if tr.inserted, err = mk(transInserted); err != nil {
-		return nil, err
-	}
-	if tr.deleted, err = mk(transDeleted); err != nil {
-		return nil, err
-	}
-	if tr.new, err = mk(transNew); err != nil {
-		return nil, err
-	}
-	if tr.old, err = mk(transOld); err != nil {
-		return nil, err
-	}
-	for _, rec := range recs {
-		mgr.Meter.Charge(mgr.Model.ScanRow)
-		seq := []types.Value{types.Int(rec.Seq)}
-		switch rec.Op {
-		case txn.OpInsert:
-			err = tr.inserted.AppendRow([]*storage.Record{rec.New}, seq)
-		case txn.OpDelete:
-			err = tr.deleted.AppendRow([]*storage.Record{rec.Old}, seq)
-		case txn.OpUpdate:
-			// Old and new images share the execute_order value so rules can
-			// pair them (paper §3: new.execute_order = old.execute_order).
-			if err = tr.old.AppendRow([]*storage.Record{rec.Old}, seq); err == nil {
-				err = tr.new.AppendRow([]*storage.Record{rec.New}, seq)
-			}
-		}
-		if err != nil {
+		if p.tables[i], err = storage.NewTempTable(schema, srcMap, 1); err != nil {
 			return nil, err
 		}
 	}
-	return tr, nil
+	return p, nil
+}
+
+// cacheTransProtos builds and remembers table's transition prototypes.
+func (e *Engine) cacheTransProtos(table string, base *catalog.Schema) (*transProtos, error) {
+	p, err := newTransProtos(base)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.transProtos[table] = p
+	e.mu.Unlock()
+	return p, nil
+}
+
+// transitions is one table's share of a committing transaction's log, seen
+// as the inserted/deleted/new/old tables, each with the execute_order
+// column (paper §2: no net-effect reduction — every change appears). A
+// table is materialised the first time a rule names it; a commit whose
+// rules read only `new` never builds the other three.
+type transitions struct {
+	protos *transProtos
+	recs   []txn.LogRec
+	built  [4]*storage.TempTable
+}
+
+func (tr *transitions) retire() {
+	for _, tt := range tr.built {
+		if tt != nil {
+			tt.Retire()
+		}
+	}
+}
+
+// lookup returns the named transition table; ok is false when name is not
+// one of the four.
+func (tr *transitions) lookup(name string) (tt *storage.TempTable, ok bool, err error) {
+	for i, n := range transNames {
+		if n != name {
+			continue
+		}
+		if tr.built[i] == nil {
+			tr.built[i], err = tr.build(i)
+		}
+		return tr.built[i], true, err
+	}
+	return nil, false, nil
+}
+
+// build materialises transition table slot from the log records.
+func (tr *transitions) build(slot int) (*storage.TempTable, error) {
+	// inserted and deleted take the images of inserts and deletes; new and
+	// old take the two images of each update, which share its execute_order
+	// value so rules can pair them (paper §3: new.execute_order =
+	// old.execute_order).
+	op := [4]txn.Op{txn.OpInsert, txn.OpDelete, txn.OpUpdate, txn.OpUpdate}[slot]
+	newImage := transNames[slot] == transInserted || transNames[slot] == transNew
+	tt := tr.protos.tables[slot].Clone()
+	for _, rec := range tr.recs {
+		if rec.Op != op {
+			continue
+		}
+		img := rec.Old
+		if newImage {
+			img = rec.New
+		}
+		if err := tt.AppendRow([]*storage.Record{img}, []types.Value{types.Int(rec.Seq)}); err != nil {
+			tt.Retire()
+			return nil, err
+		}
+	}
+	return tt, nil
 }
 
 // triggered evaluates the rule's transition predicate against the log.
@@ -528,8 +570,8 @@ func changedColumns(rec txn.LogRec) map[string]bool {
 type transResolver struct{ trans *transitions }
 
 func (r transResolver) Resolve(tx *txn.Txn, name string) (*storage.Table, *storage.TempTable, error) {
-	if tt, ok := r.trans.lookup(name); ok {
-		return nil, tt, nil
+	if tt, ok, err := r.trans.lookup(name); ok {
+		return nil, tt, err
 	}
 	return query.TxnResolver{}.Resolve(tx, name)
 }
@@ -552,10 +594,8 @@ func (e *Engine) evaluateRule(tx *txn.Txn, rule *Rule, trans *transitions) error
 	// when a cascading rule evaluates inside an action transaction) is
 	// restored on the way out.
 	var queries int64
-	e.mu.RLock()
-	stats := e.stats[rule.Action]
-	e.mu.RUnlock()
-	if stats != nil {
+	fn := e.fnRefs(rule.Action)
+	if stats := fn.stats; stats != nil {
 		start := e.clk.Now()
 		startCost := e.meter.Micros()
 		prev := tx.Profile()
@@ -620,10 +660,13 @@ func (e *Engine) evaluateRule(tx *txn.Txn, rule *Rule, trans *transitions) error
 	// batching appends later firings' transition rows into the queued copy
 	// (the merged rows are the batch's delta).
 	for _, name := range rule.BindTransitions {
-		src, ok := trans.lookup(name)
-		if !ok {
+		src, ok, err := trans.lookup(name)
+		if err == nil && !ok {
+			err = fmt.Errorf("no such transition table")
+		}
+		if err != nil {
 			retireAll()
-			return fmt.Errorf("core: rule %s: no transition table %q", rule.Name, name)
+			return fmt.Errorf("core: rule %s: bind transition %q: %w", rule.Name, name, err)
 		}
 		cp := src.Clone()
 		if err := cp.AppendFrom(src, nil); err != nil {
@@ -660,12 +703,29 @@ func (e *Engine) evaluateRule(tx *txn.Txn, rule *Rule, trans *transitions) error
 		e.meter.Charge(e.model.BindRow)
 	}
 
-	if err := e.checkBindSignature(rule, bound); err != nil {
+	if err := e.checkBindSignature(rule, fn.sig, bound); err != nil {
 		retireAll()
 		return err
 	}
 
-	return e.fire(tx, rule, bound)
+	return e.fire(tx, rule, fn, bound)
+}
+
+// fnRefs is what a firing needs to know about its rule's function, read
+// under one shared hold of the engine lock.
+type fnRefs struct {
+	fn    ActionFunc
+	set   *uniqueSet
+	stats *fnMetrics
+	br    *breaker
+	sig   map[string]*catalog.Schema // nil before the function's first firing
+}
+
+func (e *Engine) fnRefs(action string) fnRefs {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return fnRefs{fn: e.funcs[action], set: e.sets[action], stats: e.stats[action],
+		br: e.breakers[action], sig: e.bindSig[action]}
 }
 
 // withCommitTime copies tt into a table extended by the commit_time column.
@@ -713,18 +773,22 @@ func withCommitTime(tt *storage.TempTable, now clock.Micros) (*storage.TempTable
 
 // checkBindSignature enforces the paper's §2 requirement: all rules that
 // execute the same user function must define their bound tables
-// identically. The first firing fixes the signature.
-func (e *Engine) checkBindSignature(rule *Rule, bound map[string]*storage.TempTable) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sig, ok := e.bindSig[rule.Action]
-	if !ok {
-		sig = map[string]*catalog.Schema{}
-		for name, tt := range bound {
-			sig[name] = tt.Schema()
+// identically. The first firing fixes the signature (sig is nil until then)
+// under the engine's exclusive lock; every later firing only compares
+// against that immutable map and takes no lock.
+func (e *Engine) checkBindSignature(rule *Rule, sig map[string]*catalog.Schema, bound map[string]*storage.TempTable) error {
+	if sig == nil {
+		e.mu.Lock()
+		if sig = e.bindSig[rule.Action]; sig == nil {
+			sig = make(map[string]*catalog.Schema, len(bound))
+			for name, tt := range bound {
+				sig[name] = tt.Schema()
+			}
+			e.bindSig[rule.Action] = sig
+			e.mu.Unlock()
+			return nil
 		}
-		e.bindSig[rule.Action] = sig
-		return nil
+		e.mu.Unlock() // another committer fired first: check against its signature
 	}
 	if len(sig) != len(bound) {
 		return fmt.Errorf("core: rule %s binds %d tables for function %s, expected %d",
@@ -747,13 +811,8 @@ func (e *Engine) checkBindSignature(rule *Rule, bound map[string]*storage.TempTa
 // fire creates or merges action tasks for one rule firing. The triggering
 // transaction's commit time (now, inside the commit hook) stamps the
 // moment derived data went stale.
-func (e *Engine) fire(tx *txn.Txn, rule *Rule, bound map[string]*storage.TempTable) error {
-	e.mu.RLock()
-	fn := e.funcs[rule.Action]
-	set := e.sets[rule.Action]
-	stats := e.stats[rule.Action]
-	br := e.breakers[rule.Action]
-	e.mu.RUnlock()
+func (e *Engine) fire(tx *txn.Txn, rule *Rule, refs fnRefs, bound map[string]*storage.TempTable) error {
+	fn, set, stats, br := refs.fn, refs.set, refs.stats, refs.br
 	if fn == nil {
 		for _, tt := range bound {
 			tt.Retire()
@@ -820,7 +879,7 @@ func (e *Engine) enqueueUnique(trig *txn.Txn, rule *Rule, fn ActionFunc, stats *
 		if trig != nil {
 			// The merged firing's updates must also be visible to the
 			// task's eventual read snapshot.
-			payload.triggers = append(payload.triggers, trig)
+			payload.triggers = append(payload.triggers, trig.Done())
 		}
 		merged := 0
 		err := payload.merge(bound)

@@ -501,3 +501,40 @@ func TestLocalityAblationOutput(t *testing.T) {
 		t.Errorf("output:\n%s", out)
 	}
 }
+
+// TestVirtualCostPinned pins the virtual-clock results: charged CPU (as
+// TotalUtil), N_r, merges and mean recompute length of six replays, to the
+// last bit, as they stood before the scheduler's start-rate window became a
+// queue and transition tables became lazy. A change that is meant to leave
+// the cost model alone must leave these alone; one that is meant to move it
+// updates them and says so.
+func TestVirtualCostPinned(t *testing.T) {
+	cfg := tinyConfig()
+	tr := mustTrace(t, cfg)
+	for _, want := range []struct {
+		v         Variant
+		delay     float64
+		totalUtil float64
+		nr        int64
+		merged    int64
+		meanLen   float64
+	}{
+		{CompNonUnique, 0, 0.1463431, 918, 0, 3592.797385620915},
+		{CompUnique, 1, 0.0627761, 30, 888, 26841},
+		{CompUniqueSymbol, 0.5, 0.13339588333333333, 804, 114, 3549.1567164179105},
+		{CompUniqueComp, 1, 0.06575493333333333, 1001, 4213, 724.0879120879121},
+		{OptNonUnique, 0, 0.10837065, 858, 0, 2723.909090909091},
+		{OptUniqueSymbol, 2, 0.07519918333333334, 491, 367, 2712.0672097759675},
+	} {
+		got, err := Run(cfg, tr, want.v, want.delay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TotalUtil != want.totalUtil || got.Nr != want.nr ||
+			got.TasksMerged != want.merged || got.MeanRecomputeMicros != want.meanLen {
+			t.Errorf("%s delay=%vs: util %v N_r %d merged %d len %v; pinned util %v N_r %d merged %d len %v",
+				want.v, want.delay, got.TotalUtil, got.Nr, got.TasksMerged, got.MeanRecomputeMicros,
+				want.totalUtil, want.nr, want.merged, want.meanLen)
+		}
+	}
+}

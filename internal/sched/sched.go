@@ -72,7 +72,14 @@ type Scheduler struct {
 	draining bool // Submit rejects; workers keep running (StopDrain)
 	stopped  bool // workers exit
 	running  int  // tasks currently executing in workers
+	idle     int  // workers parked in cond.Wait
 	nextSeq  int64
+	// wake is the scheduler's one timer: armed (by an idle worker, or by
+	// Submit when workers are idle) for the delay queue's head release, it
+	// broadcasts to the parked workers. wakeAt is the release it is armed
+	// for, 0 when unarmed. Never armed in stepped mode (no workers).
+	wake   *time.Timer
+	wakeAt clock.Micros
 	// nextID is atomic (not under mu) so ReserveID can pre-allocate task
 	// ids for callers that must reference a task before submitting it.
 	nextID atomic.Int64
@@ -89,10 +96,12 @@ type Scheduler struct {
 	// (see SetRetryBudget). Atomic so AllowRetry never takes mu.
 	retryBudget atomic.Pointer[ratelimit.Bucket]
 
-	// recentStarts holds start times within the trailing second, modeling
-	// scheduling cost that grows with task rate (the paper's "critical
-	// region", §5.1).
-	recentStarts []clock.Micros
+	// starts[startsHead:] holds start times within the trailing second,
+	// modeling scheduling cost that grows with task rate (the paper's
+	// "critical region", §5.1). Virtual-cost only: never touched when the
+	// model's SchedPerTaskRate is zero (the live engine).
+	starts     []clock.Micros
+	startsHead int
 
 	// Registry-backed instruments (see Instrument).
 	submitted    *obs.Counter
@@ -182,12 +191,17 @@ func (s *Scheduler) Submit(t *Task) error {
 	s.submitted.Inc()
 	if t.Release > now {
 		heap.Push(&s.delay, t)
+		if s.idle > 0 && s.delay.peek() == t {
+			// Parked workers sleep until the old head's release (or for
+			// good); re-aim the timer instead of waking them to do it.
+			s.armWakeLocked(now)
+		}
 	} else {
 		s.pushReadyLocked(t)
+		s.cond.Signal()
 	}
 	s.depthsLocked()
 	s.tracer.EmitSpan(now, obs.KindTaskSubmit, t.Name, t.ID, t.Trace, t.Trace)
-	s.cond.Broadcast()
 	return nil
 }
 
@@ -220,10 +234,10 @@ func (s *Scheduler) popReadyLocked() *Task {
 }
 
 // releaseDueLocked moves tasks whose release time has arrived to the ready
-// queue. Tasks re-enter FIFO order at release time, not submission time:
-// the ready queue sees them in the order they became runnable.
-func (s *Scheduler) releaseDueLocked(now clock.Micros) {
-	released := 0
+// queue and returns how many it moved. Tasks re-enter FIFO order at release
+// time, not submission time: the ready queue sees them in the order they
+// became runnable.
+func (s *Scheduler) releaseDueLocked(now clock.Micros) (released int) {
 	for s.delay.Len() > 0 && s.delay.peek().Release <= now {
 		t := heap.Pop(&s.delay).(*Task)
 		s.nextSeq++
@@ -235,6 +249,7 @@ func (s *Scheduler) releaseDueLocked(now clock.Micros) {
 		s.releaseBatch.Record(int64(released))
 		s.depthsLocked()
 	}
+	return released
 }
 
 // NextEventTime reports the earliest pending event: the head of the ready
@@ -488,17 +503,25 @@ func (s *Scheduler) AllowRetry() bool {
 }
 
 // chargeStartLocked charges per-start scheduling cost proportional to the
-// number of task starts in the trailing second.
+// number of task starts in the trailing second. Start times arrive in clock
+// order, so the window is a queue: expired starts leave at the head (each
+// start is appended once and passed once — O(1) amortised) and the spent
+// prefix is reclaimed when it outgrows the live part. A model that does not
+// price start rate keeps no window at all.
 func (s *Scheduler) chargeStartLocked(now clock.Micros) {
-	cutoff := now - 1_000_000
-	keep := s.recentStarts[:0]
-	for _, ts := range s.recentStarts {
-		if ts > cutoff {
-			keep = append(keep, ts)
-		}
+	if s.model.SchedPerTaskRate == 0 {
+		return
 	}
-	s.recentStarts = append(keep, now)
-	s.meter.Charge(s.model.SchedPerTaskRate * float64(len(s.recentStarts)))
+	cutoff := now - 1_000_000
+	for s.startsHead < len(s.starts) && s.starts[s.startsHead] <= cutoff {
+		s.startsHead++
+	}
+	if s.startsHead > len(s.starts)-s.startsHead {
+		s.starts = s.starts[:copy(s.starts, s.starts[s.startsHead:])]
+		s.startsHead = 0
+	}
+	s.starts = append(s.starts, now)
+	s.meter.Charge(s.model.SchedPerTaskRate * float64(len(s.starts)-s.startsHead))
 }
 
 // execute runs a task body with task-shell accounting.
@@ -541,37 +564,17 @@ func (s *Scheduler) Start(n int) {
 	}
 }
 
+// worker services the ready queue. One critical section per task: the
+// lock taken after a task finishes retires it (running--), dequeues the
+// next one and marks it running before the lock is dropped again.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
-		var t *Task
-		for {
-			if s.stopped {
-				s.mu.Unlock()
-				return
-			}
-			t = s.dequeueLocked()
-			if t != nil {
-				break
-			}
-			// Sleep until the next delayed release or a Submit/Stop signal.
-			if s.delay.Len() > 0 {
-				wait := s.delay.peek().Release - s.clk.Now()
-				if wait < 0 {
-					wait = 0
-				}
-				s.mu.Unlock()
-				timer := time.NewTimer(time.Duration(wait) * time.Microsecond)
-				select {
-				case <-timer.C:
-				case <-s.kick():
-					timer.Stop()
-				}
-				s.mu.Lock()
-			} else {
-				s.cond.Wait()
-			}
+		t := s.nextLocked()
+		if t == nil {
+			s.mu.Unlock()
+			return
 		}
 		s.running++
 		s.mu.Unlock()
@@ -581,21 +584,65 @@ func (s *Scheduler) worker() {
 		s.execute(t)
 		s.mu.Lock()
 		s.running--
-		s.mu.Unlock()
 	}
 }
 
-// kick returns a channel closed on the next Broadcast, letting workers wait
-// on either a timer or the condition variable.
-func (s *Scheduler) kick() <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		s.mu.Lock()
+// nextLocked blocks until a task is ready and returns it, or returns nil
+// once the scheduler has stopped. Idle workers all park on the condition
+// variable; Submit signals one per new ready task, and the scheduler's
+// timer broadcasts when the delay queue's head comes due.
+func (s *Scheduler) nextLocked() *Task {
+	for !s.stopped {
+		if t := s.dequeueLocked(); t != nil {
+			if s.idle > 0 && s.ready.Len() > 0 {
+				// A release moved several tasks over at once; pass the
+				// wake-up on so parked workers share them.
+				s.cond.Signal()
+			}
+			return t
+		}
+		if s.delay.Len() > 0 && !s.armWakeLocked(s.clk.Now()) {
+			continue // the head came due since dequeueLocked looked
+		}
+		s.idle++
 		s.cond.Wait()
-		s.mu.Unlock()
-		close(ch)
-	}()
-	return ch
+		s.idle--
+	}
+	return nil
+}
+
+// armWakeLocked aims the scheduler's timer at the delay queue's head
+// release, unless it is already armed for that moment or an earlier one (it
+// then fires, finds nothing due, and the woken worker re-arms it). It
+// reports false when the head is already due. Caller holds mu and has
+// checked that the delay queue is not empty.
+func (s *Scheduler) armWakeLocked(now clock.Micros) bool {
+	release := s.delay.peek().Release
+	if release <= now {
+		return false
+	}
+	if s.wakeAt != 0 && s.wakeAt <= release {
+		return true
+	}
+	s.wakeAt = release
+	d := time.Duration(release-now) * time.Microsecond
+	if s.wake == nil {
+		s.wake = time.AfterFunc(d, s.onWake)
+	} else {
+		s.wake.Reset(d)
+	}
+	return true
+}
+
+// onWake is the timer callback: the delay queue's head is (probably) due,
+// so parked workers re-run dequeueLocked, which releases it. A stale fire —
+// the timer was re-aimed while this callback was already starting — is a
+// harmless early broadcast: the workers find nothing due and re-arm.
+func (s *Scheduler) onWake() {
+	s.mu.Lock()
+	s.wakeAt = 0
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // Stop terminates the worker pool: new submissions fail with ErrStopped,
@@ -610,6 +657,9 @@ func (s *Scheduler) Stop() {
 		return
 	}
 	s.stopped = true
+	if s.wake != nil {
+		s.wake.Stop()
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -639,7 +689,9 @@ func (s *Scheduler) StopDrain(timeout time.Duration) {
 		s.mu.Lock()
 		// Delayed tasks whose release arrives during the drain still run;
 		// unreleased ones are abandoned by Stop, as before.
-		s.releaseDueLocked(s.clk.Now())
+		if s.releaseDueLocked(s.clk.Now()) > 0 {
+			s.cond.Broadcast()
+		}
 		idle := s.ready.Len() == 0 && s.running == 0
 		s.mu.Unlock()
 		if idle || time.Now().After(deadline) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/stripdb/strip/internal/obs"
+	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -32,10 +33,12 @@ type Backend interface {
 	Begin() *txn.Txn
 	// BeginReadOnly opens a lock-free snapshot transaction (shared scans).
 	BeginReadOnly() *txn.Txn
-	// Exec parses and runs one auto-committed statement.
-	Exec(sql string) (*Result, error)
-	// ExecIn parses and runs one statement inside tx.
-	ExecIn(tx *txn.Txn, sql string) (*Result, error)
+	// Exec runs one auto-committed statement. The session parses a frame's
+	// text once, to classify it; the backend gets the parsed statement and
+	// never sees the text.
+	Exec(stmt sqlparse.Stmt) (*Result, error)
+	// ExecIn runs one parsed statement inside tx.
+	ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*Result, error)
 	// Obs is the engine's metrics registry (server.* and shared.* land here).
 	Obs() *obs.Registry
 	// Now is engine time in microseconds, for metrics and trace events.

@@ -40,11 +40,7 @@ func (b *testBackend) Repl() ReplStreamer { return nil }
 
 func (b *testBackend) ReplicaInfo() (bool, bool, int64) { return false, false, 0 }
 
-func (b *testBackend) Exec(sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
+func (b *testBackend) Exec(stmt sqlparse.Stmt) (*Result, error) {
 	if sel, ok := stmt.(*sqlparse.SelectStmt); ok {
 		tx := b.mgr.BeginReadOnly()
 		defer tx.Commit() //nolint:errcheck
@@ -55,7 +51,7 @@ func (b *testBackend) Exec(sql string) (*Result, error) {
 		return resultFromTemp(out), nil
 	}
 	tx := b.mgr.Begin()
-	res, err := b.ExecIn(tx, sql)
+	res, err := b.ExecIn(tx, stmt)
 	if err != nil {
 		tx.Abort() //nolint:errcheck
 		return nil, err
@@ -66,11 +62,7 @@ func (b *testBackend) Exec(sql string) (*Result, error) {
 	return res, nil
 }
 
-func (b *testBackend) ExecIn(tx *txn.Txn, sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
+func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		out, err := s.Query.Run(tx, query.TxnResolver{})
@@ -617,4 +609,42 @@ func TestServerSessionsDebug(t *testing.T) {
 		t.Fatalf("session info %+v", infos[0])
 	}
 	roundTrip(t, conn, FrameAbort, nil)
+}
+
+// Every served statement is parsed exactly once, whichever way it runs:
+// auto-committed EXEC, QUERY on the shared-scan path (a gather window) or
+// falling back to per-query execution (none), and EXEC / QUERY inside an
+// interactive transaction. The session parses the text to classify the
+// frame and the backend gets the parsed statement, never the text.
+func TestServerParsesEachStatementOnce(t *testing.T) {
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		srv, _, _ := serverEnv(t, Config{ShareWindow: window})
+		conn := dialHello(t, srv.Addr(), "", "acme")
+		send := func(typ byte, sql string) {
+			t.Helper()
+			before := sqlparse.ParseCalls()
+			rt, p := roundTrip(t, conn, typ, EncodeSQL(sql))
+			if rt == FrameErr {
+				code, msg, _ := DecodeErr(p)
+				t.Fatalf("%q answered %s: %s", sql, code, msg)
+			}
+			if got := sqlparse.ParseCalls() - before; got != 1 {
+				t.Errorf("share window %v: %q was parsed %d times, want 1", window, sql, got)
+			}
+		}
+		send(FrameExec, "insert into stocks values ('S4', 60)")
+		send(FrameExec, "update stocks set price = 61 where symbol = 'S4'")
+		send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'")
+		send(FrameExec, "select symbol from stocks")
+		if rt, _ := roundTrip(t, conn, FrameBegin, nil); rt != FrameOK {
+			t.Fatalf("BEGIN answered 0x%02x", rt)
+		}
+		send(FrameExec, "update stocks set price = 62 where symbol = 'S4'")
+		send(FrameQuery, "select symbol, price from stocks")
+		send(FrameExec, "delete from stocks where symbol = 'S4'")
+		if rt, _ := roundTrip(t, conn, FrameCommit, nil); rt != FrameOK {
+			t.Fatalf("COMMIT answered 0x%02x", rt)
+		}
+		conn.Close()
+	}
 }

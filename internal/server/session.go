@@ -333,16 +333,16 @@ func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 	s.lastStmt = time.Now()
 	s.mu.Unlock()
 	if tx != nil {
-		res, err = s.srv.be.ExecIn(tx, sql)
+		res, err = s.srv.be.ExecIn(tx, stmt)
 		s.mu.Lock()
 		s.busy = false
 		s.lastStmt = time.Now()
 		s.mu.Unlock()
 	} else {
 		if isSelect {
-			res, err = s.srv.gather.query(sel.Query, sql)
+			res, err = s.srv.gather.query(sel)
 		} else {
-			res, err = s.srv.be.Exec(sql)
+			res, err = s.srv.be.Exec(stmt)
 		}
 	}
 	if isQuery {

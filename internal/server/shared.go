@@ -6,6 +6,7 @@ import (
 
 	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/query"
+	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -31,8 +32,7 @@ type gatherGroup struct {
 }
 
 type gatherReq struct {
-	q   *query.Select
-	sql string
+	sel *sqlparse.SelectStmt
 	ch  chan gatherResp
 }
 
@@ -46,13 +46,13 @@ func newGatherer(srv *Server) *gatherer {
 }
 
 // query runs one out-of-transaction SELECT, shared when possible.
-func (g *gatherer) query(sel *query.Select, sql string) (*Result, error) {
-	table, eligible := query.SharedEligible(sel)
+func (g *gatherer) query(sel *sqlparse.SelectStmt) (*Result, error) {
+	table, eligible := query.SharedEligible(sel.Query)
 	if !eligible || g.window <= 0 {
 		g.srv.be.Obs().Counter(obs.MSharedFallbacks).Inc()
-		return g.srv.be.Exec(sql)
+		return g.srv.be.Exec(sel)
 	}
-	req := &gatherReq{q: sel, sql: sql, ch: make(chan gatherResp, 1)}
+	req := &gatherReq{sel: sel, ch: make(chan gatherResp, 1)}
 	g.mu.Lock()
 	grp := g.groups[table]
 	if grp == nil {
@@ -80,7 +80,7 @@ func (g *gatherer) flush(table string) {
 	tx := g.srv.be.BeginReadOnly()
 	qs := make([]*query.Select, len(grp.reqs))
 	for i, r := range grp.reqs {
-		qs[i] = r.q
+		qs[i] = r.sel.Query
 	}
 	results, _, err := query.RunShared(tx, table, qs)
 	tx.Commit() //nolint:errcheck // read-only commit releases the snapshot
@@ -89,7 +89,7 @@ func (g *gatherer) flush(table string) {
 		// every member falls back to per-query execution.
 		for _, r := range grp.reqs {
 			g.srv.be.Obs().Counter(obs.MSharedFallbacks).Inc()
-			res, ferr := g.srv.be.Exec(r.sql)
+			res, ferr := g.srv.be.Exec(r.sel)
 			r.ch <- gatherResp{res: res, err: ferr}
 		}
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/clock"
 	"github.com/stripdb/strip/internal/core"
@@ -77,8 +78,16 @@ func (*InsertStmt) stmtNode()  {}
 func (*UpdateStmt) stmtNode()  {}
 func (*DeleteStmt) stmtNode()  {}
 
+// parseCalls counts Parse calls process-wide.
+var parseCalls atomic.Int64
+
+// ParseCalls reports how many times Parse has run in this process. Tests
+// difference it around a request to assert how often a path parses.
+func ParseCalls() int64 { return parseCalls.Load() }
+
 // Parse parses one statement (a trailing semicolon is allowed).
 func Parse(src string) (Stmt, error) {
+	parseCalls.Add(1)
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err

@@ -45,6 +45,9 @@ type Record struct {
 	// forming a newest-to-oldest version chain. Written under the table
 	// latch; read by snapshot scans holding the latch shared.
 	older *Record
+	// inDirty marks membership of the owning table's GC work list
+	// (Table.dirty). Guarded by the table latch held exclusively.
+	inDirty bool
 
 	// createLSN is the commit LSN of the transaction that created this
 	// version (0 while that transaction is in flight). deleteLSN is the

@@ -41,16 +41,22 @@ type Table struct {
 	indexes  map[string]index.Index // column name -> index
 	idxKinds map[string]index.Kind  // column name -> index kind (for checkpoints)
 
-	// retired holds tombstoned ex-head records (deleted rows, and versions
-	// orphaned by aborted updates) retained so snapshot scans older than
-	// the delete still see them. GC removes entries once no active
-	// snapshot can reach them.
+	// retired holds tombstoned ex-head records (deleted rows) retained so
+	// snapshot scans older than the delete still see them. GC removes
+	// entries once no active snapshot can reach them.
 	retired map[*Record]struct{}
 	// retiredIdx mirrors each secondary index over the retired set, so a
 	// snapshot probe pays O(matching retired rows) instead of scanning the
 	// whole set — which grows with every deleted-but-unreclaimed row
 	// between GC passes under delete-heavy churn.
 	retiredIdx map[string]index.Index
+	// dirty lists every live head that may chain to an older version: a
+	// head enters when Update (or a rollback relinking it) gives it one and
+	// leaves when a GC pass finds it unlinked or its chain cut to nothing.
+	// Version GC walks this list and the retired set, never the table, so a
+	// pass costs what was written since the last one. Record.inDirty keeps
+	// entries unique.
+	dirty []*Record
 	// versions counts retained non-head versions plus retired heads, as of
 	// the last GC pass (a statistic, not an invariant).
 	versions int64
@@ -298,6 +304,7 @@ func (t *Table) Update(r *Record, vals []types.Value) (*Record, error) {
 	// to it so snapshot readers older than this update's commit still find
 	// the superseded version.
 	nr := &Record{vals: coerceRow(t.schema, vals), table: t, id: r.id, older: r}
+	t.markDirty(nr)
 	t.link(nr)
 	t.count++
 	for col, ix := range t.indexes {
@@ -311,11 +318,15 @@ func (t *Table) Update(r *Record, vals []types.Value) (*Record, error) {
 }
 
 // Relink restores a previously unlinked record (transaction rollback of a
-// delete, or of the unlink half of an update). Any pending tombstone is
-// erased and the record leaves the retired set.
+// delete). Any pending tombstone is erased and the record leaves the
+// retired set.
 func (t *Table) Relink(r *Record) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.relinkLocked(r)
+}
+
+func (t *Table) relinkLocked(r *Record) error {
 	if r.table != t {
 		return fmt.Errorf("storage: record does not belong to table %s", t.Name())
 	}
@@ -333,7 +344,45 @@ func (t *Table) Relink(r *Record) error {
 	for col, ix := range t.indexes {
 		ix.Insert(r.vals[t.schema.ColIndex(col)], r)
 	}
+	if r.older != nil {
+		// A GC pass while r was unlinked may have taken it off the list.
+		t.markDirty(r)
+	}
 	return nil
+}
+
+// UndoUpdate rolls back Update(old) = repl in one latch hold: the
+// never-committed copy is unlinked and cut loose — no chain, not retired, so
+// no snapshot walk can reach it or, through it, reach old a second time —
+// and old is relinked as the row's head. Indexed-column churn the update
+// counted is uncounted, so exact snapshot index probes stay valid.
+func (t *Table) UndoUpdate(old, repl *Record) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if repl.older != old {
+		return fmt.Errorf("storage: record in %s is not the update's copy of the given original", t.Name())
+	}
+	if err := t.deleteLocked(repl); err != nil {
+		return err
+	}
+	repl.deleteLSN.Store(PendingLSN)
+	repl.older = nil
+	for col := range t.indexes {
+		ci := t.schema.ColIndex(col)
+		if !repl.vals[ci].Equal(old.vals[ci]) {
+			t.keyChurn.Add(-1)
+		}
+	}
+	return t.relinkLocked(old)
+}
+
+// markDirty enters a head into the GC work list. Caller holds the table
+// latch exclusively.
+func (t *Table) markDirty(r *Record) {
+	if !r.inDirty {
+		r.inDirty = true
+		t.dirty = append(t.dirty, r)
+	}
 }
 
 func (t *Table) link(r *Record) {
@@ -476,14 +525,12 @@ func (t *Table) ScanSnapshot(snap uint64, me int64, fn func(*Record) bool) {
 }
 
 // visibleVersion walks head's version chain newest-to-oldest and returns
-// the first version visible at (snap, me), or nil. A live non-head version
-// means an aborted update relinked it into the list — the list walk emits
-// it directly, so the chain walk stops to avoid duplicates.
+// the first version visible at (snap, me), or nil. Every chain member below
+// the head is unlinked — rollback relinks a version only after cutting its
+// successor loose (UndoUpdate) — so each row is reached through exactly one
+// head.
 func visibleVersion(head *Record, snap uint64, me int64) *Record {
 	for v := head; v != nil; v = v.older {
-		if v != head && v.Live() {
-			return nil
-		}
 		if v.VisibleAt(snap, me) {
 			return v
 		}
@@ -525,56 +572,48 @@ func (t *Table) LookupSnapshot(column string, key types.Value, snap uint64, me i
 // KeyChurn reports how many updates changed an indexed column's value.
 func (t *Table) KeyChurn() int64 { return t.keyChurn.Load() }
 
-// UndoKeyChurn reverses Update's key-churn accounting after the update has
-// been rolled back (the copy deleted, the original relinked): the
-// indexed-column change it counted no longer exists, so exact snapshot
-// index probes are valid again. Without this, one aborted key-changing
-// update would degrade every future probe to a filtered scan forever.
-func (t *Table) UndoKeyChurn(old, repl *Record) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for col := range t.indexes {
-		ci := t.schema.ColIndex(col)
-		if !repl.vals[ci].Equal(old.vals[ci]) {
-			t.keyChurn.Add(-1)
-		}
-	}
-}
-
 // ReleaseVersions garbage-collects versions no active snapshot can reach.
 // horizon is the oldest LSN any current or future snapshot may hold: a
 // chain is truncated below its newest version committed at or before
 // horizon, and a retired head is dropped once its delete committed at or
-// before horizon (or its creator aborted, leaving createLSN == 0 with no
-// in-flight writer able to commit it). Returns the number of versions
-// dropped and updates the retained-version statistic.
+// before horizon. Only the dirty heads and the retired set are visited —
+// every other row has no older version to release. Returns the number of
+// versions dropped and updates the retained-version statistic.
 func (t *Table) ReleaseVersions(horizon uint64) (dropped int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var retained int64
-	for r := t.head; r != nil; r = r.next {
-		d, k := truncateChain(r, horizon)
-		dropped += d
-		retained += k
+	keep := t.dirty[:0]
+	for _, r := range t.dirty {
+		if r.Live() {
+			d, k := truncateChain(r, horizon)
+			dropped += d
+			retained += k
+			if r.older != nil {
+				keep = append(keep, r)
+				continue
+			}
+		}
+		// A head whose chain is gone has nothing left to release. An
+		// unlinked head is someone else's to sweep: superseded, its
+		// successor is on this list and chains to it; deleted, it is in the
+		// retired set; undone, it has no chain.
+		r.inDirty = false
 	}
+	clear(t.dirty[len(keep):])
+	t.dirty = keep
 	for r := range t.retired {
 		c := r.createLSN.Load()
 		d := r.deleteLSN.Load()
-		// c == 0: the creator aborted (undo tombstones its inserts and
-		// update copies), or an active txn deleted its own uncommitted
-		// insert — either way no snapshot can ever see this record, and
-		// commit/abort processing does not need its retired membership.
-		// Exception: if it chains to a dead older version whose delete is
-		// unstamped, an active txn updated then deleted the row, and this
-		// head is still the only route to the committed version — keep it
-		// until the writer resolves. A dead older version with any delete
-		// stamp is reachable without us (a committed update chains it under
-		// the successor; a delete parks it in the retired set itself), so
-		// the orphan must drop or abort churn leaks it forever.
-		aborted := c == 0 &&
-			(r.older == nil || r.older.Live() || r.older.DeleteLSN() != 0)
+		// c == 0 with no older version: an insert whose creator aborted or
+		// deleted it again before committing — no snapshot can ever see it,
+		// and commit/abort processing does not need its retired membership.
+		// (c == 0 with an older version is an in-flight update-then-delete:
+		// this head is the only route to the committed version, so it stays
+		// until the writer resolves.)
+		neverVisible := c == 0 && r.older == nil
 		expired := d != 0 && d != PendingLSN && d <= horizon
-		if aborted || expired {
+		if neverVisible || expired {
 			t.dropRetired(r)
 			r.older = nil
 			dropped++
@@ -591,42 +630,29 @@ func (t *Table) ReleaseVersions(horizon uint64) (dropped int64) {
 
 // truncateChain cuts head's version chain below the newest version every
 // snapshot at or above horizon can see, returning (dropped, kept) counts of
-// non-head versions. A live chain member was relinked by rollback and is
-// covered by the list walk, so the chain is cut at it.
+// non-head versions.
 func truncateChain(head *Record, horizon uint64) (dropped, kept int64) {
-	v := head
-	for {
-		next := v.older
-		if next == nil {
-			return dropped, kept
-		}
-		if next.Live() {
-			v.older = nil
-			return dropped, kept
-		}
+	for v := head; v.older != nil; v = v.older {
 		if c := v.createLSN.Load(); c != 0 && c <= horizon {
-			for w := next; w != nil; w = w.older {
+			for w := v.older; w != nil; w = w.older {
 				dropped++
 			}
 			v.older = nil
 			return dropped, kept
 		}
 		kept++
-		v = next
 	}
+	return dropped, kept
 }
 
-// VersionStats counts currently retained versions: chain tails reachable
-// from live heads plus the retired set and its chains. For tests and the
-// versions-retained gauge between GC passes.
+// VersionStats counts currently retained versions by walking the whole
+// table: chain tails reachable from live heads plus the retired set and its
+// chains. For tests and the versions-retained figure between GC passes.
 func (t *Table) VersionStats() (retained int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	chainLen := func(head *Record) (n int64) {
 		for v := head.older; v != nil; v = v.older {
-			if v.Live() {
-				return n
-			}
 			n++
 		}
 		return n

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
+	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/index"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -133,7 +136,7 @@ func TestSnapshotSeesDeletedRow(t *testing.T) {
 
 // TestAbortedUpdateNoDuplicate covers the abort-relink edge: after an
 // uncommitted update is rolled back, a snapshot scan must emit the restored
-// row exactly once (the live-non-head chain guard).
+// row exactly once (UndoUpdate cuts the copy loose).
 func TestAbortedUpdateNoDuplicate(t *testing.T) {
 	tbl := stocksTable(t)
 	r := commitInsert(t, tbl, 2, types.Str("IBM"), types.Float(30))
@@ -143,10 +146,7 @@ func TestAbortedUpdateNoDuplicate(t *testing.T) {
 	}
 	nr.SetWriter(5)
 	// Roll back, the way Txn.Abort does for OpUpdate.
-	if err := tbl.Delete(nr); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Relink(r); err != nil {
+	if err := tbl.UndoUpdate(r, nr); err != nil {
 		t.Fatal(err)
 	}
 	var seen int
@@ -317,10 +317,7 @@ func TestUpdateChurnBoundedVersions(t *testing.T) {
 					t.Fatal(err)
 				}
 				nr.SetWriter(99)
-				if err := tbl.Delete(nr); err != nil {
-					t.Fatal(err)
-				}
-				if err := tbl.Relink(recs[i]); err != nil {
+				if err := tbl.UndoUpdate(recs[i], nr); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -341,5 +338,93 @@ func TestUpdateChurnBoundedVersions(t *testing.T) {
 	}
 	if got := tbl.Len(); got != rows {
 		t.Fatalf("live rows = %d, want %d", got, rows)
+	}
+}
+
+// TestReleaseVersionsVisitsOnlyDirtyHeads pins down what a sweep costs: its
+// work list holds the heads updated since the last sweep (plus those whose
+// chains a snapshot still holds), not the table.
+func TestReleaseVersionsVisitsOnlyDirtyHeads(t *testing.T) {
+	tbl := stocksTable(t)
+	const rows = 1000
+	recs := make([]*Record, rows)
+	for i := range recs {
+		recs[i] = commitInsert(t, tbl, 2, types.Str(fmt.Sprintf("S%04d", i)), types.Float(1))
+	}
+	if len(tbl.dirty) != 0 {
+		t.Fatalf("inserts put %d heads on the GC list", len(tbl.dirty))
+	}
+	lsn := uint64(3)
+	for i := 0; i < 10; i++ {
+		recs[i] = commitUpdate(t, tbl, recs[i], lsn, recs[i].Value(0), types.Float(2))
+		lsn++
+	}
+	recs[0] = commitUpdate(t, tbl, recs[0], lsn, recs[0].Value(0), types.Float(3)) // same row again
+	if len(tbl.dirty) != 11 {
+		t.Fatalf("GC list holds %d heads after 11 updates, want 11", len(tbl.dirty))
+	}
+	// Horizon 7: rows 1–4 (committed at 4–7) lose their original and leave
+	// the list, the superseded head of row 0 (3) leaves it too, and row 0's
+	// chain is cut below that version; row 0's newer head (13) and rows 5–9
+	// (8–12) keep one older version each and stay.
+	if dropped := tbl.ReleaseVersions(7); dropped != 5 {
+		t.Fatalf("dropped %d versions at horizon 7, want 5", dropped)
+	}
+	if len(tbl.dirty) != 6 || tbl.Stats().VersionsRetained != 6 || tbl.VersionStats() != 6 {
+		t.Fatalf("after horizon 7: list %d, stat %d, walk %d; want 6, 6, 6",
+			len(tbl.dirty), tbl.Stats().VersionsRetained, tbl.VersionStats())
+	}
+	if dropped := tbl.ReleaseVersions(lsn); dropped != 6 {
+		t.Fatalf("dropped %d versions at the newest LSN, want 6", dropped)
+	}
+	if len(tbl.dirty) != 0 || tbl.VersionStats() != 0 {
+		t.Fatalf("after the newest LSN: list %d, walk %d; want 0, 0", len(tbl.dirty), tbl.VersionStats())
+	}
+}
+
+// BenchmarkReleaseVersions is one GC cycle — 64 committed updates, then the
+// sweep that reclaims their 64 superseded versions — on tables of 10k and
+// 100k rows. The sweep visits the 64 dirty heads, so neither ns/op nor the
+// sweep's own share (sweep-ns/op) may depend on `rows`.
+func BenchmarkReleaseVersions(b *testing.B) {
+	const dirty = 64
+	for _, rows := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("rows=%dk/dirty=%d", rows/1000, dirty), func(b *testing.B) {
+			tbl := NewTable(catalog.MustSchema("stocks",
+				catalog.Column{Name: "symbol", Kind: types.KindString},
+				catalog.Column{Name: "price", Kind: types.KindFloat}))
+			recs := make([]*Record, rows)
+			for i := range recs {
+				r, err := tbl.Insert([]types.Value{types.Str(fmt.Sprintf("S%06d", i)), types.Float(1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				recs[i] = r
+			}
+			lsn := uint64(BootstrapLSN)
+			var sweep time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < dirty; j++ {
+					k := (i*dirty + j) * 7919 % rows
+					nr, err := tbl.Update(recs[k], []types.Value{recs[k].Value(0), types.Float(float64(i))})
+					if err != nil {
+						b.Fatal(err)
+					}
+					lsn++
+					nr.StampCreate(lsn)
+					recs[k].StampDelete(lsn)
+					recs[k] = nr
+				}
+				t0 := time.Now()
+				dropped := tbl.ReleaseVersions(lsn)
+				sweep += time.Since(t0)
+				if dropped != dirty {
+					b.Fatalf("sweep dropped %d versions, want %d", dropped, dirty)
+				}
+			}
+			b.ReportMetric(float64(sweep.Nanoseconds())/float64(b.N), "sweep-ns/op")
+		})
 	}
 }

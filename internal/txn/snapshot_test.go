@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/stripdb/strip/internal/index"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -251,5 +252,95 @@ func TestNoTornSnapshots(t *testing.T) {
 	tbl, _ := e.store.Get("t")
 	if held := tbl.VersionStats(); held != 0 {
 		t.Fatalf("versions retained after quiesced GC = %d, want 0", held)
+	}
+}
+
+// TestAbortedUpdateThenUpdateReadsRowOnce is the torn-snapshot regression:
+// update, abort, then a second update of the same row. The aborted copy used
+// to stay in the retired set still chained to the relinked original, so once
+// the original was superseded again a snapshot reached it twice — through
+// the new head's chain and through the orphan — until the next GC. Every
+// snapshot, before and after the second update commits, must get each row
+// exactly once from both the scan and the index probe.
+func TestAbortedUpdateThenUpdateReadsRowOnce(t *testing.T) {
+	e := openWalEnv(t, t.TempDir(), wal.Options{})
+	defer e.wal.Close()
+	e.createTable(t, "t")
+	tbl, _ := e.store.Get("t")
+	if err := tbl.CreateIndex("k", index.Hash); err != nil {
+		t.Fatal(err)
+	}
+
+	seed := e.mgr.Begin()
+	recs := map[string]*storage.Record{}
+	for _, k := range []string{"a", "b"} {
+		r, err := seed.Insert("t", []types.Value{types.Str(k), types.Int(10)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[k] = r
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// readOnce reads through tx's snapshot and fails if any row comes back
+	// twice or with the wrong value.
+	readOnce := func(when string, tx *txn.Txn, wantA int64) {
+		t.Helper()
+		snap, me, ok := tx.SnapshotRead()
+		if !ok {
+			t.Fatal("transaction is not reading from a snapshot")
+		}
+		seen := map[string][]int64{}
+		tbl.ScanSnapshot(snap, me, func(r *storage.Record) bool {
+			seen[r.Value(0).Str()] = append(seen[r.Value(0).Str()], r.Value(1).Int())
+			return true
+		})
+		for k, want := range map[string]int64{"a": wantA, "b": 10} {
+			if got := seen[k]; len(got) != 1 || got[0] != want {
+				t.Errorf("%s: scan at snapshot %d returned %s = %v, want [%d]", when, snap, k, got, want)
+			}
+			probe, ok := tbl.LookupSnapshot("k", types.Str(k), snap, me)
+			if !ok || len(probe) != 1 || probe[0].Value(1).Int() != want {
+				t.Errorf("%s: probe at snapshot %d returned %d versions of %s (ok=%v), want one = %d",
+					when, snap, len(probe), k, ok, want)
+			}
+		}
+	}
+
+	aborted := e.mgr.Begin()
+	if _, err := aborted.Update("t", recs["a"], []types.Value{types.Str("a"), types.Int(99)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := aborted.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	before := e.mgr.BeginReadOnly()
+	readOnce("after the abort", before, 10)
+
+	second := e.mgr.Begin()
+	if _, err := second.Update("t", recs["a"], []types.Value{types.Str("a"), types.Int(11)}); err != nil {
+		t.Fatal(err)
+	}
+	readOnce("second update in flight, old snapshot", before, 10)
+	inflight := e.mgr.BeginReadOnly()
+	readOnce("second update in flight, new snapshot", inflight, 10)
+	if err := second.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	readOnce("second update committed, old snapshot", before, 10)
+	readOnce("second update committed, mid snapshot", inflight, 10)
+	after := e.mgr.BeginReadOnly()
+	readOnce("second update committed, new snapshot", after, 11)
+
+	for _, tx := range []*txn.Txn{before, inflight, after} {
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.mgr.RunVersionGC()
+	if got := tbl.VersionStats(); got != 0 {
+		t.Errorf("versions retained with no snapshot out = %d, want 0", got)
 	}
 }

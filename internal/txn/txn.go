@@ -251,9 +251,12 @@ func (m *Manager) OldestSnapshot() uint64 {
 	return h
 }
 
-// RunVersionGC sweeps every table, releasing record versions below the GC
-// horizon, and refreshes the versions-retained and snapshot-age gauges.
-// Concurrent calls coalesce (single flight). Returns versions dropped.
+// RunVersionGC releases, in every table, the record versions below the GC
+// horizon, and refreshes the versions-retained and snapshot-age gauges. A
+// table is swept through its dirty heads and retired set (see
+// storage.Table.ReleaseVersions), so the cost follows the versions written
+// since the last run, not the database size. Concurrent calls coalesce
+// (single flight). Returns versions dropped.
 func (m *Manager) RunVersionGC() (dropped int64) {
 	if !m.gcMu.TryLock() {
 		return 0
@@ -466,6 +469,10 @@ func (t *Txn) releaseSnapshot() {
 // including commit stamping: a snapshot taken after Wait returns observes
 // the transaction's effects (or their absence, on abort).
 func (t *Txn) Wait() { <-t.done }
+
+// Done returns the channel Wait blocks on, for waiters that must not keep
+// the transaction itself (its write log, its lock tables) alive meanwhile.
+func (t *Txn) Done() <-chan struct{} { return t.done }
 
 // finish publishes completion to waiters.
 func (t *Txn) finish() {
@@ -822,15 +829,10 @@ func (t *Txn) Abort() error {
 		case OpDelete:
 			err = tbl.Relink(rec.Old)
 		case OpUpdate:
-			if err = tbl.Delete(rec.New); err == nil {
-				err = tbl.Relink(rec.Old)
-			}
-			if err == nil {
-				// The update's copy is gone from the indexes and the
-				// original is back, so any indexed-column churn it counted
-				// must be uncounted or snapshot probes degrade for good.
-				tbl.UndoKeyChurn(rec.Old, rec.New)
-			}
+			// One storage operation, not Delete(new) + Relink(old): between
+			// the two the copy would sit in the retired set still chained to
+			// the original, and a snapshot scan would reach that row twice.
+			err = tbl.UndoUpdate(rec.Old, rec.New)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err

@@ -6,6 +6,7 @@ import (
 
 	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/server"
+	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/txn"
 )
 
@@ -46,16 +47,15 @@ func (b dbBackend) BeginReadOnly() *txn.Txn { return b.db.BeginReadOnly() }
 func (b dbBackend) Obs() *obs.Registry      { return b.db.obs }
 func (b dbBackend) Now() int64              { return b.db.clk.Now() }
 
-func (b dbBackend) Exec(sql string) (*server.Result, error) {
-	res, err := b.db.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &server.Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
+func (b dbBackend) Exec(stmt sqlparse.Stmt) (*server.Result, error) {
+	return serverResult(b.db.execStmt(stmt))
 }
 
-func (b dbBackend) ExecIn(tx *txn.Txn, sql string) (*server.Result, error) {
-	res, err := b.db.ExecIn(tx, sql)
+func (b dbBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*server.Result, error) {
+	return serverResult(b.db.execStmtIn(tx, stmt))
+}
+
+func serverResult(res *Result, err error) (*server.Result, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/stripdb/strip/client"
 	"github.com/stripdb/strip/internal/obs"
+	"github.com/stripdb/strip/internal/sqlparse"
 )
 
 // serveOpen opens an engine with the network listener (and optionally
@@ -280,5 +281,35 @@ func TestServeAuthToken(t *testing.T) {
 	c := serveDial(t, db, client.Options{Token: "sesame"})
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Over the wire into the real engine, a served statement is parsed once: the
+// session's classifying parse is the only one (DB.Exec used to parse the
+// same text again).
+func TestServeParsesEachStatementOnce(t *testing.T) {
+	db := serveOpen(t, Config{})
+	c := serveDial(t, db, client.Options{})
+	db.MustExec(`create table kv (k text, v float)`)
+	db.MustExec(`create index on kv (k)`)
+	db.MustExec(`insert into kv values ('a', 1)`)
+	for _, sql := range []string{
+		`update kv set v += 1 where k = 'a'`,
+		`insert into kv values ('b', 2)`,
+		`select k, v from kv where k = 'a'`,
+	} {
+		before := sqlparse.ParseCalls()
+		var err error
+		if strings.HasPrefix(sql, "select") {
+			_, err = c.Query(sql)
+		} else {
+			_, err = c.Exec(sql)
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if got := sqlparse.ParseCalls() - before; got != 1 {
+			t.Errorf("%q was parsed %d times, want 1", sql, got)
+		}
 	}
 }
