@@ -216,10 +216,7 @@ func QueryAction(ctx *ActionContext, sql string) ([][]Value, []string, error) {
 		return nil, nil, err
 	}
 	defer res.Retire()
-	rows := make([][]Value, res.Len())
-	for i := range rows {
-		rows[i] = res.Row(i)
-	}
+	rows := res.Rows()
 	names := make([]string, res.Schema().NumCols())
 	for i := range names {
 		names[i] = res.Schema().Col(i).Name
@@ -264,10 +261,7 @@ func (db *DB) execStmtIn(tx *Txn, stmt sqlparse.Stmt) (*Result, error) {
 			return nil, err
 		}
 		defer res.Retire()
-		out := &Result{}
-		for i := 0; i < res.Len(); i++ {
-			out.Rows = append(out.Rows, res.Row(i))
-		}
+		out := &Result{Rows: res.Rows()}
 		for i := 0; i < res.Schema().NumCols(); i++ {
 			out.Columns = append(out.Columns, res.Schema().Col(i).Name)
 		}

@@ -1,6 +1,8 @@
 package strip
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,5 +49,63 @@ func TestExplain(t *testing.T) {
 
 	if _, err := db.Explain(`insert into stocks values ('S9', 1)`); err == nil {
 		t.Error("Explain accepted a non-query statement")
+	}
+}
+
+// TestExplainBenchShapes pins what every operator of the three read_mix
+// statement shapes counts as actual rows (the repo benchmark derives
+// query.rows_examined_per_row.* from the leaves' counts): a leaf counts
+// each row it yields, a filter each row it passes, a join each joined row,
+// the sink each row it puts out.
+func TestExplainBenchShapes(t *testing.T) {
+	db := MustOpen(Config{Workers: 1})
+	defer db.Close()
+	exec := func(sql string) {
+		t.Helper()
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	// The benchmark's schema in small: 40 stocks priced 100..139, two
+	// composites of five members each.
+	exec(`create table stocks (symbol text, price int)`)
+	exec(`create table comps_list (comp text, symbol text, weight int)`)
+	for i := 0; i < 40; i++ {
+		exec(fmt.Sprintf(`insert into stocks values ('S%02d', %d)`, i, 100+i))
+	}
+	for c := 0; c < 2; c++ {
+		for m := 0; m < 5; m++ {
+			exec(fmt.Sprintf(`insert into comps_list values ('C%d', 'S%02d', %d)`, c, 7*m+c, 1+m))
+		}
+	}
+	exec(`create index on stocks (symbol)`)
+	exec(`create index on comps_list (symbol)`)
+	exec(`create index on comps_list (comp)`)
+
+	for _, tc := range []struct {
+		sql  string
+		want []string // operator and its act=, top down
+	}{
+		{`select sum(price) as s from stocks`,
+			[]string{"aggregate act=1", "scan act=40"}},
+		{`select symbol, price from stocks where price >= 120`,
+			[]string{"project act=20", "filter act=20", "scan act=40"}},
+		{`select sum(weight*price) as v from comps_list, stocks
+			where comps_list.comp = 'C1' and stocks.symbol = comps_list.symbol`,
+			[]string{"aggregate act=1", "join act=5", "probe act=5", "probe act=5"}},
+	} {
+		text, err := db.Explain(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+			op := strings.Fields(line)[0]
+			act := line[strings.LastIndex(line, "act="):]
+			got = append(got, op+" "+strings.TrimSuffix(act, ")"))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\n%s operators count %v, want %v", tc.sql, text, got, tc.want)
+		}
 	}
 }

@@ -3,10 +3,10 @@ package query
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/catalog"
-	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/query/plan"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
@@ -22,7 +22,17 @@ type compiled struct {
 	agg    bool
 	fixed  bool        // planner mode the plan was built under
 	levels []levelPlan // execution order
-	consts []Pred
+	consts []lowPred   // predicates over no source, checked once per run
+
+	// The select list as the row loop runs it. A projection evaluates
+	// items; an aggregation folds aggs per group and fills each remaining
+	// (grouped-column) item i from position repKey[i] of the group's key,
+	// built from groupBy.
+	outCols []catalog.Column
+	items   []lowered
+	aggs    []aggSpec
+	groupBy []lowered
+	repKey  []int
 	// estRows/estCost are the planner's whole-query estimates.
 	estRows float64
 	estCost float64
@@ -86,6 +96,7 @@ type levelPlan struct {
 	src       int
 	probe     *probe // nil = scan
 	resid     []Pred
+	filter    []lowPred // resid, lowered
 	estLoops  float64
 	estAccess float64
 	estOut    float64
@@ -97,6 +108,7 @@ type levelPlan struct {
 type probe struct {
 	col  string
 	expr Expr
+	key  lowered // expr, lowered
 }
 
 // srcSig captures what a cached plan assumed about one source. Standard
@@ -164,7 +176,7 @@ func (q *Select) ensureCompiled(tx *txn.Txn, srcs []*source) (*compiled, error) 
 	feedback := false
 	if c := q.cache.Load(); c != nil && c.fixed == fixed && sigMatch(c.sig, srcs) {
 		if !c.stale.Load() {
-			mgr.Obs.Counter(obs.MQueryPlanHits).Inc()
+			mgr.Query.PlanHits.Inc()
 			return c, nil
 		}
 		// The signature still holds but selectivity feedback marked the
@@ -179,10 +191,10 @@ func (q *Select) ensureCompiled(tx *txn.Txn, srcs []*source) (*compiled, error) 
 	c.driftLimit = defaultDriftLimit
 	if feedback {
 		c.driftLimit = defaultDriftLimit * rebuiltPlanDriftBias
-		mgr.Obs.Counter(obs.MQueryPlanFeedbackRebuilds).Inc()
+		mgr.Query.PlanFeedbackRebuilds.Inc()
 	}
 	q.cache.Store(c)
-	mgr.Obs.Counter(obs.MQueryPlanBuilds).Inc()
+	mgr.Query.PlanBuilds.Inc()
 	return c, nil
 }
 
@@ -255,7 +267,7 @@ func compile(orig *Select, tx *txn.Txn, srcs []*source, fixed bool) (*compiled, 
 		sig:     makeSig(srcs),
 	}
 	for _, pi := range res.Consts {
-		c.consts = append(c.consts, q.Where[pi])
+		c.consts = append(c.consts, lowerPred(q.Where[pi], srcs))
 	}
 	c.levels = make([]levelPlan, len(res.Levels))
 	for i, lv := range res.Levels {
@@ -268,14 +280,68 @@ func compile(orig *Select, tx *txn.Txn, srcs []*source, fixed bool) (*compiled, 
 		}
 		if lv.ProbePred >= 0 {
 			side := probeSides[lv.ProbePred][lv.ProbeCand]
-			lp.probe = &probe{col: side.col, expr: side.expr}
+			lp.probe = &probe{col: side.col, expr: side.expr, key: lower(side.expr, srcs)}
 		}
 		for _, pi := range lv.Residuals {
 			lp.resid = append(lp.resid, q.Where[pi])
 		}
+		lp.filter = lowerPreds(lp.resid, srcs)
 		c.levels[i] = lp
 	}
-	return c, nil
+	return c, c.lowerItems(srcs)
+}
+
+// lowerItems lowers the select list and derives the output columns. For
+// an aggregation it also decides what each aggregate item tracks: the sum
+// of an INT-kinded argument stays in int64, exact past 2^53.
+func (c *compiled) lowerItems(srcs []*source) error {
+	q := c.q
+	c.outCols = make([]catalog.Column, len(q.Items))
+	c.items = make([]lowered, len(q.Items))
+	for i, it := range q.Items {
+		name := it.As
+		if name == "" {
+			cr, ok := it.Expr.(*ColRef)
+			if !ok || it.Agg != AggNone {
+				return fmt.Errorf("query: select item %d (%s) needs an alias", i, it.Expr)
+			}
+			name = cr.Col
+		}
+		kind := exprKind(it.Expr, srcs)
+		switch it.Agg {
+		case AggCount:
+			kind = types.KindInt
+		case AggAvg:
+			kind = types.KindFloat
+		}
+		c.outCols[i] = catalog.Column{Name: name, Kind: kind}
+		c.items[i] = lower(it.Expr, srcs)
+	}
+	if !c.agg {
+		return nil
+	}
+	c.groupBy = make([]lowered, len(q.GroupBy))
+	for i, g := range q.GroupBy {
+		c.groupBy[i] = lower(g, srcs)
+	}
+	c.repKey = make([]int, len(q.Items))
+	for i, it := range q.Items {
+		if it.Agg == AggNone {
+			// validateAggregates matched the item to a grouped column.
+			cr := it.Expr.(*ColRef)
+			c.repKey[i] = slices.IndexFunc(q.GroupBy, func(g *ColRef) bool {
+				return g.src == cr.src && g.col == cr.col
+			})
+			continue
+		}
+		c.aggs = append(c.aggs, aggSpec{
+			item:  i,
+			agg:   it.Agg,
+			exact: it.Agg == AggSum && c.outCols[i].Kind == types.KindInt,
+			arg:   c.items[i],
+		})
+	}
+	return nil
 }
 
 // probeSide pairs a plan.Probe candidate with the executable key

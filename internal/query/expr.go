@@ -12,12 +12,12 @@ import (
 	"github.com/stripdb/strip/internal/types"
 )
 
-// Expr is a scalar expression evaluated against a row binding.
+// Expr is a scalar expression over a query's sources. It is the syntax
+// form: resolve binds it to sources and lower (lower.go) turns the bound
+// form into what the executor evaluates.
 type Expr interface {
 	// resolve binds column references to (source, column) positions.
 	resolve(srcs []*source) error
-	// eval computes the expression for the current cursor positions.
-	eval(cur []cursor) (types.Value, error)
 	// String renders the expression (diagnostics, plan dumps).
 	String() string
 	// walk visits the expression tree.
@@ -60,10 +60,6 @@ func (c *ColRef) resolve(srcs []*source) error {
 	return nil
 }
 
-func (c *ColRef) eval(cur []cursor) (types.Value, error) {
-	return cur[c.src].value(c.col), nil
-}
-
 // String renders the reference.
 func (c *ColRef) String() string {
 	if c.Table != "" {
@@ -86,8 +82,6 @@ type ConstExpr struct{ Val types.Value }
 func Const(v types.Value) *ConstExpr { return &ConstExpr{Val: v} }
 
 func (c *ConstExpr) resolve([]*source) error { return nil }
-
-func (c *ConstExpr) eval([]cursor) (types.Value, error) { return c.Val, nil }
 
 // String renders the literal.
 func (c *ConstExpr) String() string { return c.Val.String() }
@@ -112,29 +106,6 @@ func (b *BinExpr) resolve(srcs []*source) error {
 		return err
 	}
 	return b.Right.resolve(srcs)
-}
-
-func (b *BinExpr) eval(cur []cursor) (types.Value, error) {
-	l, err := b.Left.eval(cur)
-	if err != nil {
-		return types.Null(), err
-	}
-	r, err := b.Right.eval(cur)
-	if err != nil {
-		return types.Null(), err
-	}
-	switch b.Op {
-	case '+':
-		return types.Add(l, r)
-	case '-':
-		return types.Sub(l, r)
-	case '*':
-		return types.Mul(l, r)
-	case '/':
-		return types.Div(l, r)
-	default:
-		return types.Null(), fmt.Errorf("query: unknown operator %c", b.Op)
-	}
 }
 
 // String renders the expression.
@@ -176,18 +147,6 @@ func (f *FuncExpr) resolve(srcs []*source) error {
 		}
 	}
 	return nil
-}
-
-func (f *FuncExpr) eval(cur []cursor) (types.Value, error) {
-	args := make([]types.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := a.eval(cur)
-		if err != nil {
-			return types.Null(), err
-		}
-		args[i] = v
-	}
-	return f.fn(args)
 }
 
 // String renders the call.
@@ -285,18 +244,6 @@ func (p Pred) resolve(srcs []*source) error {
 	return p.Right.resolve(srcs)
 }
 
-func (p Pred) eval(cur []cursor) (bool, error) {
-	l, err := p.Left.eval(cur)
-	if err != nil {
-		return false, err
-	}
-	r, err := p.Right.eval(cur)
-	if err != nil {
-		return false, err
-	}
-	return p.Op.holds(l.Compare(r)), nil
-}
-
 func (p Pred) clone() Pred {
 	return Pred{Op: p.Op, Left: p.Left.clone(), Right: p.Right.clone()}
 }
@@ -358,7 +305,8 @@ func FoldConst(e Expr) (types.Value, bool) {
 	if err := e.resolve(nil); err != nil {
 		return types.Null(), false
 	}
-	v, err := e.eval(nil)
+	low := lower(e, nil)
+	v, err := low.eval(nil)
 	if err != nil {
 		return types.Null(), false
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -53,15 +52,21 @@ func (ex *exec) buildTree() op {
 	return &projectOp{ex: ex, child: root}
 }
 
-// drive pulls the root until exhausted. With a LIMIT and no ordering
-// or grouping, it stops as soon as the output is full.
+// stopsAtLimit reports whether the run may stop as soon as the output
+// holds LIMIT rows: nothing downstream reorders or folds them.
+func (ex *exec) stopsAtLimit() bool {
+	return ex.q.Limit > 0 && !ex.c.agg && len(ex.q.OrderBy) == 0
+}
+
+// drive pulls the root until exhausted, or until the output is full when
+// stopsAtLimit.
 func (ex *exec) drive(root op) error {
 	if err := root.open(); err != nil {
 		return err
 	}
 	defer root.close()
-	limit := ex.c.q.Limit
-	early := limit > 0 && !ex.c.agg && len(ex.c.q.OrderBy) == 0
+	limit := ex.q.Limit
+	early := ex.stopsAtLimit()
 	for {
 		ok, err := root.next()
 		if err != nil {
@@ -77,18 +82,18 @@ func (ex *exec) drive(root op) error {
 }
 
 // scanOp iterates one source: a temp table by row index, a standard
-// table by materializing the visible record set on first open — under
-// the table S lock for locked reads, or lock-free at the transaction's
-// snapshot. The visible set is collected under the table latch and
-// visited only after it is released: with no table S locks serializing
-// writers on the snapshot path, a latch held across the consumer (which
-// may latch another table, or this one again) can deadlock against a
-// queued writer (RWMutex is writer-preferring). The materialized set is
-// reused across re-opens within the run — legal because either the S
-// lock or the fixed snapshot pins the visible set — so an inner scan
-// pays the real scan once per query instead of once per outer row; the
-// virtual ScanRow charge is still paid per yielded row for cost parity
-// with the paper's model.
+// table by collecting the visible record set on first open — under the
+// table S lock for locked reads, or lock-free at the transaction's
+// snapshot. The set is collected under the table latch into a buffer the
+// storage layer sizes once, and visited only after the latch is released:
+// with no table S locks serializing writers on the snapshot path, a latch
+// held across the consumer (which may latch another table, or this one
+// again) can deadlock against a queued writer (RWMutex is
+// writer-preferring). The collected set is reused across re-opens within
+// the run — legal because either the S lock or the fixed snapshot pins the
+// visible set — so an inner scan pays the real scan once per query instead
+// of once per outer row; the virtual ScanRow charge is still paid per
+// yielded row for cost parity with the paper's model.
 type scanOp struct {
 	ex   *exec
 	lp   *levelPlan
@@ -118,11 +123,8 @@ func (o *scanOp) open() error {
 	}
 	if snap, me, ok := o.ex.tx.SnapshotRead(); ok {
 		o.mode = "snapshot"
-		o.ex.tx.Manager().Obs.Counter(obs.MMvccSnapshotScans).Inc()
-		s.tbl.ScanSnapshot(snap, me, func(r *storage.Record) bool {
-			o.recs = append(o.recs, r)
-			return true
-		})
+		o.ex.tx.Manager().Query.SnapshotScans.Inc()
+		o.recs = s.tbl.AppendVisible(nil, snap, me)
 	} else {
 		// A full scan locks the whole table shared rather than every
 		// row (read-side escalation); this also shuts out record
@@ -131,10 +133,7 @@ func (o *scanOp) open() error {
 		if _, err := o.ex.tx.ScanTable(s.name); err != nil {
 			return err
 		}
-		s.tbl.Scan(func(r *storage.Record) bool {
-			o.recs = append(o.recs, r)
-			return true
-		})
+		o.recs = s.tbl.AppendLive(nil)
 	}
 	o.mat = true
 	return nil
@@ -142,13 +141,13 @@ func (o *scanOp) open() error {
 
 func (o *scanOp) next() (bool, error) {
 	ex := o.ex
-	s := ex.srcs[o.lp.src]
-	if s.tbl == nil {
-		if o.i >= s.tmp.Len() {
+	c := &ex.cur[o.lp.src]
+	if c.tmp != nil {
+		if o.i >= c.tmp.Len() {
 			return false, nil
 		}
 		ex.tx.Charge(ex.model.ScanRow)
-		ex.cur[o.lp.src] = cursor{src: s, row: o.i}
+		c.row = o.i
 	} else {
 		if o.i >= len(o.recs) {
 			return false, nil
@@ -156,7 +155,7 @@ func (o *scanOp) next() (bool, error) {
 		if ex.shared == nil {
 			ex.tx.Charge(ex.model.ScanRow)
 		}
-		ex.cur[o.lp.src] = cursor{src: s, rec: o.recs[o.i]}
+		c.rec = o.recs[o.i]
 	}
 	o.i++
 	if ex.prof != nil {
@@ -188,7 +187,8 @@ func (o *scanOp) node() *PlanNode {
 // probeOp is an index nested-loop step: each open evaluates the key
 // expression against the outer cursors and looks up the source's index
 // — lock-free against the snapshot, or S-locking exactly the probed
-// rows.
+// rows. The matches land in recs, which the op owns and refills on every
+// re-open.
 type probeOp struct {
 	ex   *exec
 	lp   *levelPlan
@@ -201,12 +201,12 @@ type probeOp struct {
 func (o *probeOp) open() error {
 	o.i = 0
 	ex := o.ex
-	v, err := o.lp.probe.expr.eval(ex.cur)
+	v, err := o.lp.probe.key.eval(ex.cur)
 	if err != nil {
 		return err
 	}
 	ex.tx.Charge(ex.model.IndexProbe)
-	o.recs, err = lookupRecords(ex.tx, ex.srcs[o.lp.src], o.lp.probe.col, v)
+	o.recs, err = lookupRecords(ex.tx, ex.srcs[o.lp.src], o.lp.probe.col, v, o.recs[:0])
 	return err
 }
 
@@ -215,7 +215,7 @@ func (o *probeOp) next() (bool, error) {
 	if o.i >= len(o.recs) {
 		return false, nil
 	}
-	ex.cur[o.lp.src] = cursor{src: ex.srcs[o.lp.src], rec: o.recs[o.i]}
+	ex.cur[o.lp.src].rec = o.recs[o.i]
 	o.i++
 	if ex.prof != nil {
 		ex.prof.RowsScanned++
@@ -255,16 +255,9 @@ func (o *filterOp) next() (bool, error) {
 		if err != nil || !ok {
 			return ok, err
 		}
-		pass := true
-		for _, p := range o.lp.resid {
-			hold, err := p.eval(o.ex.cur)
-			if err != nil {
-				return false, err
-			}
-			if !hold {
-				pass = false
-				break
-			}
+		pass, err := allHold(o.lp.filter, o.ex.cur)
+		if err != nil {
+			return false, err
 		}
 		if pass {
 			o.rows++
@@ -424,7 +417,7 @@ func (o *aggOp) node() *PlanNode {
 		Op:       "aggregate",
 		Detail:   detail,
 		EstRows:  o.ex.c.estRows,
-		ActRows:  int64(len(o.ex.groupSeq)),
+		ActRows:  int64(o.ex.groups.n),
 		Children: []*PlanNode{o.child.node()},
 	}
 }
@@ -441,23 +434,23 @@ func itemList(q *Select) string {
 	return strings.Join(parts, ", ")
 }
 
-// lookupRecords resolves an index probe: lock-free against the
-// transaction's snapshot when snapshot reads are enabled, otherwise
-// through lockedLookup's record S locks.
-func lookupRecords(tx *txn.Txn, s *source, col string, v types.Value) ([]*storage.Record, error) {
+// lookupRecords resolves an index probe into buf (emptied by the caller):
+// lock-free against the transaction's snapshot when snapshot reads are
+// enabled, otherwise through lockedLookup's record S locks.
+func lookupRecords(tx *txn.Txn, s *source, col string, v types.Value, buf []*storage.Record) ([]*storage.Record, error) {
 	snap, me, ok := tx.SnapshotRead()
 	if !ok {
-		return lockedLookup(tx, s, col, v)
+		return lockedLookup(tx, s, col, v, buf)
 	}
-	tx.Manager().Obs.Counter(obs.MMvccSnapshotProbes).Inc()
-	if recs, exact := s.tbl.LookupSnapshot(col, v, snap, me); exact {
+	tx.Manager().Query.SnapshotProbes.Inc()
+	recs, exact := s.tbl.LookupSnapshot(col, v, snap, me, buf)
+	if exact {
 		return recs, nil
 	}
 	// An update changed an indexed column's value on this table, so the
 	// index (which covers head versions only) could miss older versions
 	// that match. Fall back to a filtered snapshot scan.
 	ci := s.tbl.Schema().ColIndex(col)
-	var recs []*storage.Record
 	s.tbl.ScanSnapshot(snap, me, func(r *storage.Record) bool {
 		if r.Value(ci).Equal(v) {
 			recs = append(recs, r)
@@ -467,7 +460,7 @@ func lookupRecords(tx *txn.Txn, s *source, col string, v types.Value) ([]*storag
 	return recs, nil
 }
 
-// lockedLookup probes the index and S-locks exactly the rows it
+// lockedLookup probes the index into buf and S-locks exactly the rows it
 // returns. Acquiring the record lock can block behind a writer that
 // replaces or deletes the row before committing (copy-on-update
 // replacements keep the lock ID); when the granted record turns out
@@ -475,11 +468,10 @@ func lookupRecords(tx *txn.Txn, s *source, col string, v types.Value) ([]*storag
 // replacement, so a bounded number of retries settles unless the index
 // entry churns pathologically, in which case the probe escalates to a
 // whole-table S as the always-correct fallback.
-func lockedLookup(tx *txn.Txn, s *source, col string, v types.Value) ([]*storage.Record, error) {
+func lockedLookup(tx *txn.Txn, s *source, col string, v types.Value, buf []*storage.Record) ([]*storage.Record, error) {
 	const maxAttempts = 3
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		recs, _ := s.tbl.IndexLookup(col, v)
-		out := recs[:0]
+		recs, _ := s.tbl.AppendIndexLookup(buf[:0], col, v)
 		stale := false
 		for _, r := range recs {
 			if err := tx.LockRecordShared(s.name, r.ID()); err != nil {
@@ -489,15 +481,15 @@ func lockedLookup(tx *txn.Txn, s *source, col string, v types.Value) ([]*storage
 				stale = true
 				break
 			}
-			out = append(out, r)
 		}
 		if !stale {
-			return out, nil
+			return recs, nil
 		}
+		buf = recs
 	}
 	if _, err := tx.ScanTable(s.name); err != nil {
 		return nil, err
 	}
-	recs, _ := s.tbl.IndexLookup(col, v)
+	recs, _ := s.tbl.AppendIndexLookup(buf[:0], col, v)
 	return recs, nil
 }

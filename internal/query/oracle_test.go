@@ -45,9 +45,13 @@ func oracleTables(rng *rand.Rand) []oracleTable {
 		indexes: []string{"symbol"},
 	}
 	for i := 0; i < 30; i++ {
+		sector := types.Str(fmt.Sprintf("sec%d", i%5))
+		if i%11 == 3 {
+			sector = types.Null() // a NULL group key (and MIN/MAX input)
+		}
 		stocks.rows = append(stocks.rows, []types.Value{
 			types.Str(fmt.Sprintf("S%02d", i)),
-			types.Str(fmt.Sprintf("sec%d", i%5)),
+			sector,
 			types.Float(float64(100 + 10*(i%4))),
 			types.Int(int64(i % 7)),
 		})
@@ -241,33 +245,36 @@ func genQuery(rng *rand.Rand, tables []oracleTable) refQuery {
 		q.preds = append(q.preds, refPred{op: op, left: refCol{si, ci}, c: val})
 	}
 
-	var numeric []refCol
+	var numeric, all []refCol
 	for si, ti := range q.from {
 		for ci, c := range tables[ti].cols {
+			all = append(all, refCol{si, ci})
 			if c.Kind == types.KindInt || c.Kind == types.KindFloat {
 				numeric = append(numeric, refCol{si, ci})
 			}
 		}
 	}
-	if len(numeric) > 0 && rng.Intn(10) < 3 {
-		// Aggregate mode: optional group column plus one aggregate.
-		agg := []AggKind{AggSum, AggCount, AggAvg, AggMin, AggMax}[rng.Intn(5)]
-		target := numeric[rng.Intn(len(numeric))]
-		if rng.Intn(4) > 0 {
-			var strs []refCol
-			for si, ti := range q.from {
-				for ci, c := range tables[ti].cols {
-					if c.Kind == types.KindString {
-						strs = append(strs, refCol{si, ci})
-					}
-				}
+	if len(numeric) > 0 && rng.Intn(10) < 4 {
+		// Aggregate mode: GROUP BY over 0–4 columns of any kind (a column
+		// may repeat, and the fixture's NULL sectors make NULL keys), a
+		// random subset of them in the select list, and 1–3 aggregates of
+		// any mix — COUNT-only lists and MIN/MAX over TEXT included.
+		for w := rng.Intn(5); w > 0; w-- {
+			g := all[rng.Intn(len(all))]
+			q.groupBy = append(q.groupBy, g)
+			if rng.Intn(4) > 0 {
+				q.items = append(q.items, refItem{col: g, as: fmt.Sprintf("g%d", len(q.items))})
 			}
-			g := strs[rng.Intn(len(strs))]
-			q.groupBy = []refCol{g}
-			q.items = []refItem{{col: g, as: "g"}, {col: target, agg: agg, as: "a"}}
-		} else {
-			q.items = []refItem{{col: target, agg: agg, as: "a"}}
 		}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			agg := []AggKind{AggSum, AggCount, AggAvg, AggMin, AggMax}[rng.Intn(5)]
+			target := all[rng.Intn(len(all))]
+			if agg == AggSum || agg == AggAvg {
+				target = numeric[rng.Intn(len(numeric))]
+			}
+			q.items = append(q.items, refItem{col: target, agg: agg, as: fmt.Sprintf("a%d", len(q.items))})
+		}
+		rng.Shuffle(len(q.items), func(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] })
 	} else {
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			si := rng.Intn(n)
@@ -287,7 +294,7 @@ func genQuery(rng *rand.Rand, tables []oracleTable) refQuery {
 		}
 		q.desc = rng.Intn(2) == 0
 	}
-	if len(q.orderBy) > 0 && rng.Intn(10) < 3 {
+	if len(q.orderBy) > 0 && rng.Intn(10) < 4 {
 		q.limit = 1 + rng.Intn(10)
 	}
 	return q
@@ -327,8 +334,8 @@ func (q refQuery) toSelect(tables []oracleTable) *Select {
 func cmpVals(a, b types.Value) int { return a.Compare(b) }
 
 // refEval runs the query naively: nested loops in FROM order, all
-// predicates at the innermost level, aggregate semantics copied from the
-// executor's emit/finish.
+// predicates at the innermost level, aggregates worked out per bucket of
+// joint rows.
 func (q refQuery) refEval(tables []oracleTable) [][]types.Value {
 	data := make([][][]types.Value, len(q.from))
 	for i, ti := range q.from {
@@ -393,78 +400,65 @@ func (q refQuery) refEval(tables []oracleTable) [][]types.Value {
 			out = append(out, row)
 		}
 	} else {
-		type group struct {
-			reps   []types.Value
-			counts []int64
-			sums   []float64
-			mins   []types.Value
-			maxs   []types.Value
-		}
-		groups := map[types.Key]*group{}
-		var seq []types.Key
+		// The naive model: bucket the joint rows by the rendered group key
+		// (kind and value of every grouped column, so 1 and 1.0 differ as
+		// they do in the engine), keep first-seen group order, then work
+		// each aggregate out from its bucket's rows. Integer sums are exact
+		// int64; the fixture's floats are multiples of 1/4, so float sums
+		// are exact in any join order.
+		buckets := map[string][][][]types.Value{}
+		var seq []string
 		for _, jr := range joint {
 			keyVals := make([]types.Value, len(q.groupBy))
 			for i, g := range q.groupBy {
 				keyVals[i] = jr[g.src][g.col]
 			}
-			key := types.MakeKey(keyVals...)
-			gs, ok := groups[key]
-			if !ok {
-				n := len(q.items)
-				gs = &group{
-					reps:   make([]types.Value, n),
-					counts: make([]int64, n),
-					sums:   make([]float64, n),
-					mins:   make([]types.Value, n),
-					maxs:   make([]types.Value, n),
-				}
-				groups[key] = gs
+			key := rowKey(keyVals)
+			if _, ok := buckets[key]; !ok {
 				seq = append(seq, key)
 			}
-			for i, it := range q.items {
-				v := jr[it.col.src][it.col.col]
-				switch it.agg {
-				case AggNone:
-					if gs.counts[i] == 0 {
-						gs.reps[i] = v
-					}
-					gs.counts[i]++
-				case AggCount:
-					gs.counts[i]++
-				default:
-					gs.counts[i]++
-					gs.sums[i] += v.Float()
-					if gs.mins[i].IsNull() || v.Compare(gs.mins[i]) < 0 {
-						gs.mins[i] = v
-					}
-					if gs.maxs[i].IsNull() || v.Compare(gs.maxs[i]) > 0 {
-						gs.maxs[i] = v
-					}
-				}
-			}
+			buckets[key] = append(buckets[key], jr)
 		}
 		for _, key := range seq {
-			gs := groups[key]
+			rows := buckets[key]
 			row := make([]types.Value, len(q.items))
 			for i, it := range q.items {
+				kind := tables[q.from[it.col.src]].cols[it.col.col].Kind
+				var isum int64
+				var fsum float64
+				var lo, hi types.Value
+				for _, jr := range rows {
+					v := jr[it.col.src][it.col.col]
+					if v.Numeric() {
+						fsum += v.Float()
+						if v.Kind() == types.KindInt {
+							isum += v.Int()
+						}
+					}
+					if lo.IsNull() || v.Compare(lo) < 0 {
+						lo = v
+					}
+					if hi.IsNull() || v.Compare(hi) > 0 {
+						hi = v
+					}
+				}
 				switch it.agg {
 				case AggNone:
-					row[i] = gs.reps[i]
+					row[i] = rows[0][it.col.src][it.col.col]
 				case AggCount:
-					row[i] = types.Int(gs.counts[i])
+					row[i] = types.Int(int64(len(rows)))
 				case AggSum:
-					src := tables[q.from[it.col.src]].cols[it.col.col]
-					if src.Kind == types.KindInt {
-						row[i] = types.Int(int64(gs.sums[i]))
+					if kind == types.KindInt {
+						row[i] = types.Int(isum)
 					} else {
-						row[i] = types.Float(gs.sums[i])
+						row[i] = types.Float(fsum)
 					}
 				case AggAvg:
-					row[i] = types.Float(gs.sums[i] / float64(gs.counts[i]))
+					row[i] = types.Float(fsum / float64(len(rows)))
 				case AggMin:
-					row[i] = gs.mins[i]
+					row[i] = lo
 				case AggMax:
-					row[i] = gs.maxs[i]
+					row[i] = hi
 				}
 			}
 			out = append(out, row)
@@ -618,10 +612,14 @@ func TestOracleEquivalence(t *testing.T) {
 		}{mgr, res}
 	}
 
+	// covered records which of the shapes the row loop treats differently
+	// the generator actually produced, so a reseed cannot quietly drop one.
+	covered := map[string]bool{}
 	const queries = 300
 	for i := 0; i < queries; i++ {
 		q := genQuery(rng, tables)
 		want := q.refEval(tables)
+		q.noteCoverage(tables, want, covered)
 		for _, planner := range []string{"fixed", "cost"} {
 			env := envs[planner]
 			for _, readMode := range []string{"locked", "snapshot"} {
@@ -645,6 +643,57 @@ func TestOracleEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkOracle(t, q, fmt.Sprintf("query %d (%s/%s)", i, planner, readMode), got, want)
+			}
+		}
+	}
+	for _, shape := range []string{
+		"group width 0", "group width 1", "group width 2", "group width 3", "group width 4",
+		"null group key", "repeated group column", "several rows in a group",
+		"min/max over text", "count only", "mixed aggregates",
+		"order+limit projection", "order+limit aggregate",
+	} {
+		if !covered[shape] {
+			t.Errorf("generator never produced: %s", shape)
+		}
+	}
+}
+
+// noteCoverage marks the shapes q exercises; want is its reference result.
+func (q refQuery) noteCoverage(tables []oracleTable, want [][]types.Value, covered map[string]bool) {
+	kinds := map[AggKind]bool{}
+	for _, it := range q.items {
+		if it.agg == AggNone {
+			continue
+		}
+		kinds[it.agg] = true
+		text := tables[q.from[it.col.src]].cols[it.col.col].Kind == types.KindString
+		if text && (it.agg == AggMin || it.agg == AggMax) {
+			covered["min/max over text"] = true
+		}
+	}
+	limited := len(q.orderBy) > 0 && q.limit > 0 && len(want) > q.limit
+	if len(kinds) == 0 {
+		covered["order+limit projection"] = covered["order+limit projection"] || limited
+		return
+	}
+	covered["order+limit aggregate"] = covered["order+limit aggregate"] || limited
+	covered[fmt.Sprintf("group width %d", len(q.groupBy))] = true
+	covered["count only"] = covered["count only"] || len(kinds) == 1 && kinds[AggCount]
+	covered["mixed aggregates"] = covered["mixed aggregates"] || len(kinds) > 1
+	seen := map[refCol]bool{}
+	for _, g := range q.groupBy {
+		covered["repeated group column"] = covered["repeated group column"] || seen[g]
+		seen[g] = true
+	}
+	// Item positions of grouped columns show NULL keys in the result; a
+	// COUNT above 1 shows a group that folded several rows.
+	for _, row := range want {
+		for i, it := range q.items {
+			if it.agg == AggNone && row[i].IsNull() {
+				covered["null group key"] = true
+			}
+			if it.agg == AggCount && row[i].Int() > 1 {
+				covered["several rows in a group"] = true
 			}
 		}
 	}

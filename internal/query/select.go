@@ -2,11 +2,11 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/cost"
-	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -39,20 +39,6 @@ type source struct {
 	schema *catalog.Schema
 	tbl    *storage.Table
 	tmp    *storage.TempTable
-}
-
-// cursor is a source's current position during join iteration.
-type cursor struct {
-	src *source
-	rec *storage.Record // standard-table position
-	row int             // temp-table position
-}
-
-func (c cursor) value(col int) types.Value {
-	if c.src.tbl != nil {
-		return c.rec.Value(col)
-	}
-	return c.src.tmp.Value(c.row, col)
 }
 
 // AggKind selects an aggregate function for a select item.
@@ -144,8 +130,8 @@ func (q *Select) Run(tx *txn.Txn, res Resolver) (*storage.TempTable, error) {
 	mgr := tx.Manager()
 	start := mgr.Clock.Now()
 	out, _, err := q.runQuery(tx, res, false)
-	mgr.Obs.Counter(obs.MQuerySelects).Inc()
-	mgr.Obs.Histogram(obs.MQuerySelectMicros).Record(mgr.Clock.Now() - start)
+	mgr.Query.Selects.Inc()
+	mgr.Query.SelectMicros.Record(mgr.Clock.Now() - start)
 	return out, err
 }
 
@@ -156,8 +142,8 @@ func (q *Select) RunExplain(tx *txn.Txn, res Resolver) (*storage.TempTable, *Pla
 	mgr := tx.Manager()
 	start := mgr.Clock.Now()
 	out, node, err := q.runQuery(tx, res, true)
-	mgr.Obs.Counter(obs.MQuerySelects).Inc()
-	mgr.Obs.Histogram(obs.MQuerySelectMicros).Record(mgr.Clock.Now() - start)
+	mgr.Query.Selects.Inc()
+	mgr.Query.SelectMicros.Record(mgr.Clock.Now() - start)
 	return out, node, err
 }
 
@@ -206,32 +192,23 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record
 		model:  tx.Model(),
 		prof:   tx.Profile(),
 		srcs:   srcs,
-		cur:    make([]cursor, len(srcs)),
+		cur:    newCursors(srcs),
 		shared: shared,
-	}
-	if c.agg {
-		ex.aggregate = true
-		ex.groups = make(map[types.Key]*groupState)
 	}
 	if err := ex.prepareOutput(); err != nil {
 		return nil, nil, err
 	}
 
-	// Evaluate constant predicates once.
-	empty := false
-	for _, p := range c.consts {
-		ok, err := p.eval(nil)
-		if err != nil {
-			if shared != nil {
-				ex.out.Retire()
-			}
-			return nil, nil, err
+	// Evaluate constant predicates once; a false one proves the result
+	// empty.
+	pass, err := allHold(c.consts, nil)
+	if err != nil {
+		if shared != nil {
+			ex.out.Retire()
 		}
-		if !ok {
-			empty = true // provably empty
-			break
-		}
+		return nil, nil, err
 	}
+	empty := !pass
 
 	root := ex.buildTree()
 	if !empty {
@@ -302,7 +279,9 @@ func (q *Select) clone() *Select {
 
 // exec carries the per-run state of a compiled plan: the transaction,
 // this run's resolved sources, the joint cursor row the operators write
-// into, and the output under construction.
+// into, and the output under construction. It owns every buffer the row
+// loop writes — the cursors, the projection's row scratch, the grouping
+// slabs — so a row moving through the operators allocates nothing.
 type exec struct {
 	c     *compiled
 	q     *Select // == c.q: the resolved, immutable query
@@ -320,15 +299,17 @@ type exec struct {
 	// it feeds selectivity feedback against the plan's estimate.
 	matched int64
 
-	// Output construction.
-	out      *storage.TempTable
-	ptrSlots []ptrSlot // pointer slots of the output layout
-	matCols  []int     // item indexes of materialized columns
+	out *storage.TempTable
 
-	// Grouping state.
-	groups    map[types.Key]*groupState
-	groupSeq  []types.Key
-	aggregate bool
+	// Projection: the output layout's pointer slots and materialized
+	// columns, and one row's worth of scratch that AppendRow copies from.
+	ptrSlots []ptrSlot
+	matCols  []int // item indexes of materialized columns
+	ptrBuf   []*storage.Record
+	valBuf   []types.Value
+
+	// Aggregation state; nil for a projection.
+	groups *groups
 }
 
 // ptrSlot identifies one pointer of the output layout: records flow either
@@ -339,6 +320,12 @@ type ptrSlot struct {
 	tmpPtr int
 }
 
+// maxOutputReserve caps how many rows of output slab the planner's
+// estimate may reserve up front: an estimate is a guess, a wrong one must
+// not cost a large zeroed slab per run, and appends past the reservation
+// grow geometrically anyway.
+const maxOutputReserve = 1 << 10
+
 // prepareOutput builds the result temp table: schema, pointer slots, and
 // static map.
 func (ex *exec) prepareOutput() error {
@@ -346,78 +333,59 @@ func (ex *exec) prepareOutput() error {
 	if name == "" {
 		name = "result"
 	}
-	cols := make([]catalog.Column, len(ex.q.Items))
-	for i, it := range ex.q.Items {
-		colName := it.As
-		if colName == "" {
-			if cr, ok := it.Expr.(*ColRef); ok && it.Agg == AggNone {
-				colName = cr.Col
-			} else {
-				return fmt.Errorf("query: select item %d (%s) needs an alias", i, it.Expr)
-			}
-		}
-		cols[i] = catalog.Column{Name: colName, Kind: ex.itemKind(it)}
-	}
-	schema, err := catalog.NewSchema(name, cols)
+	schema, err := catalog.NewSchema(name, ex.c.outCols)
 	if err != nil {
 		return err
 	}
 
-	if ex.aggregate {
+	if ex.c.agg {
 		ex.out = storage.NewValueTempTable(schema)
+		ex.groups = newGroups(len(ex.c.groupBy), len(ex.c.aggs))
+		ex.valBuf = make([]types.Value, len(ex.q.Items))
 		return nil
 	}
 
 	// Pointer layout: share one slot per distinct record origin (paper §6.1:
 	// one pointer per standard tuple contributing at least one attribute).
-	slotOf := map[ptrSlot]int{}
 	srcMap := make([]storage.ColSource, len(ex.q.Items))
-	nMat := 0
 	for i, it := range ex.q.Items {
 		cr, isRef := it.Expr.(*ColRef)
 		if !isRef {
-			srcMap[i] = storage.Materialized(nMat)
+			srcMap[i] = storage.Materialized(len(ex.matCols))
 			ex.matCols = append(ex.matCols, i)
-			nMat++
 			continue
 		}
-		s := ex.srcs[cr.src]
-		var slot ptrSlot
+		slot := ptrSlot{src: cr.src, tmpPtr: -1}
 		off := cr.col
-		if s.tbl != nil {
-			slot = ptrSlot{src: cr.src, tmpPtr: -1}
-		} else {
-			cs := s.tmp.Source(cr.col)
+		if tmp := ex.srcs[cr.src].tmp; tmp != nil {
+			cs := tmp.Source(cr.col)
 			if cs.Ptr < 0 {
 				// Materialized in the source temp table; copy the value.
-				srcMap[i] = storage.Materialized(nMat)
+				srcMap[i] = storage.Materialized(len(ex.matCols))
 				ex.matCols = append(ex.matCols, i)
-				nMat++
 				continue
 			}
-			slot = ptrSlot{src: cr.src, tmpPtr: cs.Ptr}
-			off = cs.Off
+			slot.tmpPtr, off = cs.Ptr, cs.Off
 		}
-		idx, ok := slotOf[slot]
-		if !ok {
+		idx := slices.Index(ex.ptrSlots, slot)
+		if idx < 0 {
 			idx = len(ex.ptrSlots)
-			slotOf[slot] = idx
 			ex.ptrSlots = append(ex.ptrSlots, slot)
 		}
 		srcMap[i] = storage.FromRecord(idx, off)
 	}
 	ex.out, err = storage.NewTempTable(schema, srcMap, len(ex.ptrSlots))
-	return err
-}
-
-func (ex *exec) itemKind(it SelectItem) types.Kind {
-	switch it.Agg {
-	case AggCount:
-		return types.KindInt
-	case AggAvg:
-		return types.KindFloat
+	if err != nil {
+		return err
 	}
-	return exprKind(it.Expr, ex.srcs)
+	ex.ptrBuf = make([]*storage.Record, len(ex.ptrSlots))
+	ex.valBuf = make([]types.Value, len(ex.matCols))
+	reserve := min(ex.c.estRows, maxOutputReserve)
+	if ex.stopsAtLimit() {
+		reserve = min(reserve, float64(ex.q.Limit))
+	}
+	ex.out.Grow(int(reserve))
+	return nil
 }
 
 func exprKind(e Expr, srcs []*source) types.Kind {
@@ -438,15 +406,6 @@ func exprKind(e Expr, srcs []*source) types.Kind {
 	}
 }
 
-// groupState accumulates aggregates for one group.
-type groupState struct {
-	reps   []types.Value // group-by column values in Items order (nil holes)
-	counts []int64
-	sums   []float64
-	mins   []types.Value
-	maxs   []types.Value
-}
-
 // emit folds the current joint row (ex.cur) into the output: append for
 // plain projections, accumulate for aggregates.
 func (ex *exec) emit() error {
@@ -455,76 +414,47 @@ func (ex *exec) emit() error {
 	if ex.prof != nil {
 		ex.prof.RowsMatched++
 	}
-	if !ex.aggregate {
+	if ex.groups == nil {
 		ex.tx.Charge(ex.model.OutputRow)
-		ptrs := make([]*storage.Record, len(ex.ptrSlots))
 		for i, slot := range ex.ptrSlots {
-			c := cur[slot.src]
+			c := &cur[slot.src]
 			if slot.tmpPtr < 0 {
-				ptrs[i] = c.rec
+				ex.ptrBuf[i] = c.rec
 			} else {
-				ptrs[i] = c.src.tmp.RowPtr(c.row, slot.tmpPtr)
+				ex.ptrBuf[i] = c.tmp.RowPtr(c.row, slot.tmpPtr)
 			}
 		}
-		var vals []types.Value
-		for _, itemIdx := range ex.matCols {
-			v, err := ex.q.Items[itemIdx].Expr.eval(cur)
-			if err != nil {
+		for i, item := range ex.matCols {
+			var err error
+			if ex.valBuf[i], err = ex.c.items[item].eval(cur); err != nil {
 				return err
 			}
-			vals = append(vals, v)
 		}
-		return ex.out.AppendRow(ptrs, vals)
+		return ex.out.AppendRow(ex.ptrBuf, ex.valBuf)
 	}
 
 	ex.tx.Charge(ex.model.GroupRow)
-	keyVals := make([]types.Value, len(ex.q.GroupBy))
-	for i, g := range ex.q.GroupBy {
-		v, err := g.eval(cur)
+	g := ex.groups
+	for i := range ex.c.groupBy {
+		var err error
+		if g.key[i], err = ex.c.groupBy[i].eval(cur); err != nil {
+			return err
+		}
+	}
+	accs := g.lookup()
+	for i := range ex.c.aggs {
+		sp := &ex.c.aggs[i]
+		if sp.agg == AggCount {
+			accs[i].n++
+			continue
+		}
+		var tmp types.Value
+		v, err := sp.arg.ref(cur, &tmp)
 		if err != nil {
 			return err
 		}
-		keyVals[i] = v
-	}
-	key := types.MakeKey(keyVals...)
-	gs, ok := ex.groups[key]
-	if !ok {
-		gs = &groupState{
-			reps:   make([]types.Value, len(ex.q.Items)),
-			counts: make([]int64, len(ex.q.Items)),
-			sums:   make([]float64, len(ex.q.Items)),
-			mins:   make([]types.Value, len(ex.q.Items)),
-			maxs:   make([]types.Value, len(ex.q.Items)),
-		}
-		ex.groups[key] = gs
-		ex.groupSeq = append(ex.groupSeq, key)
-	}
-	for i, it := range ex.q.Items {
-		switch it.Agg {
-		case AggNone:
-			if gs.counts[i] == 0 {
-				v, err := it.Expr.eval(cur)
-				if err != nil {
-					return err
-				}
-				gs.reps[i] = v
-			}
-			gs.counts[i]++
-		case AggCount:
-			gs.counts[i]++
-		default:
-			v, err := it.Expr.eval(cur)
-			if err != nil {
-				return err
-			}
-			gs.counts[i]++
-			gs.sums[i] += v.Float()
-			if gs.mins[i].IsNull() || v.Compare(gs.mins[i]) < 0 {
-				gs.mins[i] = v
-			}
-			if gs.maxs[i].IsNull() || v.Compare(gs.maxs[i]) > 0 {
-				gs.maxs[i] = v
-			}
+		if err := accs[i].fold(sp, v); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -532,31 +462,21 @@ func (ex *exec) emit() error {
 
 // finish materializes grouped output (or returns the row output directly).
 func (ex *exec) finish() (*storage.TempTable, error) {
-	if !ex.aggregate {
+	g := ex.groups
+	if g == nil {
 		return ex.out, nil
 	}
-	for _, key := range ex.groupSeq {
-		gs := ex.groups[key]
-		row := make([]types.Value, len(ex.q.Items))
+	ex.out.Grow(g.n)
+	row := ex.valBuf
+	for gi := 0; gi < g.n; gi++ {
 		for i, it := range ex.q.Items {
-			switch it.Agg {
-			case AggNone:
-				row[i] = gs.reps[i]
-			case AggCount:
-				row[i] = types.Int(gs.counts[i])
-			case AggSum:
-				if ex.itemKind(it) == types.KindInt {
-					row[i] = types.Int(int64(gs.sums[i]))
-				} else {
-					row[i] = types.Float(gs.sums[i])
-				}
-			case AggAvg:
-				row[i] = types.Float(gs.sums[i] / float64(gs.counts[i]))
-			case AggMin:
-				row[i] = gs.mins[i]
-			case AggMax:
-				row[i] = gs.maxs[i]
+			if it.Agg == AggNone {
+				row[i] = g.keys[gi*g.width+ex.c.repKey[i]]
 			}
+		}
+		for i := range ex.c.aggs {
+			sp := &ex.c.aggs[i]
+			row[sp.item] = g.accs[gi*g.nAgg+i].result(sp)
 		}
 		if err := ex.out.AppendValues(row...); err != nil {
 			return nil, err
@@ -577,7 +497,7 @@ func sortResult(tt *storage.TempTable, orderBy []string, desc bool) error {
 	}
 	tt.SortRows(func(a, b int) bool {
 		for _, c := range cols {
-			cmp := tt.Value(a, c).Compare(tt.Value(b, c))
+			cmp := types.Compare(tt.At(a, c), tt.At(b, c))
 			if cmp != 0 {
 				if desc {
 					return cmp > 0

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/stripdb/strip/internal/catalog"
@@ -277,6 +278,67 @@ func TestSelectAggregates(t *testing.T) {
 	r := res.Row(0)
 	if r[0].Int() != 3 || r[1].Float() != 40 || r[2].Float() != 30 || r[3].Float() != 50 || r[4].Float() != 120 {
 		t.Errorf("aggregates = %v", r)
+	}
+}
+
+// TestSumIntExact: the sum of an INT column accumulates in int64, so it is
+// exact past 2^53 where a float64 accumulator rounds; AVG and a sum with a
+// FLOAT operand stay on the float path; and an ungrouped aggregate over no
+// input rows yields no row.
+func TestSumIntExact(t *testing.T) {
+	cat := catalog.New()
+	store := storage.NewStore()
+	schema := catalog.MustSchema("ledger",
+		catalog.Column{Name: "amount", Kind: types.KindInt},
+		catalog.Column{Name: "rate", Kind: types.KindFloat})
+	if err := cat.Define(schema); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := store.Create(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, amount := range []int64{1 << 53, 1, 1} {
+		if _, err := tbl.Insert([]types.Value{types.Int(amount), types.Float(0.5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr := txn.NewManager(cat, store, lock.New(), clock.NewVirtual(), cost.NewMeter(), cost.Default())
+	run := func(q *Select) [][]types.Value {
+		t.Helper()
+		tx := mgr.BeginReadOnly()
+		defer tx.Commit()
+		res, err := q.Run(tx, TxnResolver{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Retire()
+		return rows(res)
+	}
+
+	got := run(&Select{From: []string{"ledger"}, Items: []SelectItem{
+		AggItem(AggSum, Col("amount"), "s"),
+		AggItem(AggSum, Arith(Col("amount"), '*', Const(types.Int(1))), "s1"),
+		AggItem(AggAvg, Col("amount"), "a"),
+		AggItem(AggSum, Arith(Col("amount"), '*', Col("rate")), "sf"),
+	}})
+	// The float path rounds as float64 does: 2^53+1 and 2^52+0.5 both
+	// round back down, so those two results show the +1s lost.
+	want := []types.Value{
+		types.Int(1<<53 + 2), types.Int(1<<53 + 2),
+		types.Float(float64(1<<53) / 3), types.Float(1 << 52),
+	}
+	if len(got) != 1 || !slices.Equal(got[0], want) {
+		t.Errorf("sums = %v, want [%v]", got, want)
+	}
+
+	none := run(&Select{
+		From:  []string{"ledger"},
+		Items: []SelectItem{AggItem(AggSum, Col("amount"), "s"), AggItem(AggCount, Col("amount"), "n")},
+		Where: []Pred{Cmp(Col("amount"), LT, Const(types.Int(0)))},
+	})
+	if len(none) != 0 {
+		t.Errorf("ungrouped aggregate over no rows = %v, want no rows", none)
 	}
 }
 

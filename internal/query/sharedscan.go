@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 
-	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 )
@@ -100,13 +99,9 @@ func RunShared(tx *txn.Txn, table string, queries []*Select) ([]SharedResult, ui
 	// path), then feed the shared record set to every live plan. The scan
 	// is charged once per row for the whole group — that amortization is
 	// the point of sharing the pass.
-	mgr.Obs.Counter(obs.MMvccSnapshotScans).Inc()
-	var recs []*storage.Record
-	tbl.ScanSnapshot(snap, me, func(r *storage.Record) bool {
-		recs = append(recs, r)
-		return true
-	})
-	mgr.Obs.Counter(obs.MSharedScanRows).Add(int64(len(recs)))
+	mgr.Query.SnapshotScans.Inc()
+	recs := tbl.AppendVisible(nil, snap, me)
+	mgr.Query.SharedScanRows.Add(int64(len(recs)))
 	tx.Charge(model.ScanRow * float64(len(recs)))
 
 	for i, c := range plans {
@@ -119,12 +114,12 @@ func RunShared(tx *txn.Txn, table string, queries []*Select) ([]SharedResult, ui
 			continue
 		}
 		results[i].Out = out
-		mgr.Obs.Counter(obs.MQuerySelects).Inc()
+		mgr.Query.Selects.Inc()
 	}
-	mgr.Obs.Counter(obs.MSharedGroups).Inc()
-	mgr.Obs.Counter(obs.MSharedQueries).Add(int64(len(queries)))
-	mgr.Obs.Histogram(obs.MSharedGroupSize).Record(int64(len(queries)))
-	mgr.Obs.Histogram(obs.MQuerySelectMicros).Record(mgr.Clock.Now() - start)
+	mgr.Query.SharedGroups.Inc()
+	mgr.Query.SharedQueries.Add(int64(len(queries)))
+	mgr.Query.SharedGroupSize.Record(int64(len(queries)))
+	mgr.Query.SelectMicros.Record(mgr.Clock.Now() - start)
 	return results, snap, nil
 }
 
@@ -140,11 +135,12 @@ func compileShared(orig *Select, srcs []*source) (*compiled, error) {
 	lp := levelPlan{src: 0}
 	for _, p := range q.Where {
 		if p.maxSource() < 0 {
-			c.consts = append(c.consts, p)
+			c.consts = append(c.consts, lowerPred(p, srcs))
 			continue
 		}
 		lp.resid = append(lp.resid, p)
 	}
+	lp.filter = lowerPreds(lp.resid, srcs)
 	c.levels = []levelPlan{lp}
-	return c, nil
+	return c, c.lowerItems(srcs)
 }

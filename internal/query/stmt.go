@@ -49,26 +49,26 @@ func (s *UpdateStmt) Run(tx *txn.Txn) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i := range s.Set {
-		if err := s.Set[i].Expr.resolve(srcs); err != nil {
+	schema := srcs[0].schema
+	setIdx := make([]int, len(s.Set))
+	setExpr := make([]lowered, len(s.Set))
+	for i, sc := range s.Set {
+		if err := sc.Expr.resolve(srcs); err != nil {
 			return 0, err
 		}
-	}
-	tbl := srcs[0]
-	schema := tbl.schema
-	setIdx := make([]int, len(s.Set))
-	for i, sc := range s.Set {
 		ci := schema.ColIndex(sc.Col)
 		if ci < 0 {
 			return 0, fmt.Errorf("query: table %s has no column %q", s.Table, sc.Col)
 		}
 		setIdx[i] = ci
+		setExpr[i] = lower(sc.Expr, srcs)
 	}
+	cur := newCursors(srcs)
 	for _, rec := range recs {
-		cur := []cursor{{src: tbl, rec: rec}}
+		cur[0].rec = rec
 		vals := rec.Values()
 		for i, sc := range s.Set {
-			v, err := sc.Expr.eval(cur)
+			v, err := setExpr[i].eval(cur)
 			if err != nil {
 				return 0, err
 			}
@@ -141,18 +141,11 @@ func collectTargets(tx *txn.Txn, table string, where []Pred) ([]*storage.Record,
 	}
 
 	var recs []*storage.Record
+	filter := lowerPreds(residual, srcs)
+	cur := newCursors(srcs)
 	match := func(r *storage.Record) (bool, error) {
-		cur := []cursor{{src: src, rec: r}}
-		for _, p := range residual {
-			ok, err := p.eval(cur)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
+		cur[0].rec = r
+		return allHold(filter, cur)
 	}
 
 	tx.Charge(model.OpenCursor)

@@ -2,9 +2,13 @@ package server
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
+
+	"github.com/stripdb/strip/internal/types"
 )
 
 // FuzzDecode throws arbitrary bytes at every payload decoder. None may
@@ -60,6 +64,35 @@ func TestDecodeRowsHostileCounts(t *testing.T) {
 	hostileRows = binary.AppendUvarint(hostileRows, 1<<30) // 1G rows, empty payload
 	if _, _, err := DecodeRows(hostileRows); err == nil {
 		t.Fatal("absurd row count accepted")
+	}
+}
+
+// TestRowsRoundTripAcrossSlabs: a result larger than one decode slab comes
+// back value for value, and no row can grow into its neighbour's slots.
+func TestRowsRoundTripAcrossSlabs(t *testing.T) {
+	cols := []string{"symbol", "price", "ratio", "at", "note"}
+	rows := make([][]types.Value, 2*decodeSlabVals/len(cols)+7)
+	for i := range rows {
+		rows[i] = []types.Value{
+			types.Str(fmt.Sprintf("S%04d", i)), types.Int(int64(i) - 3),
+			types.Float(float64(i) / 8), types.Time(int64(i) * 1000), types.Null(),
+		}
+	}
+	gotCols, got, err := DecodeRows(EncodeRows(cols, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotCols, cols) || len(got) != len(rows) {
+		t.Fatalf("decoded %d cols, %d rows; want %d, %d", len(gotCols), len(got), len(cols), len(rows))
+	}
+	for i := range rows {
+		if !slices.Equal(got[i], rows[i]) {
+			t.Fatalf("row %d = %v, want %v", i, got[i], rows[i])
+		}
+	}
+	_ = append(got[0], types.Str("spill"))
+	if !slices.Equal(got[1], rows[1]) {
+		t.Errorf("appending to row 0 overwrote row 1: %v", got[1])
 	}
 }
 

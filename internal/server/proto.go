@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/stripdb/strip/internal/lock"
 	"github.com/stripdb/strip/internal/sched"
@@ -266,6 +267,9 @@ func appendStr(b []byte, s string) []byte {
 type decoder struct {
 	b   []byte
 	err error
+	// src, when set, is the whole payload as one string; str slices it
+	// instead of copying each field out of b.
+	src string
 }
 
 func (d *decoder) fail(what string) {
@@ -309,7 +313,13 @@ func (d *decoder) str() string {
 		d.fail("string")
 		return ""
 	}
-	s := string(d.b[:n])
+	var s string
+	if d.src != "" {
+		off := len(d.src) - len(d.b)
+		s = d.src[off : off+int(n)]
+	} else {
+		s = string(d.b[:n])
+	}
 	d.b = d.b[n:]
 	return s
 }
@@ -446,16 +456,25 @@ func DecodeSQL(p []byte) (string, error) {
 	return sql, d.err
 }
 
-// EncodeRows builds a ROWS payload from a result.
+// decodeSlabVals is how many values DecodeRows claims per allocation.
+const decodeSlabVals = 8192
+
+// EncodeRows builds a ROWS payload from a result. The buffer is sized once
+// from the first row's encoding (rows of one result are alike) so a large
+// result does not grow it doubling by doubling.
 func EncodeRows(cols []string, rows [][]types.Value) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(cols)))
+	b := binary.AppendUvarint(make([]byte, 0, 64), uint64(len(cols)))
 	for _, c := range cols {
 		b = appendStr(b, c)
 	}
 	b = binary.AppendUvarint(b, uint64(len(rows)))
-	for _, r := range rows {
+	for i, r := range rows {
+		start := len(b)
 		for _, v := range r {
 			b = appendValue(b, v)
+		}
+		if i == 0 {
+			b = slices.Grow(b, (len(b)-start+2)*(len(rows)-1))
 		}
 	}
 	return b
@@ -464,9 +483,14 @@ func EncodeRows(cols []string, rows [][]types.Value) []byte {
 // DecodeRows parses a ROWS payload. Field counts come off the wire, so
 // they are bounded against the bytes actually present (every column name
 // and every value occupies at least one byte) before anything is
-// allocated — a short hostile frame cannot demand huge slices.
+// allocated — a short hostile frame cannot demand huge slices. The rows
+// are carved from value slabs of decodeSlabVals values (claimed only as
+// rows actually decode) and their strings from one copy of the payload,
+// so decoding costs an allocation per few thousand values, not per row; a
+// retained string keeps that copy (the size of the result it came with)
+// alive.
 func DecodeRows(p []byte) (cols []string, rows [][]types.Value, err error) {
-	d := &decoder{b: p}
+	d := &decoder{b: p, src: string(p)}
 	ncols := d.uvarint()
 	if ncols > uint64(len(d.b)) {
 		return nil, nil, fmt.Errorf("server: absurd column count %d", ncols)
@@ -486,16 +510,22 @@ func DecodeRows(p []byte) (cols []string, rows [][]types.Value, err error) {
 	if nrows > uint64(len(d.b))/perRow {
 		return nil, nil, fmt.Errorf("server: absurd row count %d", nrows)
 	}
-	rows = make([][]types.Value, 0, nrows)
-	for i := uint64(0); i < nrows; i++ {
-		row := make([]types.Value, ncols)
+	rows = make([][]types.Value, nrows)
+	var slab []types.Value
+	for i := range rows {
+		if uint64(len(slab)) < ncols {
+			n := min(max(decodeSlabVals/perRow, 1), nrows-uint64(i))
+			slab = make([]types.Value, n*ncols)
+		}
+		row := slab[:ncols:ncols]
+		slab = slab[ncols:]
 		for j := range row {
 			row[j] = d.value()
 		}
 		if d.err != nil {
 			return nil, nil, d.err
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return cols, rows, d.err
 }

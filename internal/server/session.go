@@ -376,10 +376,11 @@ func (s *session) reapIfIdle(now time.Time, timeout time.Duration) {
 	if s.tx == nil || s.busy || now.Sub(s.lastStmt) <= timeout {
 		return
 	}
+	// Count first: an observer that sees the locks gone must see the reap.
+	s.srv.be.Obs().Counter(obs.MServerTxnsReaped).Inc()
 	s.tx.Abort() //nolint:errcheck
 	s.tx = nil
 	s.reaped = true
-	s.srv.be.Obs().Counter(obs.MServerTxnsReaped).Inc()
 }
 
 func (s *session) info(now time.Time) SessionInfo {

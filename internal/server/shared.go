@@ -8,7 +8,6 @@ import (
 	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/storage"
-	"github.com/stripdb/strip/internal/types"
 )
 
 // gatherer batches compatible out-of-transaction QUERY frames onto shared
@@ -113,10 +112,7 @@ func resultFromTemp(tt *storage.TempTable) *Result {
 	for i := range cols {
 		cols[i] = sch.Col(i).Name
 	}
-	rows := make([][]types.Value, tt.Len())
-	for i := range rows {
-		rows[i] = tt.Row(i)
-	}
+	rows := tt.Rows()
 	tt.Retire()
 	return &Result{Columns: cols, Rows: rows}
 }

@@ -78,6 +78,11 @@ type Record struct {
 // Value returns the record's i-th column value.
 func (r *Record) Value(i int) types.Value { return r.vals[i] }
 
+// At returns the record's i-th column value in place, for readers that
+// compare or fold it without taking a copy. Record values are immutable
+// once linked; callers must not write through the pointer.
+func (r *Record) At(i int) *types.Value { return &r.vals[i] }
+
 // Values returns a copy of the record's values.
 func (r *Record) Values() []types.Value {
 	out := make([]types.Value, len(r.vals))

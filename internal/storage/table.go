@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -417,6 +418,19 @@ func (t *Table) noteRetired(delta int64) {
 	t.stats.retiredHeld.Add(delta)
 }
 
+// AppendLive appends the live records in list order, sizing dst once under
+// the latch. Scan leaves collect with it and visit the records only after
+// the latch is released.
+func (t *Table) AppendLive(dst []*Record) []*Record {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	dst = slices.Grow(dst, int(t.count))
+	for r := t.head; r != nil; r = r.next {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // Scan visits live records in list order while holding the table latch in
 // shared mode. The walk stops when fn returns false.
 func (t *Table) Scan(fn func(*Record) bool) {
@@ -432,19 +446,32 @@ func (t *Table) Scan(fn func(*Record) bool) {
 // IndexLookup returns the live records whose indexed column equals v.
 // ok is false if the column has no index.
 func (t *Table) IndexLookup(column string, v types.Value) (recs []*Record, ok bool) {
+	return t.AppendIndexLookup(nil, column, v)
+}
+
+// AppendIndexLookup is IndexLookup appending into dst, so a caller probing
+// in a loop reuses one buffer.
+func (t *Table) AppendIndexLookup(dst []*Record, column string, v types.Value) (recs []*Record, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix, found := t.indexes[column]
 	if !found {
-		return nil, false
+		return dst, false
 	}
+	base := len(dst)
 	refs := ix.Lookup(v)
-	recs = make([]*Record, 0, len(refs))
+	dst = slices.Grow(dst, len(refs))
 	for _, ref := range refs {
-		recs = append(recs, ref.(*Record))
+		dst = append(dst, ref.(*Record))
 	}
-	recs = t.corruptProbeLocked(column, v, recs)
-	return t.validateProbeLocked(column, v, recs), true
+	return t.checkProbeLocked(column, v, dst, base), true
+}
+
+// checkProbeLocked runs the fault-injection and self-validation passes over
+// the probe results dst[base:]. Caller holds t.mu.
+func (t *Table) checkProbeLocked(column string, key types.Value, dst []*Record, base int) []*Record {
+	dst = t.corruptProbeLocked(column, key, dst)
+	return dst[:base+len(t.validateProbeLocked(column, key, dst[base:]))]
 }
 
 // corruptProbeLocked models a corrupted index bucket when the
@@ -524,6 +551,26 @@ func (t *Table) ScanSnapshot(snap uint64, me int64, fn func(*Record) bool) {
 	}
 }
 
+// AppendVisible appends what ScanSnapshot(snap, me) would visit, sizing dst
+// once under the latch (live rows plus the retired set bound the visible
+// set).
+func (t *Table) AppendVisible(dst []*Record, snap uint64, me int64) []*Record {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	dst = slices.Grow(dst, int(t.count)+len(t.retired))
+	for r := t.head; r != nil; r = r.next {
+		if v := visibleVersion(r, snap, me); v != nil {
+			dst = append(dst, v)
+		}
+	}
+	for r := range t.retired {
+		if v := visibleVersion(r, snap, me); v != nil {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // visibleVersion walks head's version chain newest-to-oldest and returns
 // the first version visible at (snap, me), or nil. Every chain member below
 // the head is unlinked — rollback relinks a version only after cutting its
@@ -544,29 +591,32 @@ func visibleVersion(head *Record, snap uint64, me int64) *Record {
 // this table (the index only covers head versions, so probe results would
 // be incomplete) — callers then fall back to a filtered ScanSnapshot. The
 // retired set is always checked: deleted rows leave the index immediately
-// but remain visible to older snapshots.
-func (t *Table) LookupSnapshot(column string, key types.Value, snap uint64, me int64) (recs []*Record, ok bool) {
+// but remain visible to older snapshots. Results are appended to dst, so a
+// caller probing in a loop reuses one buffer.
+func (t *Table) LookupSnapshot(column string, key types.Value, snap uint64, me int64, dst []*Record) (recs []*Record, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix, found := t.indexes[column]
 	if !found || t.keyChurn.Load() != 0 {
-		return nil, false
+		return dst, false
 	}
+	base := len(dst)
 	for _, ref := range ix.Lookup(key) {
 		if v := visibleVersion(ref.(*Record), snap, me); v != nil {
-			recs = append(recs, v)
+			dst = append(dst, v)
 		}
 	}
-	for _, ref := range t.retiredIdx[column].Lookup(key) {
-		if v := visibleVersion(ref.(*Record), snap, me); v != nil {
-			recs = append(recs, v)
+	if len(t.retired) > 0 {
+		for _, ref := range t.retiredIdx[column].Lookup(key) {
+			if v := visibleVersion(ref.(*Record), snap, me); v != nil {
+				dst = append(dst, v)
+			}
 		}
 	}
 	// Versions never change indexed columns while keyChurn is zero (the
 	// guard above), so validating the returned versions against the probed
 	// key is exact here too.
-	recs = t.corruptProbeLocked(column, key, recs)
-	return t.validateProbeLocked(column, key, recs), true
+	return t.checkProbeLocked(column, key, dst, base), true
 }
 
 // KeyChurn reports how many updates changed an indexed column's value.

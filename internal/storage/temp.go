@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,16 +30,15 @@ func Materialized(off int) ColSource { return ColSource{Ptr: -1, Off: off} }
 // column offset off.
 func FromRecord(ptr, off int) ColSource { return ColSource{Ptr: ptr, Off: off} }
 
-type tempRow struct {
-	ptrs []*Record
-	vals []types.Value
-}
-
 // TempTable is a temporary table in the paper's §6.1 representation: rows
 // store one pointer per contributing standard record (only for relations
 // that contribute at least one attribute) plus materialized values, and a
 // static map resolves each column. Temporary tables back intermediate query
 // results, transition tables, and bound tables.
+//
+// Rows live in two flat slabs — row i's pointers at ptrs[i*nPtrs:] and its
+// materialized values at vals[i*nVals:] — so appending a row allocates
+// nothing beyond the slabs' amortized growth.
 //
 // Rows pin their contributing records (reference counting) so that the
 // state observed at bind time survives later updates to the base tables.
@@ -48,7 +48,9 @@ type TempTable struct {
 	srcMap  []ColSource
 	nPtrs   int
 	nVals   int
-	rows    []tempRow
+	n       int
+	ptrs    []*Record
+	vals    []types.Value
 	retired bool
 }
 
@@ -99,16 +101,25 @@ func (tt *TempTable) Schema() *catalog.Schema { return tt.schema }
 func (tt *TempTable) Source(col int) ColSource { return tt.srcMap[col] }
 
 // RowPtr returns the ptrIdx-th contributing record of row rowIdx.
-func (tt *TempTable) RowPtr(rowIdx, ptrIdx int) *Record { return tt.rows[rowIdx].ptrs[ptrIdx] }
+func (tt *TempTable) RowPtr(rowIdx, ptrIdx int) *Record { return tt.ptrs[rowIdx*tt.nPtrs+ptrIdx] }
 
 // Len returns the row count.
-func (tt *TempTable) Len() int { return len(tt.rows) }
+func (tt *TempTable) Len() int { return tt.n }
 
 // NumPtrs returns the number of record pointers per row.
 func (tt *TempTable) NumPtrs() int { return tt.nPtrs }
 
-// AppendRow adds a row. ptrs must have NumPtrs entries and vals must have
-// one entry per materialized column. The contributing records are pinned.
+// Grow makes room for rows more rows, so a producer that knows roughly how
+// many it will append (the planner's estimate) skips the first few slab
+// doublings; appends past it still grow geometrically.
+func (tt *TempTable) Grow(rows int) {
+	tt.ptrs = slices.Grow(tt.ptrs, rows*tt.nPtrs)
+	tt.vals = slices.Grow(tt.vals, rows*tt.nVals)
+}
+
+// AppendRow adds a row, copying ptrs and vals into the slabs (the caller
+// may reuse both). ptrs must have NumPtrs entries and vals must have one
+// entry per materialized column. The contributing records are pinned.
 func (tt *TempTable) AppendRow(ptrs []*Record, vals []types.Value) error {
 	if tt.retired {
 		return fmt.Errorf("storage: append to retired temp table %s", tt.schema.Name())
@@ -121,19 +132,12 @@ func (tt *TempTable) AppendRow(ptrs []*Record, vals []types.Value) error {
 		return fmt.Errorf("storage: temp table %s: row has %d values, want %d",
 			tt.schema.Name(), len(vals), tt.nVals)
 	}
-	row := tempRow{}
-	if tt.nPtrs > 0 {
-		row.ptrs = make([]*Record, tt.nPtrs)
-		copy(row.ptrs, ptrs)
-		for _, r := range row.ptrs {
-			r.Pin()
-		}
+	for _, r := range ptrs {
+		r.Pin()
 	}
-	if tt.nVals > 0 {
-		row.vals = make([]types.Value, tt.nVals)
-		copy(row.vals, vals)
-	}
-	tt.rows = append(tt.rows, row)
+	tt.ptrs = append(tt.ptrs, ptrs...)
+	tt.vals = append(tt.vals, vals...)
+	tt.n++
 	return nil
 }
 
@@ -143,28 +147,49 @@ func (tt *TempTable) AppendValues(vals ...types.Value) error {
 	return tt.AppendRow(nil, vals)
 }
 
-// Value resolves column col of row rowIdx through the static map.
-func (tt *TempTable) Value(rowIdx, col int) types.Value {
+// At resolves column col of row rowIdx through the static map and returns
+// the value in place — inside the value slab or the contributing record.
+// Callers must not write through the pointer.
+func (tt *TempTable) At(rowIdx, col int) *types.Value {
 	cs := tt.srcMap[col]
-	row := &tt.rows[rowIdx]
 	if cs.Ptr == -1 {
-		return row.vals[cs.Off]
+		return &tt.vals[rowIdx*tt.nVals+cs.Off]
 	}
-	return row.ptrs[cs.Ptr].Value(cs.Off)
+	return tt.ptrs[rowIdx*tt.nPtrs+cs.Ptr].At(cs.Off)
 }
+
+// Value resolves column col of row rowIdx through the static map.
+func (tt *TempTable) Value(rowIdx, col int) types.Value { return *tt.At(rowIdx, col) }
 
 // Row materializes row rowIdx as a value slice.
 func (tt *TempTable) Row(rowIdx int) []types.Value {
-	out := make([]types.Value, tt.schema.NumCols())
-	for c := range out {
-		out[c] = tt.Value(rowIdx, c)
+	out := make([]types.Value, len(tt.srcMap))
+	tt.copyRow(out, rowIdx)
+	return out
+}
+
+// Rows materializes every row. The rows are carved from one slab, so a
+// whole result costs two allocations however many rows it has.
+func (tt *TempTable) Rows() [][]types.Value {
+	nc := len(tt.srcMap)
+	slab := make([]types.Value, tt.n*nc)
+	out := make([][]types.Value, tt.n)
+	for i := range out {
+		out[i] = slab[i*nc : (i+1)*nc : (i+1)*nc]
+		tt.copyRow(out[i], i)
 	}
 	return out
 }
 
+func (tt *TempTable) copyRow(dst []types.Value, rowIdx int) {
+	for c := range dst {
+		dst[c] = *tt.At(rowIdx, c)
+	}
+}
+
 // Scan visits rows in order, stopping when fn returns false.
 func (tt *TempTable) Scan(fn func(rowIdx int) bool) {
-	for i := range tt.rows {
+	for i := 0; i < tt.n; i++ {
 		if !fn(i) {
 			return
 		}
@@ -185,26 +210,28 @@ func (tt *TempTable) AppendFrom(other *TempTable, rowFilter func(rowIdx int) boo
 		return fmt.Errorf("storage: temp tables %s and %s are not defined identically",
 			tt.schema.Name(), other.schema.Name())
 	}
-	if tt.nPtrs != other.nPtrs || len(tt.srcMap) != len(other.srcMap) {
+	if tt.nPtrs != other.nPtrs || !slices.Equal(tt.srcMap, other.srcMap) {
 		return fmt.Errorf("storage: temp tables %s and %s have different static maps",
 			tt.schema.Name(), other.schema.Name())
 	}
-	for i, cs := range tt.srcMap {
-		if other.srcMap[i] != cs {
-			return fmt.Errorf("storage: temp tables %s and %s have different static maps",
-				tt.schema.Name(), other.schema.Name())
-		}
+	n := other.n
+	if rowFilter == nil {
+		tt.Grow(n)
 	}
-	for i := range other.rows {
+	for i := 0; i < n; i++ {
 		if rowFilter != nil && !rowFilter(i) {
 			continue
 		}
-		if err := tt.AppendRow(other.rows[i].ptrs, other.rows[i].vals); err != nil {
+		if err := tt.AppendRow(other.rowPtrs(i), other.rowVals(i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+func (tt *TempTable) rowPtrs(i int) []*Record { return tt.ptrs[i*tt.nPtrs : (i+1)*tt.nPtrs] }
+
+func (tt *TempTable) rowVals(i int) []types.Value { return tt.vals[i*tt.nVals : (i+1)*tt.nVals] }
 
 // Clone returns an empty temp table with the same schema and static map.
 func (tt *TempTable) Clone() *TempTable {
@@ -218,12 +245,10 @@ func (tt *TempTable) Retire() {
 		return
 	}
 	tt.retired = true
-	for i := range tt.rows {
-		for _, r := range tt.rows[i].ptrs {
-			r.Unpin()
-		}
+	for _, r := range tt.ptrs {
+		r.Unpin()
 	}
-	tt.rows = nil
+	tt.n, tt.ptrs, tt.vals = 0, nil, nil
 }
 
 // Retired reports whether the table has been retired.
@@ -232,15 +257,40 @@ func (tt *TempTable) Retired() bool { return tt.retired }
 // Truncate drops every row past the first n, releasing the record
 // references the dropped rows pinned (the query engine's LIMIT).
 func (tt *TempTable) Truncate(n int) {
-	if n < 0 || n >= len(tt.rows) {
+	if n < 0 || n >= tt.n {
 		return
 	}
-	for i := n; i < len(tt.rows); i++ {
-		for _, r := range tt.rows[i].ptrs {
-			r.Unpin()
-		}
+	dropped := tt.ptrs[n*tt.nPtrs:]
+	for _, r := range dropped {
+		r.Unpin()
 	}
-	tt.rows = tt.rows[:n]
+	// Zero the tails so the slabs do not keep dropped records and strings
+	// reachable.
+	clear(dropped)
+	clear(tt.vals[n*tt.nVals:])
+	tt.n, tt.ptrs, tt.vals = n, tt.ptrs[:n*tt.nPtrs], tt.vals[:n*tt.nVals]
+}
+
+// SortRows stably reorders the table's rows by the provided comparison
+// over row indexes (the query engine's ORDER BY). less sees the rows where
+// they were before the call: the order is worked out on an index
+// permutation and the slabs are rewritten once.
+func (tt *TempTable) SortRows(less func(a, b int) bool) {
+	if tt.n < 2 {
+		return
+	}
+	perm := make([]int, tt.n)
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
+	ptrs := make([]*Record, 0, len(tt.ptrs))
+	vals := make([]types.Value, 0, len(tt.vals))
+	for _, i := range perm {
+		ptrs = append(ptrs, tt.rowPtrs(i)...)
+		vals = append(vals, tt.rowVals(i)...)
+	}
+	tt.ptrs, tt.vals = ptrs, vals
 }
 
 // Store is the thread-safe registry of standard tables, keyed by name. It
@@ -293,10 +343,4 @@ func (s *Store) Tables() []*Table {
 		out = append(out, t)
 	}
 	return out
-}
-
-// SortRows reorders the table's rows in place by the provided comparison
-// over row indexes (the query engine's ORDER BY).
-func (tt *TempTable) SortRows(less func(a, b int) bool) {
-	sort.SliceStable(tt.rows, func(i, j int) bool { return less(i, j) })
 }

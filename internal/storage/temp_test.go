@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -290,4 +293,164 @@ func TestQuickPinBalance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTempTableModel drives a family of identically defined temp tables
+// through random AppendRow / AppendFrom (with and without a filter) /
+// Truncate / SortRows / Clone / Rows / Retire and checks every table
+// against a naive [][]Value copy of what it should hold. When the last
+// table is retired every contributing record's pin count must be back
+// where it started: each operation pins and unpins exactly its rows.
+func TestTempTableModel(t *testing.T) {
+	stocks, comps := buildBase(t)
+	var stockRecs, compRecs []*Record
+	for i := 0; i < 12; i++ {
+		r, err := stocks.Insert([]types.Value{types.Str(string(rune('A' + i))), types.Float(float64(10 * i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stockRecs = append(stockRecs, r)
+		c, err := comps.Insert([]types.Value{types.Str("C"), types.Str(string(rune('A' + i))), types.Float(float64(i) / 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compRecs = append(compRecs, c)
+	}
+	all := append(append([]*Record(nil), stockRecs...), compRecs...)
+
+	type pair struct {
+		tt  *TempTable
+		ref [][]types.Value
+	}
+	check := func(step int, op string, p *pair) {
+		t.Helper()
+		if p.tt.Len() != len(p.ref) {
+			t.Fatalf("step %d (%s): Len = %d, model has %d rows", step, op, p.tt.Len(), len(p.ref))
+		}
+		rows := p.tt.Rows()
+		for i, want := range p.ref {
+			if got := p.tt.Row(i); !slices.Equal(got, want) {
+				t.Fatalf("step %d (%s): row %d = %v, model has %v", step, op, i, got, want)
+			}
+			if !slices.Equal(rows[i], want) {
+				t.Fatalf("step %d (%s): Rows()[%d] = %v, model has %v", step, op, i, rows[i], want)
+			}
+		}
+	}
+
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		first, err := NewTempTable(matchesSchema(), matchesSrcMap(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := []*pair{{tt: first}}
+		for step := 0; step < 400; step++ {
+			p := live[rng.Intn(len(live))]
+			op := "append row"
+			switch k := rng.Intn(12); {
+			case k < 5:
+				c, o, n := compRecs[rng.Intn(12)], stockRecs[rng.Intn(12)], stockRecs[rng.Intn(12)]
+				diff := types.Float(float64(rng.Intn(8)))
+				if err := p.tt.AppendRow([]*Record{c, o, n}, []types.Value{diff}); err != nil {
+					t.Fatal(err)
+				}
+				p.ref = append(p.ref, []types.Value{c.Value(0), c.Value(2), o.Value(1), n.Value(1), diff})
+			case k < 7:
+				op = "append from"
+				src := live[rng.Intn(len(live))]
+				if src == p {
+					continue
+				}
+				var filter func(int) bool
+				if mod := rng.Intn(3); mod > 0 {
+					filter = func(i int) bool { return i%(mod+1) == 0 }
+				}
+				if err := p.tt.AppendFrom(src.tt, filter); err != nil {
+					t.Fatal(err)
+				}
+				for i, row := range src.ref {
+					if filter == nil || filter(i) {
+						p.ref = append(p.ref, row)
+					}
+				}
+			case k < 8:
+				op = "truncate"
+				n := rng.Intn(len(p.ref) + 3) // sometimes past the end: a no-op
+				p.tt.Truncate(n)
+				if n < len(p.ref) {
+					p.ref = p.ref[:n]
+				}
+			case k < 10:
+				op = "sort"
+				col, desc := rng.Intn(5), rng.Intn(2) == 0
+				less := func(a, b []types.Value) bool {
+					if desc {
+						return a[col].Compare(b[col]) > 0
+					}
+					return a[col].Compare(b[col]) < 0
+				}
+				p.tt.SortRows(func(a, b int) bool { return less(p.tt.Row(a), p.tt.Row(b)) })
+				sort.SliceStable(p.ref, func(a, b int) bool { return less(p.ref[a], p.ref[b]) })
+			case k < 11:
+				op = "clone"
+				live = append(live, &pair{tt: p.tt.Clone()})
+				p = live[len(live)-1]
+			default:
+				op = "retire"
+				if len(live) == 1 {
+					continue
+				}
+				p.tt.Retire()
+				p.ref = nil
+				if p.tt.AppendRow([]*Record{compRecs[0], stockRecs[0], stockRecs[0]}, []types.Value{types.Null()}) == nil {
+					t.Fatalf("step %d: append to a retired table succeeded", step)
+				}
+				check(step, op, p)
+				live = slices.DeleteFunc(live, func(q *pair) bool { return q == p })
+				continue
+			}
+			check(step, op, p)
+		}
+		for _, p := range live {
+			p.tt.Retire()
+		}
+		for i, r := range all {
+			if r.Refs() != 0 {
+				t.Fatalf("seed %d: record %d still holds %d pins after every table retired", seed, i, r.Refs())
+			}
+		}
+	}
+}
+
+// BenchmarkTempAppendRow appends the repo benchmark's scan result — 2,746
+// rows of one pointer (both columns come from the stocks record) — into a
+// fresh temp table per iteration, then retires it.
+func BenchmarkTempAppendRow(b *testing.B) {
+	const rows = 2746
+	stocks := NewTable(catalog.MustSchema("stocks",
+		catalog.Column{Name: "symbol", Kind: types.KindString},
+		catalog.Column{Name: "price", Kind: types.KindInt}))
+	recs := make([]*Record, rows)
+	for i := range recs {
+		recs[i], _ = stocks.Insert([]types.Value{types.Str("S"), types.Int(int64(i))})
+	}
+	srcMap := []ColSource{FromRecord(0, 0), FromRecord(0, 1)}
+	ptrs := make([]*Record, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tt, err := NewTempTable(stocks.Schema(), srcMap, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range recs {
+			ptrs[0] = r
+			if err := tt.AppendRow(ptrs, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tt.Retire()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }

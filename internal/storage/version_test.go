@@ -176,7 +176,7 @@ func TestLookupSnapshotChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := commitInsert(t, tbl, 2, types.Str("IBM"), types.Float(30))
-	recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 2, 0)
+	recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 2, 0, nil)
 	if !ok || len(recs) != 1 {
 		t.Fatalf("LookupSnapshot = %v, %v; want 1 record", recs, ok)
 	}
@@ -185,7 +185,7 @@ func TestLookupSnapshotChurn(t *testing.T) {
 	}
 	// Price-only update keeps the fast path.
 	r2 := commitUpdate(t, tbl, r, 3, types.Str("IBM"), types.Float(31))
-	if _, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0); !ok {
+	if _, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0, nil); !ok {
 		t.Fatal("price update disabled index probes")
 	}
 	// Key change: probes must refuse (old snapshots need the old key).
@@ -193,7 +193,7 @@ func TestLookupSnapshotChurn(t *testing.T) {
 	if tbl.KeyChurn() == 0 {
 		t.Fatal("key change not counted")
 	}
-	if _, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0); ok {
+	if _, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0, nil); ok {
 		t.Fatal("index probe served despite key churn")
 	}
 }
@@ -215,12 +215,12 @@ func TestLookupSnapshotRetiredIndex(t *testing.T) {
 	r.StampDelete(4)
 
 	// Older snapshot: the probe still finds the deleted row, exactly.
-	recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0)
+	recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0, nil)
 	if !ok || len(recs) != 1 || recs[0].Value(1).Float() != 30 {
 		t.Fatalf("probe at snap 3 = %v, %v; want the deleted IBM row", recs, ok)
 	}
 	// Newer snapshot: the delete committed at or before it, row invisible.
-	if recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 4, 0); !ok || len(recs) != 0 {
+	if recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 4, 0, nil); !ok || len(recs) != 0 {
 		t.Fatalf("probe at snap 4 = %v, %v; want none", recs, ok)
 	}
 
@@ -228,7 +228,7 @@ func TestLookupSnapshotRetiredIndex(t *testing.T) {
 	if err := tbl.CreateIndex("price", index.Hash); err != nil {
 		t.Fatal(err)
 	}
-	if recs, ok := tbl.LookupSnapshot("price", types.Float(30), 3, 0); !ok || len(recs) != 1 {
+	if recs, ok := tbl.LookupSnapshot("price", types.Float(30), 3, 0, nil); !ok || len(recs) != 1 {
 		t.Fatalf("late-index probe = %v, %v; want the retired IBM row", recs, ok)
 	}
 
@@ -240,13 +240,13 @@ func TestLookupSnapshotRetiredIndex(t *testing.T) {
 	if err := tbl.Relink(keep); err != nil {
 		t.Fatal(err)
 	}
-	if recs, ok := tbl.LookupSnapshot("symbol", types.Str("DEC"), 5, 0); !ok || len(recs) != 1 {
+	if recs, ok := tbl.LookupSnapshot("symbol", types.Str("DEC"), 5, 0, nil); !ok || len(recs) != 1 {
 		t.Fatalf("post-relink probe = %v, %v; want the live DEC row", recs, ok)
 	}
 
 	// GC past the delete drops the row from the retired index as well.
 	tbl.ReleaseVersions(4)
-	if recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0); !ok || len(recs) != 0 {
+	if recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), 3, 0, nil); !ok || len(recs) != 0 {
 		t.Fatalf("post-GC probe = %v, %v; want none", recs, ok)
 	}
 }

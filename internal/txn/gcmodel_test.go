@@ -198,7 +198,7 @@ func (m *gcModel) checkPins(when string) {
 		}
 		// Probe every key the snapshot has and every key it must not see.
 		for k := range m.allKeys(p.want) {
-			recs, ok := m.tbl.LookupSnapshot("symbol", types.Str(k), snap, me)
+			recs, ok := m.tbl.LookupSnapshot("symbol", types.Str(k), snap, me, nil)
 			want, present := p.want[k]
 			switch {
 			case !ok:

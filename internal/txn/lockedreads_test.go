@@ -69,7 +69,7 @@ func TestAbortRestoresKeyChurn(t *testing.T) {
 		if tbl.KeyChurn() == 0 {
 			t.Fatal("indexed-column change not counted")
 		}
-		if _, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), mgr.LastVisible(), 0); ok {
+		if _, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), mgr.LastVisible(), 0, nil); ok {
 			t.Fatal("exact probe served while key churn is pending")
 		}
 		if err := up.Abort(); err != nil {
@@ -79,7 +79,7 @@ func TestAbortRestoresKeyChurn(t *testing.T) {
 			t.Fatalf("keyChurn after abort %d = %d, want 0", i, got)
 		}
 	}
-	recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), mgr.LastVisible(), 0)
+	recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), mgr.LastVisible(), 0, nil)
 	if !ok {
 		t.Fatal("exact probes still disabled after aborts")
 	}

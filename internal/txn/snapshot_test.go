@@ -301,7 +301,7 @@ func TestAbortedUpdateThenUpdateReadsRowOnce(t *testing.T) {
 			if got := seen[k]; len(got) != 1 || got[0] != want {
 				t.Errorf("%s: scan at snapshot %d returned %s = %v, want [%d]", when, snap, k, got, want)
 			}
-			probe, ok := tbl.LookupSnapshot("k", types.Str(k), snap, me)
+			probe, ok := tbl.LookupSnapshot("k", types.Str(k), snap, me, nil)
 			if !ok || len(probe) != 1 || probe[0].Value(1).Int() != want {
 				t.Errorf("%s: probe at snapshot %d returned %d versions of %s (ok=%v), want one = %d",
 					when, snap, len(probe), k, ok, want)

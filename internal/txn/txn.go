@@ -105,6 +105,10 @@ type Manager struct {
 	// Obs is the engine's shared metrics registry; downstream layers (the
 	// rule engine, query execution) instrument through it.
 	Obs *obs.Registry
+	// Query holds the instruments the query executor records into on every
+	// select, scan and probe, resolved here once so that path never looks
+	// one up by name under the registry lock.
+	Query QueryMetrics
 
 	// EscalateAt is the number of record locks a transaction may take on
 	// one table before escalating to a full table S/X lock; <= 0 means
@@ -151,6 +155,22 @@ type Manager struct {
 	tracer      *obs.Tracer
 }
 
+// QueryMetrics are the query executor's hot-path instruments (see
+// Manager.Query).
+type QueryMetrics struct {
+	Selects              *obs.Counter
+	SelectMicros         *obs.Histogram
+	PlanBuilds           *obs.Counter
+	PlanHits             *obs.Counter
+	PlanFeedbackRebuilds *obs.Counter
+	SnapshotScans        *obs.Counter
+	SnapshotProbes       *obs.Counter
+	SharedScanRows       *obs.Counter
+	SharedGroups         *obs.Counter
+	SharedQueries        *obs.Counter
+	SharedGroupSize      *obs.Histogram
+}
+
 // NewManager wires a transaction manager over the given substrates with a
 // private metrics registry (see Instrument).
 func NewManager(cat *catalog.Catalog, store *storage.Store, locks *lock.Manager, clk clock.Clock, meter *cost.Meter, model cost.Model) *Manager {
@@ -176,6 +196,19 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 	m.commitHist = reg.Histogram(obs.MTxnCommitMicros)
 	m.abortHist = reg.Histogram(obs.MTxnAbortMicros)
 	m.tracer = reg.Tracer()
+	m.Query = QueryMetrics{
+		Selects:              reg.Counter(obs.MQuerySelects),
+		SelectMicros:         reg.Histogram(obs.MQuerySelectMicros),
+		PlanBuilds:           reg.Counter(obs.MQueryPlanBuilds),
+		PlanHits:             reg.Counter(obs.MQueryPlanHits),
+		PlanFeedbackRebuilds: reg.Counter(obs.MQueryPlanFeedbackRebuilds),
+		SnapshotScans:        reg.Counter(obs.MMvccSnapshotScans),
+		SnapshotProbes:       reg.Counter(obs.MMvccSnapshotProbes),
+		SharedScanRows:       reg.Counter(obs.MSharedScanRows),
+		SharedGroups:         reg.Counter(obs.MSharedGroups),
+		SharedQueries:        reg.Counter(obs.MSharedQueries),
+		SharedGroupSize:      reg.Histogram(obs.MSharedGroupSize),
+	}
 }
 
 // escalateAt returns the effective record-lock escalation threshold.

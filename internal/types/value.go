@@ -8,8 +8,11 @@ package types
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -156,46 +159,62 @@ func (v Value) String() string {
 // Compare orders two values: -1 if v < o, 0 if equal, +1 if v > o.
 // NULL sorts before everything; mixed INT/FLOAT compare numerically;
 // otherwise comparing different kinds orders by kind.
-func (v Value) Compare(o Value) int {
-	if v.kind == KindNull || o.kind == KindNull {
-		switch {
-		case v.kind == o.kind:
-			return 0
-		case v.kind == KindNull:
-			return -1
-		default:
-			return 1
-		}
-	}
-	if v.Numeric() && o.Numeric() {
-		if v.kind == KindInt && o.kind == KindInt {
+func (v Value) Compare(o Value) int { return Compare(&v, &o) }
+
+// Compare is Value.Compare over values read in place: the query row loop
+// compares fields inside records and result slabs without copying them.
+func Compare(v, o *Value) int {
+	if v.kind == o.kind {
+		switch v.kind {
+		case KindInt, KindTime:
 			return cmpInt(v.i, o.i)
-		}
-		return cmpFloat(v.Float(), o.Float())
-	}
-	if v.kind != o.kind {
-		return cmpInt(int64(v.kind), int64(o.kind))
-	}
-	switch v.kind {
-	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
+		case KindFloat:
+			return cmpFloat(v.f, o.f)
+		case KindString:
+			return strings.Compare(v.s, o.s)
 		default:
 			return 0
 		}
-	case KindTime:
-		return cmpInt(v.i, o.i)
+	}
+	switch {
+	case v.kind == KindNull:
+		return -1
+	case o.kind == KindNull:
+		return 1
+	case v.Numeric() && o.Numeric():
+		return cmpFloat(v.Float(), o.Float())
 	default:
-		return 0
+		return cmpInt(int64(v.kind), int64(o.kind))
 	}
 }
 
 // Equal reports whether two values compare equal (numeric cross-kind
 // equality included).
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
+
+// hashSeed keys string hashing for the life of the process; hashes never
+// leave it.
+var hashSeed = maphash.MakeSeed()
+
+// Hash folds the value into the running hash h, consistently with ==:
+// values that compare == hash alike (so +0 and -0 do; a NaN equals
+// nothing, so its hash is free). Group-by tables chain it across exactly
+// the grouped columns.
+func (v *Value) Hash(h uint64) uint64 {
+	var w uint64
+	switch v.kind {
+	case KindInt, KindTime:
+		w = uint64(v.i)
+	case KindFloat:
+		if v.f != 0 {
+			w = math.Float64bits(v.f)
+		}
+	case KindString:
+		w = maphash.String(hashSeed, v.s)
+	}
+	hi, lo := bits.Mul64(h^w^uint64(v.kind)<<56, 0x9e3779b97f4a7c15)
+	return hi ^ lo
+}
 
 func cmpInt(a, b int64) int {
 	switch {

@@ -252,3 +252,28 @@ func TestQuickCompareTransitive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Hash must agree with ==: whatever compares == hashes alike (the two
+// zeros included), and for the table to be any use, values that differ in
+// kind or payload should not collide.
+func TestHashFollowsEquality(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []Value{
+		Null(), Int(0), Int(1), Int(-1), Float(0), Float(negZero), Float(1), Float(1.5),
+		Str(""), Str("a"), Str("b"), Time(0), Time(1),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			ha, hb := a.Hash(7), b.Hash(7)
+			if a == b && ha != hb {
+				t.Errorf("%v == %v but hashes differ", a, b)
+			}
+			if a != b && ha == hb {
+				t.Errorf("%v and %v collide", a, b)
+			}
+		}
+	}
+	if one := Int(1); one.Hash(1) == one.Hash(2) {
+		t.Error("hash ignores the running value it is chained onto")
+	}
+}

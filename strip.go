@@ -752,10 +752,7 @@ func (db *DB) Query(q *Select) ([][]Value, []string, error) {
 		return nil, nil, err
 	}
 	defer res.Retire()
-	rows := make([][]Value, res.Len())
-	for i := range rows {
-		rows[i] = res.Row(i)
-	}
+	rows := res.Rows()
 	names := make([]string, res.Schema().NumCols())
 	for i := range names {
 		names[i] = res.Schema().Col(i).Name

@@ -110,10 +110,7 @@ func (db *DB) CreateMaterializedView(name string, def *Select, opts ViewOptions)
 		tx.Abort() //nolint:errcheck
 		return nil, err
 	}
-	rows := make([][]Value, res.Len())
-	for i := range rows {
-		rows[i] = res.Row(i)
-	}
+	rows := res.Rows()
 	res.Retire()
 	if err := tx.Commit(); err != nil {
 		return nil, err
