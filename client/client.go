@@ -12,6 +12,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -85,8 +86,11 @@ type Client struct {
 	opts      Options
 	sessionID int64
 
-	mu    sync.Mutex
-	conn  net.Conn
+	mu   sync.Mutex
+	conn net.Conn
+	// br buffers conn's reads: a reply's length header and body arrive in
+	// one read(2), not two.
+	br    *bufio.Reader
 	retry *ratelimit.Bucket // paces busy retries on wall-time micros
 }
 
@@ -120,6 +124,12 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
+	return handshake(conn, addr, opts)
+}
+
+// handshake completes HELLO/WELCOME on a fresh connection to addr and wraps
+// it in a Client; on failure the connection is closed.
+func handshake(conn net.Conn, addr string, opts Options) (*Client, error) {
 	hello := server.EncodeHello(opts.Token, opts.Tenant)
 	if opts.MaxLag > 0 {
 		hello = server.EncodeHelloLag(opts.Token, opts.Tenant, uint64(opts.MaxLag.Microseconds()))
@@ -129,7 +139,8 @@ func Dial(addr string, opts Options) (*Client, error) {
 		conn.Close() //nolint:errcheck
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	typ, payload, err := server.ReadFrame(conn)
+	br := bufio.NewReader(conn)
+	typ, payload, err := server.ReadFrame(br)
 	if err != nil {
 		conn.Close() //nolint:errcheck
 		return nil, fmt.Errorf("client: handshake: %w", err)
@@ -156,6 +167,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		opts:      opts,
 		sessionID: sid,
 		conn:      conn,
+		br:        br,
 		retry:     retryBucket(addr, opts.RetryInterval),
 	}, nil
 }
@@ -186,7 +198,7 @@ func (c *Client) do(typ byte, payload []byte) (byte, []byte, error) {
 	if err := server.WriteFrame(c.conn, typ, payload); err != nil {
 		return 0, nil, err
 	}
-	rt, rp, err := server.ReadFrame(c.conn)
+	rt, rp, err := server.ReadFrame(c.br)
 	return rt, rp, err
 }
 

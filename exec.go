@@ -6,6 +6,7 @@ import (
 
 	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/sqlparse"
+	"github.com/stripdb/strip/internal/storage"
 )
 
 // Result reports what a statement did.
@@ -18,23 +19,27 @@ type Result struct {
 	Affected int
 }
 
-// Exec parses and executes one SQL statement. DML runs in its own
-// transaction (firing rules at commit); DDL takes effect immediately.
+// Exec executes one SQL statement. DML runs in its own transaction (firing
+// rules at commit); DDL takes effect immediately. The text goes through the
+// engine's statement cache: a SELECT, UPDATE or DELETE whose shape has run
+// before — the same text up to its string and number literals — is not
+// parsed or planned again.
 //
 // Supported statements: CREATE TABLE / CREATE INDEX / CREATE RULE (the
 // paper's Figure 2 grammar) / DROP TABLE / DROP RULE / SELECT / INSERT /
 // UPDATE / DELETE.
 func (db *DB) Exec(sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
+	stmt, params, err := db.stmts.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.execStmt(stmt)
+	return db.execStmt(stmt, params)
 }
 
-// execStmt executes one parsed statement; Exec and the network server (which
-// has already parsed the frame's text to classify it) both end here.
-func (db *DB) execStmt(stmt sqlparse.Stmt) (*Result, error) {
+// execStmt executes one prepared statement with its parameters; Exec and
+// the network server (which prepared the frame's text to classify it) both
+// end here.
+func (db *DB) execStmt(stmt sqlparse.Stmt, params []Value) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.CreateTable:
 		cols := make([]Column, len(s.Cols))
@@ -54,13 +59,11 @@ func (db *DB) execStmt(stmt sqlparse.Stmt) (*Result, error) {
 	case *sqlparse.DropRule:
 		return &Result{}, db.DropRule(s.Name)
 	case *sqlparse.SelectStmt:
-		rows, cols, err := db.Query(s.Query)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Rows: rows, Columns: cols}, nil
+		tx := db.BeginReadOnly()
+		defer tx.Commit() //nolint:errcheck
+		return selectIn(tx, s.Query, params)
 	case *sqlparse.ExplainStmt:
-		node, err := db.explainQuery(s.Query)
+		node, err := db.explainQuery(s.Query, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -69,14 +72,44 @@ func (db *DB) execStmt(stmt sqlparse.Stmt) (*Result, error) {
 			res.Rows = append(res.Rows, []Value{Str(line)})
 		}
 		return res, nil
-	case *sqlparse.InsertStmt:
-		return db.runDML(func(tx *Txn) (int, error) { return s.Stmt.Run(tx) })
-	case *sqlparse.UpdateStmt:
-		return db.runDML(func(tx *Txn) (int, error) { return s.Stmt.Run(tx) })
-	case *sqlparse.DeleteStmt:
-		return db.runDML(func(tx *Txn) (int, error) { return s.Stmt.Run(tx) })
+	case *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
+		return db.runDML(func(tx *Txn) (int, error) { return dmlIn(tx, stmt, params) })
 	default:
 		return nil, fmt.Errorf("strip: unsupported statement %T", stmt)
+	}
+}
+
+// selectIn runs a select inside tx and materializes its rows.
+func selectIn(tx *Txn, q *Select, params []Value) (*Result, error) {
+	res, err := q.RunParams(tx, query.TxnResolver{}, params)
+	if err != nil {
+		return nil, err
+	}
+	rows, cols := drain(res)
+	return &Result{Rows: rows, Columns: cols}, nil
+}
+
+// drain copies a result table out as rows and column names and retires it.
+func drain(res *storage.TempTable) ([][]Value, []string) {
+	defer res.Retire()
+	names := make([]string, res.Schema().NumCols())
+	for i := range names {
+		names[i] = res.Schema().Col(i).Name
+	}
+	return res.Rows(), names
+}
+
+// dmlIn runs one prepared INSERT, UPDATE or DELETE inside tx.
+func dmlIn(tx *Txn, stmt sqlparse.Stmt, params []Value) (int, error) {
+	switch s := stmt.(type) {
+	case *sqlparse.InsertStmt:
+		return s.Stmt.Run(tx)
+	case *sqlparse.UpdateStmt:
+		return s.Stmt.RunParams(tx, params)
+	case *sqlparse.DeleteStmt:
+		return s.Stmt.RunParams(tx, params)
+	default:
+		return 0, fmt.Errorf("strip: statement %T is not DML", stmt)
 	}
 }
 
@@ -85,7 +118,7 @@ func (db *DB) execStmt(stmt sqlparse.Stmt) (*Result, error) {
 // operator, each with the planner's estimated rows and the actual rows
 // the operator produced. Accepts "EXPLAIN SELECT ..." or a bare SELECT.
 func (db *DB) Explain(sql string) (string, error) {
-	stmt, err := sqlparse.Parse(sql)
+	stmt, params, err := db.stmts.Prepare(sql)
 	if err != nil {
 		return "", err
 	}
@@ -98,7 +131,7 @@ func (db *DB) Explain(sql string) (string, error) {
 	default:
 		return "", fmt.Errorf("strip: statement %T is not a SELECT", stmt)
 	}
-	node, err := db.explainQuery(sel)
+	node, err := db.explainQuery(sel, params)
 	if err != nil {
 		return "", err
 	}
@@ -106,10 +139,10 @@ func (db *DB) Explain(sql string) (string, error) {
 }
 
 // explainQuery runs sel with plan capture under a read-only snapshot.
-func (db *DB) explainQuery(sel *Select) (*query.PlanNode, error) {
+func (db *DB) explainQuery(sel *Select, params []Value) (*query.PlanNode, error) {
 	tx := db.BeginReadOnly()
 	defer tx.Commit() //nolint:errcheck
-	out, node, err := sel.RunExplain(tx, query.TxnResolver{})
+	out, node, err := sel.RunExplain(tx, query.TxnResolver{}, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -179,54 +212,54 @@ func (db *DB) MustExec(sql string) *Result {
 	return r
 }
 
-// ExecAction parses and executes one INSERT/UPDATE/DELETE inside a rule
-// action's transaction, returning the number of rows affected. Rule action
-// functions use this to write SQL without depending on engine internals.
-func ExecAction(ctx *ActionContext, sql string) (int, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return 0, err
-	}
-	switch s := stmt.(type) {
-	case *sqlparse.InsertStmt:
-		return ctx.ExecInsert(s.Stmt)
-	case *sqlparse.UpdateStmt:
-		return ctx.ExecUpdate(s.Stmt)
-	case *sqlparse.DeleteStmt:
-		return ctx.ExecDelete(s.Stmt)
-	default:
-		return 0, fmt.Errorf("strip: statement %T is not DML", stmt)
-	}
-}
+// ExecAction executes one INSERT/UPDATE/DELETE inside a rule action's
+// transaction, returning the number of rows affected. Rule action
+// functions use this to write SQL without depending on engine internals;
+// the text goes through the statement cache, so a firing's statement is
+// parsed the first time its shape is seen, not per firing.
+func ExecAction(ctx *ActionContext, sql string) (int, error) { return ctx.Exec(sql) }
 
-// QueryAction parses and runs one SELECT inside a rule action's
-// transaction; the firing's bound tables shadow database tables of the
-// same name, exactly as for programmatic ActionContext.Query.
+// QueryAction runs one SELECT inside a rule action's transaction, through
+// the statement cache; the firing's bound tables shadow database tables of
+// the same name, exactly as for programmatic ActionContext.Query.
 func QueryAction(ctx *ActionContext, sql string) ([][]Value, []string, error) {
-	stmt, err := sqlparse.Parse(sql)
+	res, err := ctx.QuerySQL(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, ok := stmt.(*sqlparse.SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("strip: statement %T is not a SELECT", stmt)
-	}
-	res, err := ctx.Query(s.Query)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer res.Retire()
-	rows := res.Rows()
-	names := make([]string, res.Schema().NumCols())
-	for i := range names {
-		names[i] = res.Schema().Col(i).Name
-	}
+	rows, names := drain(res)
 	return rows, names, nil
 }
 
-// parseSelect parses a SELECT statement into its programmatic form, for
-// APIs that take *Select (e.g. CreateMaterializedView).
-func parseSelect(sql string) (*Select, error) {
+// actionSQL is the engine's statement cache as rule actions use it
+// (core.Statements).
+type actionSQL struct{ stmts *sqlparse.Cache }
+
+func (a actionSQL) ExecIn(tx *Txn, sql string) (int, error) {
+	stmt, params, err := a.stmts.Prepare(sql)
+	if err != nil {
+		return 0, err
+	}
+	return dmlIn(tx, stmt, params)
+}
+
+func (a actionSQL) QueryIn(tx *Txn, res query.Resolver, sql string) (*storage.TempTable, error) {
+	stmt, params, err := a.stmts.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := stmt.(*sqlparse.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("strip: statement %T is not a SELECT", stmt)
+	}
+	return s.Query.RunParams(tx, res, params)
+}
+
+// ParseSelect parses a SELECT statement into its programmatic form, for
+// APIs that take *Select (e.g. CreateMaterializedView). The query is the
+// caller's own: it keeps its literals and is not shared through the
+// statement cache.
+func ParseSelect(sql string) (*Select, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -238,42 +271,24 @@ func parseSelect(sql string) (*Select, error) {
 	return s.Query, nil
 }
 
-// ParseSelect parses a SELECT statement into its programmatic form.
-func ParseSelect(sql string) (*Select, error) { return parseSelect(sql) }
-
-// ExecIn parses and executes one DML statement inside an existing
+// ExecIn executes one DML statement or SELECT inside an existing
 // transaction, letting callers group several statements into one triggering
-// transaction.
+// transaction. The text goes through the statement cache like Exec's.
 func (db *DB) ExecIn(tx *Txn, sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
+	stmt, params, err := db.stmts.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.execStmtIn(tx, stmt)
+	return db.execStmtIn(tx, stmt, params)
 }
 
-// execStmtIn executes one parsed DML statement or SELECT inside tx.
-func (db *DB) execStmtIn(tx *Txn, stmt sqlparse.Stmt) (*Result, error) {
+// execStmtIn executes one prepared DML statement or SELECT inside tx.
+func (db *DB) execStmtIn(tx *Txn, stmt sqlparse.Stmt, params []Value) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		res, err := s.Query.Run(tx, query.TxnResolver{})
-		if err != nil {
-			return nil, err
-		}
-		defer res.Retire()
-		out := &Result{Rows: res.Rows()}
-		for i := 0; i < res.Schema().NumCols(); i++ {
-			out.Columns = append(out.Columns, res.Schema().Col(i).Name)
-		}
-		return out, nil
-	case *sqlparse.InsertStmt:
-		n, err := s.Stmt.Run(tx)
-		return &Result{Affected: n}, err
-	case *sqlparse.UpdateStmt:
-		n, err := s.Stmt.Run(tx)
-		return &Result{Affected: n}, err
-	case *sqlparse.DeleteStmt:
-		n, err := s.Stmt.Run(tx)
+		return selectIn(tx, s.Query, params)
+	case *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
+		n, err := dmlIn(tx, stmt, params)
 		return &Result{Affected: n}, err
 	default:
 		return nil, fmt.Errorf("strip: statement %T is not valid inside a transaction", stmt)

@@ -20,6 +20,10 @@ import (
 // panicking action held is released.
 var ErrActionPanic = errors.New("core: action panicked")
 
+// errNoSQL answers an action that runs statement text on an engine built
+// without a SQL front end (Engine.SQL unset).
+var errNoSQL = errors.New("core: this engine runs no SQL text; use the programmatic statement forms")
+
 // ActionFunc is a rule action: an application-provided function executed in
 // a new transaction. It receives no parameters beyond the context; data
 // flows in through bound tables (paper §2).
@@ -95,6 +99,24 @@ func (c *ActionContext) QueryLockedWith(q *query.Select, extra map[string]*stora
 		return err
 	})
 	return tt, err
+}
+
+// Exec runs one INSERT, UPDATE or DELETE given as text inside the action's
+// transaction, through the engine's statement cache.
+func (c *ActionContext) Exec(sql string) (int, error) {
+	if c.engine.SQL == nil {
+		return 0, errNoSQL
+	}
+	return c.engine.SQL.ExecIn(c.tx, sql)
+}
+
+// QuerySQL is Query for a SELECT given as text, through the engine's
+// statement cache; bound tables shadow database tables.
+func (c *ActionContext) QuerySQL(sql string) (*storage.TempTable, error) {
+	if c.engine.SQL == nil {
+		return nil, errNoSQL
+	}
+	return c.engine.SQL.QueryIn(c.tx, boundResolver{bound: c.bound}, sql)
 }
 
 // ExecUpdate runs an UPDATE statement inside the action's transaction.

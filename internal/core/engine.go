@@ -148,6 +148,12 @@ func (m *fnMetrics) reset() {
 type Engine struct {
 	Txns  *txn.Manager
 	Sched *sched.Scheduler
+	// SQL runs the statement text that actions hand to
+	// ActionContext.Exec / QuerySQL. The facade sets it to the engine's
+	// statement cache before any rule exists; an engine built without a
+	// SQL front end leaves it nil and its actions use the programmatic
+	// forms.
+	SQL Statements
 
 	clk   clock.Clock
 	meter *cost.Meter
@@ -188,6 +194,18 @@ type Engine struct {
 
 	// periodic holds recurring recomputation tasks (paper §3).
 	periodic map[string]*periodicTask
+}
+
+// Statements runs SQL text inside a caller's transaction. core cannot
+// import the SQL front end (sqlparse builds core.Rule), so it names what
+// actions need from it: both methods go text → statement cache → prepared
+// statement → execute, so an action's repeated statement is parsed and
+// planned once however its literals change.
+type Statements interface {
+	// ExecIn runs one INSERT, UPDATE or DELETE and reports the rows affected.
+	ExecIn(tx *txn.Txn, sql string) (int, error)
+	// QueryIn runs one SELECT, resolving its tables through res.
+	QueryIn(tx *txn.Txn, res query.Resolver, sql string) (*storage.TempTable, error)
 }
 
 // NewEngine builds a rule engine over the transaction manager and scheduler

@@ -23,6 +23,9 @@ type compiled struct {
 	fixed  bool        // planner mode the plan was built under
 	levels []levelPlan // execution order
 	consts []lowPred   // predicates over no source, checked once per run
+	// nParams is how many parameters a run must supply: one past the
+	// highest placeholder in the query.
+	nParams int
 
 	// The select list as the row loop runs it. A projection evaluates
 	// items; an aggregation folds aggs per group and fills each remaining
@@ -122,17 +125,27 @@ type srcSig struct {
 	nIdx    int
 }
 
+// sigOf takes a source's signature. Temp sources of one to driftFloor-1
+// rows share one size bucket: a rule's bound table moves between one and a
+// few rows from firing to firing, the plan for either is the same, and
+// feedback already ignores estimates that small. An empty one keeps a
+// bucket to itself — the planner can order a join around a source of no
+// rows any way it likes, and that plan must not outlive the emptiness.
+func sigOf(s *source) srcSig {
+	g := srcSig{tbl: s.tbl, schema: s.schema}
+	if s.tbl != nil {
+		rows, nIdx := s.tbl.PlanStats()
+		g.logRows, g.nIdx = bits.Len(uint(rows)), nIdx
+	} else if n := s.tmp.Len(); n > 0 {
+		g.logRows = 1 + bits.Len(uint(n/driftFloor))
+	}
+	return g
+}
+
 func makeSig(srcs []*source) []srcSig {
 	sig := make([]srcSig, len(srcs))
 	for i, s := range srcs {
-		g := srcSig{tbl: s.tbl, schema: s.schema}
-		if s.tbl != nil {
-			rows, nIdx := s.tbl.PlanStats()
-			g.logRows, g.nIdx = bits.Len(uint(rows)), nIdx
-		} else {
-			g.logRows = bits.Len(uint(s.tmp.Len()))
-		}
-		sig[i] = g
+		sig[i] = sigOf(s)
 	}
 	return sig
 }
@@ -142,25 +155,12 @@ func sigMatch(sig []srcSig, srcs []*source) bool {
 		return false
 	}
 	for i, s := range srcs {
-		g := sig[i]
-		if s.tbl != nil {
-			if g.tbl != s.tbl {
-				return false
-			}
-			rows, nIdx := s.tbl.PlanStats()
-			if g.nIdx != nIdx || g.logRows != bits.Len(uint(rows)) {
-				return false
-			}
-		} else {
-			if g.tbl != nil {
-				return false
-			}
-			if !g.schema.Equal(s.tmp.Schema()) {
-				return false
-			}
-			if g.logRows != bits.Len(uint(s.tmp.Len())) {
-				return false
-			}
+		was, now := sig[i], sigOf(s)
+		if was.tbl != now.tbl || was.logRows != now.logRows || was.nIdx != now.nIdx {
+			return false
+		}
+		if s.tbl == nil && !was.schema.Equal(now.schema) {
+			return false
 		}
 	}
 	return true
@@ -261,6 +261,7 @@ func compile(orig *Select, tx *txn.Txn, srcs []*source, fixed bool) (*compiled, 
 	c := &compiled{
 		q:       q,
 		agg:     agg,
+		nParams: paramCount(q.exprs()...),
 		fixed:   fixed,
 		estRows: res.EstRows,
 		estCost: res.EstCost,
@@ -342,6 +343,32 @@ func (c *compiled) lowerItems(srcs []*source) error {
 		})
 	}
 	return nil
+}
+
+// paramCount reports how many parameters the placeholders in the given
+// expressions need: one past the highest index.
+func paramCount(exprs ...Expr) int {
+	n := 0
+	for _, e := range exprs {
+		e.walk(func(x Expr) {
+			if p, ok := x.(*ParamExpr); ok && p.Index >= n {
+				n = p.Index + 1
+			}
+		})
+	}
+	return n
+}
+
+// exprs lists the query's item and predicate expressions.
+func (q *Select) exprs() []Expr {
+	out := make([]Expr, 0, len(q.Items)+2*len(q.Where))
+	for _, it := range q.Items {
+		out = append(out, it.Expr)
+	}
+	for _, p := range q.Where {
+		out = append(out, p.Left, p.Right)
+	}
+	return out
 }
 
 // probeSide pairs a plan.Probe candidate with the executable key

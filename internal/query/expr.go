@@ -90,6 +90,47 @@ func (c *ConstExpr) walk(fn func(Expr)) { fn(c) }
 
 func (c *ConstExpr) clone() Expr { cp := *c; return &cp }
 
+// ParamExpr is a placeholder for a literal: the statement cache's templates
+// carry one wherever the statement text had a string or number, and each
+// run supplies the values. Kind is the literal's kind, fixed per template,
+// so a template's output column kinds do not depend on the run.
+type ParamExpr struct {
+	Index int
+	Kind  types.Kind
+}
+
+// Param builds a placeholder for the run's index-th parameter.
+func Param(index int, kind types.Kind) *ParamExpr { return &ParamExpr{Index: index, Kind: kind} }
+
+func (p *ParamExpr) resolve([]*source) error { return nil }
+
+// String renders the placeholder.
+func (p *ParamExpr) String() string { return fmt.Sprintf("?%d", p.Index) }
+
+func (p *ParamExpr) walk(fn func(Expr)) { fn(p) }
+
+func (p *ParamExpr) clone() Expr { return p } // immutable
+
+// BindParams returns e with every placeholder replaced by its value from
+// params: the expression as the statement text had it. EXPLAIN renders
+// predicates through it.
+func BindParams(e Expr, params []types.Value) Expr {
+	switch x := e.(type) {
+	case *ParamExpr:
+		return Const(params[x.Index])
+	case *BinExpr:
+		return Arith(BindParams(x.Left, params), x.Op, BindParams(x.Right, params))
+	case *FuncExpr:
+		args := make([]Expr, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = BindParams(a, params)
+		}
+		return Call(x.Name, args...)
+	default:
+		return e
+	}
+}
+
 // BinExpr is an arithmetic expression.
 type BinExpr struct {
 	Op          byte // + - * /
@@ -306,7 +347,7 @@ func FoldConst(e Expr) (types.Value, bool) {
 		return types.Null(), false
 	}
 	low := lower(e, nil)
-	v, err := low.eval(nil)
+	v, err := low.eval(&row{})
 	if err != nil {
 		return types.Null(), false
 	}

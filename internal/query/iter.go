@@ -201,7 +201,7 @@ type probeOp struct {
 func (o *probeOp) open() error {
 	o.i = 0
 	ex := o.ex
-	v, err := o.lp.probe.key.eval(ex.cur)
+	v, err := o.lp.probe.key.eval(&ex.row)
 	if err != nil {
 		return err
 	}
@@ -233,7 +233,7 @@ func (o *probeOp) node() *PlanNode {
 	s := o.ex.srcs[o.lp.src]
 	return &PlanNode{
 		Op:      "probe",
-		Detail:  fmt.Sprintf("%s.%s = %s", s.name, o.lp.probe.col, o.lp.probe.expr),
+		Detail:  fmt.Sprintf("%s.%s = %s", s.name, o.lp.probe.col, o.ex.text(o.lp.probe.expr)),
 		EstRows: o.lp.estAccess,
 		ActRows: o.rows,
 	}
@@ -255,7 +255,7 @@ func (o *filterOp) next() (bool, error) {
 		if err != nil || !ok {
 			return ok, err
 		}
-		pass, err := allHold(o.lp.filter, o.ex.cur)
+		pass, err := allHold(o.lp.filter, &o.ex.row)
 		if err != nil {
 			return false, err
 		}
@@ -271,7 +271,7 @@ func (o *filterOp) close() { o.child.close() }
 func (o *filterOp) node() *PlanNode {
 	parts := make([]string, len(o.lp.resid))
 	for i, p := range o.lp.resid {
-		parts[i] = p.String()
+		parts[i] = fmt.Sprintf("%s %s %s", o.ex.text(p.Left), p.Op, o.ex.text(p.Right))
 	}
 	return &PlanNode{
 		Op:       "filter",
@@ -366,7 +366,7 @@ func (o *projectOp) close() { o.child.close() }
 func (o *projectOp) node() *PlanNode {
 	return &PlanNode{
 		Op:       "project",
-		Detail:   itemList(o.ex.c.q),
+		Detail:   o.ex.itemList(),
 		EstRows:  o.ex.c.estRows,
 		ActRows:  o.rows,
 		Children: []*PlanNode{o.child.node()},
@@ -405,7 +405,7 @@ func (o *aggOp) next() (bool, error) {
 func (o *aggOp) close() { o.child.close() }
 
 func (o *aggOp) node() *PlanNode {
-	detail := itemList(o.ex.c.q)
+	detail := o.ex.itemList()
 	if len(o.ex.c.q.GroupBy) > 0 {
 		parts := make([]string, len(o.ex.c.q.GroupBy))
 		for i, g := range o.ex.c.q.GroupBy {
@@ -422,10 +422,14 @@ func (o *aggOp) node() *PlanNode {
 	}
 }
 
-func itemList(q *Select) string {
-	parts := make([]string, len(q.Items))
-	for i, it := range q.Items {
-		s := it.Expr.String()
+// text renders an expression of the plan with this run's parameters in
+// place of its placeholders, for EXPLAIN.
+func (ex *exec) text(e Expr) string { return BindParams(e, ex.params).String() }
+
+func (ex *exec) itemList() string {
+	parts := make([]string, len(ex.q.Items))
+	for i, it := range ex.q.Items {
+		s := ex.text(it.Expr)
 		if it.Agg != AggNone {
 			s = fmt.Sprintf("%s(%s)", it.Agg, s)
 		}

@@ -16,19 +16,29 @@ type cursor struct {
 	row int
 }
 
-// newCursors positions one cursor per source.
-func newCursors(srcs []*source) []cursor {
+// row is what a lowered expression evaluates against: the joint row —
+// one cursor per source — and the run's parameters. Plans are shared by
+// concurrent runs with different parameters, so the values live here, in
+// the run, never in the plan.
+type row struct {
+	cur    []cursor
+	params []types.Value
+}
+
+// newRow positions one cursor per source.
+func newRow(srcs []*source, params []types.Value) row {
 	cur := make([]cursor, len(srcs))
 	for i, s := range srcs {
 		cur[i].tmp = s.tmp
 	}
-	return cur
+	return row{cur: cur, params: params}
 }
 
 type lowKind uint8
 
 const (
 	lowConst lowKind = iota
+	lowParam         // the run's parameter number col
 	lowRec           // column of a standard-table record
 	lowTmp           // column of a temp-table row
 	lowArith
@@ -42,7 +52,7 @@ const (
 type lowered struct {
 	kind     lowKind
 	op       byte        // lowArith
-	src, col int         // lowRec, lowTmp
+	src, col int         // lowRec, lowTmp; lowParam uses col
 	val      types.Value // lowConst
 	args     []lowered   // lowArith: left, right; lowCall: arguments
 	fn       ScalarFunc  // lowCall
@@ -60,6 +70,8 @@ func lower(e Expr, srcs []*source) lowered {
 		return lowered{kind: kind, src: x.src, col: x.col}
 	case *ConstExpr:
 		return lowered{kind: lowConst, val: x.Val}
+	case *ParamExpr:
+		return lowered{kind: lowParam, col: x.Index}
 	case *BinExpr:
 		return lowered{kind: lowArith, op: x.Op, args: []lowered{lower(x.Left, srcs), lower(x.Right, srcs)}}
 	case *FuncExpr:
@@ -74,47 +86,49 @@ func lower(e Expr, srcs []*source) lowered {
 }
 
 // leaf returns a column operand's field in place — inside its record or
-// result slab — or a literal's copy in the plan, and nil for a computed
-// node. Callers must not write through the result.
-func (e *lowered) leaf(cur []cursor) *types.Value {
+// result slab — a literal's copy in the plan or in the run's parameters,
+// and nil for a computed node. Callers must not write through the result.
+func (e *lowered) leaf(r *row) *types.Value {
 	switch e.kind {
 	case lowRec:
-		return cur[e.src].rec.At(e.col)
+		return r.cur[e.src].rec.At(e.col)
 	case lowTmp:
-		c := &cur[e.src]
+		c := &r.cur[e.src]
 		return c.tmp.At(c.row, e.col)
 	case lowConst:
 		return &e.val
+	case lowParam:
+		return &r.params[e.col]
 	}
 	return nil
 }
 
-// ref evaluates the expression for the joint row cur without copying a
+// ref evaluates the expression for the row r without copying a
 // value it can point at: leaves come back in place, a computed value lands
 // in *tmp. (compute never calls ref, so *tmp stays on the caller's stack.)
-func (e *lowered) ref(cur []cursor, tmp *types.Value) (*types.Value, error) {
-	if v := e.leaf(cur); v != nil {
+func (e *lowered) ref(r *row, tmp *types.Value) (*types.Value, error) {
+	if v := e.leaf(r); v != nil {
 		return v, nil
 	}
-	v, err := e.compute(cur)
+	v, err := e.compute(r)
 	*tmp = v
 	return tmp, err
 }
 
 // eval evaluates the expression to a copy.
-func (e *lowered) eval(cur []cursor) (types.Value, error) {
-	if v := e.leaf(cur); v != nil {
+func (e *lowered) eval(r *row) (types.Value, error) {
+	if v := e.leaf(r); v != nil {
 		return *v, nil
 	}
-	return e.compute(cur)
+	return e.compute(r)
 }
 
 // compute evaluates an arithmetic or call node.
-func (e *lowered) compute(cur []cursor) (types.Value, error) {
+func (e *lowered) compute(r *row) (types.Value, error) {
 	if e.kind == lowCall {
 		args := make([]types.Value, len(e.args))
 		for i := range e.args {
-			v, err := e.args[i].eval(cur)
+			v, err := e.args[i].eval(r)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -122,23 +136,23 @@ func (e *lowered) compute(cur []cursor) (types.Value, error) {
 		}
 		return e.fn(args)
 	}
-	l, err := e.args[0].eval(cur)
+	l, err := e.args[0].eval(r)
 	if err != nil {
 		return types.Null(), err
 	}
-	r, err := e.args[1].eval(cur)
+	rv, err := e.args[1].eval(r)
 	if err != nil {
 		return types.Null(), err
 	}
 	switch e.op {
 	case '+':
-		return types.Add(l, r)
+		return types.Add(l, rv)
 	case '-':
-		return types.Sub(l, r)
+		return types.Sub(l, rv)
 	case '*':
-		return types.Mul(l, r)
+		return types.Mul(l, rv)
 	case '/':
-		return types.Div(l, r)
+		return types.Div(l, rv)
 	default:
 		return types.Null(), fmt.Errorf("query: unknown operator %c", e.op)
 	}
@@ -165,24 +179,24 @@ func lowerPreds(ps []Pred, srcs []*source) []lowPred {
 	return out
 }
 
-// holds evaluates the comparison for the joint row cur.
-func (p *lowPred) holds(cur []cursor) (bool, error) {
+// holds evaluates the comparison for the row r.
+func (p *lowPred) holds(r *row) (bool, error) {
 	var lt, rt types.Value
-	l, err := p.l.ref(cur, &lt)
+	lv, err := p.l.ref(r, &lt)
 	if err != nil {
 		return false, err
 	}
-	r, err := p.r.ref(cur, &rt)
+	rv, err := p.r.ref(r, &rt)
 	if err != nil {
 		return false, err
 	}
-	return p.op.holds(types.Compare(l, r)), nil
+	return p.op.holds(types.Compare(lv, rv)), nil
 }
 
-// allHold reports whether every predicate holds for cur.
-func allHold(ps []lowPred, cur []cursor) (bool, error) {
+// allHold reports whether every predicate holds for r.
+func allHold(ps []lowPred, r *row) (bool, error) {
 	for i := range ps {
-		ok, err := ps[i].holds(cur)
+		ok, err := ps[i].holds(r)
 		if err != nil || !ok {
 			return false, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -331,6 +332,113 @@ func (q refQuery) toSelect(tables []oracleTable) *Select {
 	return sel
 }
 
+// sqlFrontEnd is the SQL front end as the oracle uses it. It lives in
+// package sqlparse, which imports this one, so oracle_sql_test.go — in the
+// external test package, which may import both — installs it.
+var sqlFrontEnd struct {
+	// parse is sqlparse.Parse for a SELECT.
+	parse func(sql string) (*Select, error)
+	// newCache returns a fresh statement cache's Prepare for SELECTs.
+	newCache func() func(sql string) (*Select, []types.Value, error)
+	// parses is sqlparse.ParseCalls.
+	parses func() int64
+}
+
+// sqlable reports whether the query can be written as text: the grammar
+// has no NULL literal.
+func (q refQuery) sqlable() bool {
+	for _, p := range q.preds {
+		if p.right == nil && p.c.IsNull() {
+			return false
+		}
+	}
+	return true
+}
+
+// toSQL renders the query as statement text.
+func (q refQuery) toSQL(tables []oracleTable) string {
+	col := func(rc refCol) string {
+		ot := tables[q.from[rc.src]]
+		return ot.name + "." + ot.cols[rc.col].Name
+	}
+	lit := func(v types.Value) string {
+		switch v.Kind() {
+		case types.KindString:
+			return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
+		case types.KindFloat:
+			s := strconv.FormatFloat(v.Float(), 'f', -1, 64)
+			if !strings.Contains(s, ".") {
+				s += ".0"
+			}
+			return s
+		default:
+			return strconv.FormatInt(v.Int(), 10)
+		}
+	}
+	var items, from, preds, groups []string
+	for _, it := range q.items {
+		e := col(it.col)
+		if it.agg != AggNone {
+			e = it.agg.String() + "(" + e + ")"
+		}
+		items = append(items, e+" as "+it.as)
+	}
+	for _, ti := range q.from {
+		from = append(from, tables[ti].name)
+	}
+	for _, p := range q.preds {
+		var right string
+		if p.right != nil {
+			right = col(*p.right)
+		} else {
+			right = lit(p.c)
+		}
+		preds = append(preds, col(p.left)+" "+p.op.String()+" "+right)
+	}
+	for _, g := range q.groupBy {
+		groups = append(groups, col(g))
+	}
+	sql := "select " + strings.Join(items, ", ") + " from " + strings.Join(from, ", ")
+	if len(preds) > 0 {
+		sql += " where " + strings.Join(preds, " and ")
+	}
+	if len(groups) > 0 {
+		sql += " group by " + strings.Join(groups, ", ")
+	}
+	if len(q.orderBy) > 0 {
+		sql += " order by " + strings.Join(q.orderBy, ", ")
+		if q.desc {
+			sql += " desc"
+		}
+	}
+	if q.limit > 0 {
+		sql += fmt.Sprintf(" limit %d", q.limit)
+	}
+	return sql
+}
+
+// otherLiterals returns the query with every constant redrawn from the
+// same column's data: the same statement template, other parameters.
+func (q refQuery) otherLiterals(rng *rand.Rand, tables []oracleTable) refQuery {
+	out := q
+	out.preds = append([]refPred(nil), q.preds...)
+	for i, p := range out.preds {
+		if p.right != nil {
+			continue
+		}
+		rows := tables[q.from[p.left.src]].rows
+		for try := 0; try < 20; try++ {
+			if v := rows[rng.Intn(len(rows))][p.left.col]; !v.IsNull() {
+				out.preds[i].c = v
+				if v != p.c {
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
 func cmpVals(a, b types.Value) int { return a.Compare(b) }
 
 // refEval runs the query naively: nested loops in FROM order, all
@@ -600,17 +708,21 @@ func TestOracleEquivalence(t *testing.T) {
 		name  string
 		fixed bool
 	}
-	envs := make(map[string]struct {
+	type engineEnv struct {
 		mgr *txn.Manager
 		res Resolver
-	})
+		// prepare is the environment's statement cache.
+		prepare func(sql string) (*Select, []types.Value, error)
+	}
+	envs := make(map[string]engineEnv)
 	for _, m := range []engineMode{{"fixed", true}, {"cost", false}} {
 		mgr, res := oracleEnv(t, tables, m.fixed)
-		envs[m.name] = struct {
-			mgr *txn.Manager
-			res Resolver
-		}{mgr, res}
+		envs[m.name] = engineEnv{mgr, res, sqlFrontEnd.newCache()}
 	}
+	// Redrawn literals come from their own stream so the generator's stays
+	// what the coverage list below was tuned on.
+	litRng := rand.New(rand.NewSource(8081))
+	viaSQL := 0
 
 	// covered records which of the shapes the row loop treats differently
 	// the generator actually produced, so a reseed cannot quietly drop one.
@@ -620,31 +732,75 @@ func TestOracleEquivalence(t *testing.T) {
 		q := genQuery(rng, tables)
 		want := q.refEval(tables)
 		q.noteCoverage(tables, want, covered)
+		q2 := q.otherLiterals(litRng, tables)
+		want2 := q2.refEval(tables)
+		if q.sqlable() {
+			viaSQL++
+		}
 		for _, planner := range []string{"fixed", "cost"} {
 			env := envs[planner]
 			for _, readMode := range []string{"locked", "snapshot"} {
-				sel := q.toSelect(tables)
-				var tx *txn.Txn
-				if readMode == "snapshot" {
-					tx = env.mgr.BeginReadOnly()
-				} else {
-					tx = env.mgr.Begin()
+				label := fmt.Sprintf("query %d (%s/%s)", i, planner, readMode)
+				run := func(what string, q refQuery, want [][]types.Value, sel *Select, params []types.Value) {
+					t.Helper()
+					var tx *txn.Txn
+					if readMode == "snapshot" {
+						tx = env.mgr.BeginReadOnly()
+					} else {
+						tx = env.mgr.Begin()
+					}
+					out, err := sel.RunParams(tx, env.res, params)
+					if err != nil {
+						t.Fatalf("%s, %s: %v\nspec: %+v", label, what, err, q)
+					}
+					got := make([][]types.Value, out.Len())
+					for r := range got {
+						got[r] = out.Row(r)
+					}
+					out.Retire()
+					if err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					checkOracle(t, q, label+", "+what, got, want)
 				}
-				out, err := sel.Run(tx, env.res)
+				run("built", q, want, q.toSelect(tables), nil)
+				if !q.sqlable() {
+					continue
+				}
+				// The same query as text: parsed afresh, then through the
+				// statement cache — first sight, repeat, and the repeat with
+				// other literals of the same kinds, which must reuse the
+				// first's template without parsing.
+				sql := q.toSQL(tables)
+				fresh, err := sqlFrontEnd.parse(sql)
 				if err != nil {
-					t.Fatalf("query %d (%s/%s): %v\nspec: %+v", i, planner, readMode, err, q)
+					t.Fatalf("%s: parse %q: %v", label, sql, err)
 				}
-				got := make([][]types.Value, out.Len())
-				for r := range got {
-					got[r] = out.Row(r)
+				run("parsed", q, want, fresh, nil)
+				var template *Select
+				for _, step := range []struct {
+					what string
+					q    refQuery
+					want [][]types.Value
+				}{{"cached, first sight", q, want}, {"cached, repeat", q, want}, {"cached, other literals", q2, want2}} {
+					before := sqlFrontEnd.parses()
+					sel, params, err := env.prepare(step.q.toSQL(tables))
+					if err != nil {
+						t.Fatalf("%s, %s: prepare %q: %v", label, step.what, sql, err)
+					}
+					if template == nil {
+						template = sel
+					} else if sel != template || sqlFrontEnd.parses() != before {
+						t.Fatalf("%s, %s: %q missed the statement cache", label, step.what, step.q.toSQL(tables))
+					}
+					run(step.what, step.q, step.want, sel, params)
 				}
-				out.Retire()
-				if err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				checkOracle(t, q, fmt.Sprintf("query %d (%s/%s)", i, planner, readMode), got, want)
 			}
 		}
+	}
+	t.Logf("%d of %d generated queries also ran as text", viaSQL, queries)
+	if viaSQL < queries*9/10 {
+		t.Errorf("only %d of %d generated queries could be written as text", viaSQL, queries)
 	}
 	for _, shape := range []string{
 		"group width 0", "group width 1", "group width 2", "group width 3", "group width 4",

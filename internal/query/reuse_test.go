@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/obs"
+	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/types"
 )
 
@@ -201,5 +203,57 @@ func TestPlanCacheReuse(t *testing.T) {
 	wg.Wait()
 	if got := builds.Load() - b3; got != 0 {
 		t.Fatalf("concurrent warm runs rebuilt %d times, want 0", got)
+	}
+}
+
+// A rule's condition or action query sees a bound table of one row on one
+// firing and two or three on the next. Small temp sources share a plan
+// signature, so the flips cost one build, not one per firing; a bound table
+// that really grows (a wide batching window) still re-plans.
+func TestPlanCacheSmallTempSourcesShareAPlan(t *testing.T) {
+	mgr := env(t)
+	builds := mgr.Obs.Counter(obs.MQueryPlanBuilds)
+	q := &Select{
+		Items: []SelectItem{
+			Item(QCol("comps_list", "comp"), ""),
+			Item(QCol("new", "price"), "new_price"),
+		},
+		From:  []string{"new", "comps_list"},
+		Where: []Pred{Eq(QCol("comps_list", "symbol"), QCol("new", "symbol"))},
+	}
+	run := func(rows int) {
+		t.Helper()
+		bound := storage.NewValueTempTable(catalog.MustSchema("new",
+			catalog.Column{Name: "symbol", Kind: types.KindString},
+			catalog.Column{Name: "price", Kind: types.KindFloat}))
+		for i := 0; i < rows; i++ {
+			if err := bound.AppendValues(types.Str("S1"), types.Float(float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx := mgr.Begin()
+		out, err := q.Run(tx, mixedResolver{tmp: map[string]*storage.TempTable{"new": bound}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 2*rows { // S1 is in C1 and C2
+			t.Fatalf("%d bound rows joined to %d, want %d", rows, out.Len(), 2*rows)
+		}
+		out.Retire()
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b0 := builds.Load()
+	for i := 0; i < 10; i++ {
+		run(1 + i%2)
+		run(3)
+	}
+	if got := builds.Load() - b0; got != 1 {
+		t.Fatalf("alternating 1-, 2- and 3-row bound tables built %d plans, want 1", got)
+	}
+	run(64)
+	if got := builds.Load() - b0; got != 2 {
+		t.Fatalf("a 64-row bound table left %d builds, want a second", got)
 	}
 }

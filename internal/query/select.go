@@ -127,32 +127,35 @@ type Select struct {
 // layout for every column that traces back to a standard-table record;
 // computed and aggregate columns are materialized.
 func (q *Select) Run(tx *txn.Txn, res Resolver) (*storage.TempTable, error) {
-	mgr := tx.Manager()
-	start := mgr.Clock.Now()
-	out, _, err := q.runQuery(tx, res, false)
-	mgr.Query.Selects.Inc()
-	mgr.Query.SelectMicros.Record(mgr.Clock.Now() - start)
+	return q.RunParams(tx, res, nil)
+}
+
+// RunParams is Run for a query with placeholders (a statement-cache
+// template): params holds the run's values in placeholder order. The query
+// and its plan are shared between concurrent runs; params belongs to this
+// one.
+func (q *Select) RunParams(tx *txn.Txn, res Resolver, params []types.Value) (*storage.TempTable, error) {
+	out, _, err := q.runTimed(tx, res, params, false)
 	return out, err
 }
 
-// RunExplain executes like Run and additionally returns the physical
+// RunExplain executes like RunParams and additionally returns the physical
 // plan tree annotated with the planner's estimated rows and the actual
 // rows each operator produced.
-func (q *Select) RunExplain(tx *txn.Txn, res Resolver) (*storage.TempTable, *PlanNode, error) {
+func (q *Select) RunExplain(tx *txn.Txn, res Resolver, params ...types.Value) (*storage.TempTable, *PlanNode, error) {
+	return q.runTimed(tx, res, params, true)
+}
+
+func (q *Select) runTimed(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool) (*storage.TempTable, *PlanNode, error) {
 	mgr := tx.Manager()
 	start := mgr.Clock.Now()
-	out, node, err := q.runQuery(tx, res, true)
+	out, node, err := q.runQuery(tx, res, params, wantNode)
 	mgr.Query.Selects.Inc()
 	mgr.Query.SelectMicros.Record(mgr.Clock.Now() - start)
 	return out, node, err
 }
 
-func (q *Select) run(tx *txn.Txn, res Resolver) (*storage.TempTable, error) {
-	out, _, err := q.runQuery(tx, res, false)
-	return out, err
-}
-
-func (q *Select) runQuery(tx *txn.Txn, res Resolver, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+func (q *Select) runQuery(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool) (*storage.TempTable, *PlanNode, error) {
 	model := tx.Model()
 	tx.Charge(model.StmtSetup)
 	var srcs []*source
@@ -175,16 +178,43 @@ func (q *Select) runQuery(tx *txn.Txn, res Resolver, wantNode bool) (*storage.Te
 	}
 	c, err := q.ensureCompiled(tx, srcs)
 	if err != nil {
+		if len(params) > 0 {
+			// Two compile messages quote a select item, and a template
+			// would quote a placeholder where the text had a literal:
+			// compile once more with the values written back, on this
+			// error path only, for a fresh parse's message word for word.
+			if _, berr := compile(q.WithParams(params), tx, srcs, tx.Manager().PlanFixedOrder); berr != nil {
+				err = berr
+			}
+		}
 		return nil, nil, err
 	}
-	return c.execute(tx, srcs, nil, wantNode)
+	return c.execute(tx, srcs, params, nil, wantNode)
+}
+
+// WithParams returns the query with every placeholder replaced by its value
+// from params: the query as the statement text had it.
+func (q *Select) WithParams(params []types.Value) *Select {
+	b := q.clone()
+	for i := range b.Items {
+		if b.Items[i].Expr != nil {
+			b.Items[i].Expr = BindParams(b.Items[i].Expr, params)
+		}
+	}
+	for i, p := range b.Where {
+		b.Where[i] = Cmp(BindParams(p.Left, params), p.Op, BindParams(p.Right, params))
+	}
+	return b
 }
 
 // execute runs a compiled plan against this run's resolved sources.
 // When shared is non-nil the plan's single table source streams those
 // pre-materialized records instead of scanning (the shared-scan path,
 // which charged the batch scan once for the whole group).
-func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, shared []*storage.Record, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+	if len(params) < c.nParams {
+		return nil, nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", c.nParams, len(params))
+	}
 	ex := &exec{
 		c:      c,
 		q:      c.q,
@@ -192,7 +222,7 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record
 		model:  tx.Model(),
 		prof:   tx.Profile(),
 		srcs:   srcs,
-		cur:    newCursors(srcs),
+		row:    newRow(srcs, params),
 		shared: shared,
 	}
 	if err := ex.prepareOutput(); err != nil {
@@ -201,7 +231,7 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record
 
 	// Evaluate constant predicates once; a false one proves the result
 	// empty.
-	pass, err := allHold(c.consts, nil)
+	pass, err := allHold(c.consts, &ex.row)
 	if err != nil {
 		if shared != nil {
 			ex.out.Retire()
@@ -278,8 +308,9 @@ func (q *Select) clone() *Select {
 }
 
 // exec carries the per-run state of a compiled plan: the transaction,
-// this run's resolved sources, the joint cursor row the operators write
-// into, and the output under construction. It owns every buffer the row
+// this run's resolved sources, the row — the joint cursors the operators
+// write into and the run's parameters — and the output under
+// construction. It owns every buffer the row
 // loop writes — the cursors, the projection's row scratch, the grouping
 // slabs — so a row moving through the operators allocates nothing.
 type exec struct {
@@ -288,7 +319,7 @@ type exec struct {
 	tx    *txn.Txn
 	model cost.Model
 	srcs  []*source
-	cur   []cursor
+	row
 	// shared, when non-nil, replaces the single table source's scan with
 	// these pre-materialized records (RunShared).
 	shared []*storage.Record
@@ -394,6 +425,8 @@ func exprKind(e Expr, srcs []*source) types.Kind {
 		return srcs[x.src].schema.Col(x.col).Kind
 	case *ConstExpr:
 		return x.Val.Kind()
+	case *ParamExpr:
+		return x.Kind
 	case *BinExpr:
 		if exprKind(x.Left, srcs) == types.KindInt && exprKind(x.Right, srcs) == types.KindInt {
 			return types.KindInt
@@ -426,7 +459,7 @@ func (ex *exec) emit() error {
 		}
 		for i, item := range ex.matCols {
 			var err error
-			if ex.valBuf[i], err = ex.c.items[item].eval(cur); err != nil {
+			if ex.valBuf[i], err = ex.c.items[item].eval(&ex.row); err != nil {
 				return err
 			}
 		}
@@ -437,7 +470,7 @@ func (ex *exec) emit() error {
 	g := ex.groups
 	for i := range ex.c.groupBy {
 		var err error
-		if g.key[i], err = ex.c.groupBy[i].eval(cur); err != nil {
+		if g.key[i], err = ex.c.groupBy[i].eval(&ex.row); err != nil {
 			return err
 		}
 	}
@@ -449,7 +482,7 @@ func (ex *exec) emit() error {
 			continue
 		}
 		var tmp types.Value
-		v, err := sp.arg.ref(cur, &tmp)
+		v, err := sp.arg.ref(&ex.row, &tmp)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
+	"github.com/stripdb/strip/internal/types"
 )
 
 // Shared query execution (SharedDB-style): a batch of compatible read-only
@@ -50,10 +51,13 @@ func SharedEligible(q *Select) (table string, ok bool) {
 // the whole batch pins tx's begin snapshot, so results are mutually
 // consistent: any row one query sees at the LSN, every query sees.
 //
+// params, when non-nil, runs alongside queries: params[i] holds the values
+// for query i's placeholders (statement-cache templates arrive that way).
+//
 // A batch-level error (unknown table, transaction not snapshot-capable)
 // fails the whole call; per-query preparation or evaluation errors land in
 // that query's SharedResult.Err only.
-func RunShared(tx *txn.Txn, table string, queries []*Select) ([]SharedResult, uint64, error) {
+func RunShared(tx *txn.Txn, table string, queries []*Select, params [][]types.Value) ([]SharedResult, uint64, error) {
 	if len(queries) == 0 {
 		return nil, 0, fmt.Errorf("query: empty shared batch")
 	}
@@ -74,6 +78,12 @@ func RunShared(tx *txn.Txn, table string, queries []*Select) ([]SharedResult, ui
 	// scan, and a probe would fragment it back into per-query index
 	// walks.
 	model := tx.Model()
+	paramsOf := func(i int) []types.Value {
+		if params == nil {
+			return nil
+		}
+		return params[i]
+	}
 	results := make([]SharedResult, len(queries))
 	plans := make([]*compiled, len(queries))
 	srcsOf := make([][]*source, len(queries))
@@ -87,6 +97,12 @@ func RunShared(tx *txn.Txn, table string, queries []*Select) ([]SharedResult, ui
 		srcs := []*source{{name: table, schema: tbl.Schema(), tbl: tbl}}
 		c, perr := compileShared(q, srcs)
 		if perr != nil {
+			if qp := paramsOf(i); len(qp) > 0 {
+				// As in runQuery: the message in the statement's literals.
+				if _, berr := compileShared(q.WithParams(qp), srcs); berr != nil {
+					perr = berr
+				}
+			}
 			results[i].Err = perr
 			continue
 		}
@@ -108,7 +124,7 @@ func RunShared(tx *txn.Txn, table string, queries []*Select) ([]SharedResult, ui
 		if c == nil {
 			continue
 		}
-		out, _, qerr := c.execute(tx, srcsOf[i], recs, false)
+		out, _, qerr := c.execute(tx, srcsOf[i], paramsOf(i), recs, false)
 		if qerr != nil {
 			results[i].Err = qerr
 			continue
@@ -131,7 +147,7 @@ func compileShared(orig *Select, srcs []*source) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{q: q, agg: agg, fixed: true}
+	c := &compiled{q: q, agg: agg, nParams: paramCount(q.exprs()...), fixed: true}
 	lp := levelPlan{src: 0}
 	for _, p := range q.Where {
 		if p.maxSource() < 0 {

@@ -63,7 +63,7 @@ func TestRunSharedBasic(t *testing.T) {
 	scans := mgr.Obs.Counter(obs.MMvccSnapshotScans).Load()
 	acquires := lm.Stats().Acquires
 	ro := mgr.BeginReadOnly()
-	results, snap, err := RunShared(ro, "stocks", queries)
+	results, snap, err := RunShared(ro, "stocks", queries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRunSharedSingleLSNUnderWriters(t *testing.T) {
 		// Two copies of the same aggregate plus a full scan: all three must
 		// describe the same instant.
 		batch := []*Select{sumQ(), sumQ(), {Star: true, From: []string{"accounts"}}}
-		results, snap, err := RunShared(ro, "accounts", batch)
+		results, snap, err := RunShared(ro, "accounts", batch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestRunSharedPerQueryError(t *testing.T) {
 		{Items: []SelectItem{Item(Col("nope"), "")}, From: []string{"stocks"}},
 		{Star: true, From: []string{"stocks", "stocks"}}, // join: not shared-eligible
 	}
-	results, _, err := RunShared(ro, "stocks", queries)
+	results, _, err := RunShared(ro, "stocks", queries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestRunSharedConstFalse(t *testing.T) {
 		},
 		{Items: []SelectItem{Item(Col("symbol"), "")}, From: []string{"stocks"}},
 	}
-	results, _, err := RunShared(ro, "stocks", queries)
+	results, _, err := RunShared(ro, "stocks", queries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRunSharedRequiresSnapshot(t *testing.T) {
 	mgr, _ := lockEnv(t)
 	tx := mgr.Begin()
 	defer tx.Commit()
-	_, _, err := RunShared(tx, "stocks", []*Select{{Star: true, From: []string{"stocks"}}})
+	_, _, err := RunShared(tx, "stocks", []*Select{{Star: true, From: []string{"stocks"}}}, nil)
 	if err == nil {
 		t.Fatal("shared batch on a locking txn should fail")
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
@@ -35,50 +36,43 @@ type SetClause struct {
 }
 
 // UpdateStmt is `UPDATE table SET ... WHERE ...`. Set expressions and
-// predicates may reference only the target table's columns.
+// predicates may reference only the target table's columns. A statement is
+// immutable once built and may be run concurrently; like Select it keeps
+// its bound form for the next run.
 type UpdateStmt struct {
 	Table string
 	Set   []SetClause
 	Where []Pred
+
+	plan atomic.Pointer[dmlPlan]
 }
 
 // Run executes the update, returning the number of rows changed.
-func (s *UpdateStmt) Run(tx *txn.Txn) (int, error) {
-	tx.Charge(tx.Model().StmtSetup)
-	recs, srcs, err := collectTargets(tx, s.Table, s.Where)
+func (s *UpdateStmt) Run(tx *txn.Txn) (int, error) { return s.RunParams(tx, nil) }
+
+// RunParams is Run for a statement with placeholders; params holds the
+// run's values in placeholder order.
+func (s *UpdateStmt) RunParams(tx *txn.Txn, params []types.Value) (int, error) {
+	p, recs, r, err := collectTargets(tx, &s.plan, s.Table, s.Where, s.Set, params)
 	if err != nil {
 		return 0, err
 	}
-	schema := srcs[0].schema
-	setIdx := make([]int, len(s.Set))
-	setExpr := make([]lowered, len(s.Set))
-	for i, sc := range s.Set {
-		if err := sc.Expr.resolve(srcs); err != nil {
-			return 0, err
-		}
-		ci := schema.ColIndex(sc.Col)
-		if ci < 0 {
-			return 0, fmt.Errorf("query: table %s has no column %q", s.Table, sc.Col)
-		}
-		setIdx[i] = ci
-		setExpr[i] = lower(sc.Expr, srcs)
-	}
-	cur := newCursors(srcs)
 	for _, rec := range recs {
-		cur[0].rec = rec
+		r.cur[0].rec = rec
 		vals := rec.Values()
-		for i, sc := range s.Set {
-			v, err := setExpr[i].eval(cur)
+		for i := range p.set {
+			sp := &p.set[i]
+			v, err := sp.expr.eval(r)
 			if err != nil {
 				return 0, err
 			}
-			if sc.AddTo {
-				v, err = types.Add(vals[setIdx[i]], v)
+			if sp.addTo {
+				v, err = types.Add(vals[sp.col], v)
 				if err != nil {
 					return 0, err
 				}
 			}
-			vals[setIdx[i]] = v
+			vals[sp.col] = v
 		}
 		if _, err := tx.Update(s.Table, rec, vals); err != nil {
 			return 0, err
@@ -87,16 +81,21 @@ func (s *UpdateStmt) Run(tx *txn.Txn) (int, error) {
 	return len(recs), nil
 }
 
-// DeleteStmt is `DELETE FROM table WHERE ...`.
+// DeleteStmt is `DELETE FROM table WHERE ...`; immutable and shareable
+// like UpdateStmt.
 type DeleteStmt struct {
 	Table string
 	Where []Pred
+
+	plan atomic.Pointer[dmlPlan]
 }
 
 // Run executes the delete, returning the number of rows removed.
-func (s *DeleteStmt) Run(tx *txn.Txn) (int, error) {
-	tx.Charge(tx.Model().StmtSetup)
-	recs, _, err := collectTargets(tx, s.Table, s.Where)
+func (s *DeleteStmt) Run(tx *txn.Txn) (int, error) { return s.RunParams(tx, nil) }
+
+// RunParams is Run for a statement with placeholders.
+func (s *DeleteStmt) RunParams(tx *txn.Txn, params []types.Value) (int, error) {
+	_, recs, _, err := collectTargets(tx, &s.plan, s.Table, s.Where, nil, params)
 	if err != nil {
 		return 0, err
 	}
@@ -108,88 +107,141 @@ func (s *DeleteStmt) Run(tx *txn.Txn) (int, error) {
 	return len(recs), nil
 }
 
+// dmlPlan is an UPDATE's or DELETE's WHERE and SET bound to the target
+// table: resolved, lowered, and split into the index probe that finds the
+// candidate rows and the filter over them. It is built on the statement's
+// first run and reused until the table is replaced (DROP + CREATE) or gains
+// an index; it holds no run state, so concurrent runs share it.
+type dmlPlan struct {
+	tbl  *storage.Table
+	nIdx int
+
+	probeCol string  // probe tbl's index on this column with probeKey; "" scans
+	probeKey lowered // a literal or a parameter
+	filter   []lowPred
+	set      []setPlan
+	nParams  int
+}
+
+// setPlan is one SET clause bound to the table.
+type setPlan struct {
+	col   int
+	expr  lowered
+	addTo bool
+}
+
+// bindDML builds the plan: an index is used when a predicate is
+// `indexedCol = literal` (the first such, in WHERE order).
+func bindDML(tbl *storage.Table, table string, where []Pred, set []SetClause) (*dmlPlan, error) {
+	schema := tbl.Schema()
+	srcs := []*source{{name: table, schema: schema, tbl: tbl}}
+	_, nIdx := tbl.PlanStats()
+	p := &dmlPlan{tbl: tbl, nIdx: nIdx}
+	var exprs []Expr
+	// The statement is shared, and resolving writes positions into column
+	// references: bind copies.
+	bound := make([]Pred, len(where))
+	for i, w := range where {
+		bound[i] = w.clone()
+		if err := bound[i].resolve(srcs); err != nil {
+			return nil, err
+		}
+		exprs = append(exprs, bound[i].Left, bound[i].Right)
+	}
+	for _, w := range bound {
+		if cr, key, ok := constEq(w); ok && p.probeCol == "" && tbl.HasIndex(cr.Col) {
+			p.probeCol, p.probeKey = cr.Col, lower(key, srcs)
+			continue
+		}
+		p.filter = append(p.filter, lowerPred(w, srcs))
+	}
+	for _, sc := range set {
+		e := sc.Expr.clone()
+		if err := e.resolve(srcs); err != nil {
+			return nil, err
+		}
+		ci := schema.ColIndex(sc.Col)
+		if ci < 0 {
+			return nil, fmt.Errorf("query: table %s has no column %q", table, sc.Col)
+		}
+		exprs = append(exprs, e)
+		p.set = append(p.set, setPlan{col: ci, expr: lower(e, srcs), addTo: sc.AddTo})
+	}
+	p.nParams = paramCount(exprs...)
+	return p, nil
+}
+
 // collectTargets gathers the records matching the WHERE clause before any
-// mutation (a statement must not observe its own writes mid-scan). Indexed
-// probes take the table's IX intent plus X locks on just the probed rows, so
-// statements targeting different rows of one table run in parallel;
-// scan-driven statements escalate to a full table X up front.
-func collectTargets(tx *txn.Txn, table string, where []Pred) ([]*storage.Record, []*source, error) {
+// mutation (a statement must not observe its own writes mid-scan), binding
+// the statement into cache first if it has no plan for the table as it now
+// is. Indexed probes take the table's IX intent plus X locks on just the
+// probed rows, so statements targeting different rows of one table run in
+// parallel; scan-driven statements escalate to a full table X up front.
+// The returned row is positioned on the table for evaluating SET clauses.
+func collectTargets(tx *txn.Txn, cache *atomic.Pointer[dmlPlan], table string, where []Pred, set []SetClause, params []types.Value) (*dmlPlan, []*storage.Record, *row, error) {
 	model := tx.Model()
+	tx.Charge(model.StmtSetup)
 	tbl, err := tx.WriteIntent(table)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	src := &source{name: table, schema: tbl.Schema(), tbl: tbl}
-	srcs := []*source{src}
-	for i := range where {
-		if err := where[i].resolve(srcs); err != nil {
-			return nil, nil, err
+	p := cache.Load()
+	if _, nIdx := tbl.PlanStats(); p == nil || p.tbl != tbl || p.nIdx != nIdx {
+		if p, err = bindDML(tbl, table, where, set); err != nil {
+			return nil, nil, nil, err
 		}
+		cache.Store(p)
 	}
-
-	// Use an index when a predicate is `indexedCol = const`.
-	var probeCol string
-	var probeVal types.Value
-	residual := where
-	for i, p := range where {
-		cr, val, ok := constEq(p)
-		if ok && tbl.HasIndex(cr.Col) {
-			probeCol, probeVal = cr.Col, val
-			residual = append(append([]Pred{}, where[:i]...), where[i+1:]...)
-			break
-		}
+	if len(params) < p.nParams {
+		return nil, nil, nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", p.nParams, len(params))
 	}
+	r := &row{cur: []cursor{{}}, params: params}
 
 	var recs []*storage.Record
-	filter := lowerPreds(residual, srcs)
-	cur := newCursors(srcs)
-	match := func(r *storage.Record) (bool, error) {
-		cur[0].rec = r
-		return allHold(filter, cur)
+	match := func(rec *storage.Record) error {
+		r.cur[0].rec = rec
+		ok, err := allHold(p.filter, r)
+		if ok {
+			recs = append(recs, rec)
+		}
+		return err
 	}
 
 	tx.Charge(model.OpenCursor)
-	if probeCol != "" {
-		tx.Charge(model.IndexProbe)
-		candidates, err := lockedWriteLookup(tx, table, tbl, probeCol, probeVal)
+	if p.probeCol != "" {
+		key, err := p.probeKey.eval(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		for _, r := range candidates {
+		tx.Charge(model.IndexProbe)
+		candidates, err := lockedWriteLookup(tx, table, tbl, p.probeCol, key)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for _, rec := range candidates {
 			tx.Charge(model.FetchCursor)
-			ok, err := match(r)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				recs = append(recs, r)
+			if err := match(rec); err != nil {
+				return nil, nil, nil, err
 			}
 		}
 	} else {
 		// No usable index: the statement reads the whole table to decide
 		// its targets, so take the full X (write-side escalation).
 		if _, err := tx.WriteTable(table); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		var scanErr error
-		tbl.Scan(func(r *storage.Record) bool {
+		tbl.Scan(func(rec *storage.Record) bool {
 			tx.Charge(model.ScanRow)
-			ok, err := match(r)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if ok {
-				recs = append(recs, r)
-			}
-			return true
+			scanErr = match(rec)
+			return scanErr == nil
 		})
 		if scanErr != nil {
-			return nil, nil, scanErr
+			return nil, nil, nil, scanErr
 		}
 	}
 	tx.Charge(model.CloseCursor)
-	return recs, srcs, nil
+	return p, recs, r, nil
 }
 
 // lockedWriteLookup probes the index and X-locks the rows it returns,
@@ -223,20 +275,21 @@ func lockedWriteLookup(tx *txn.Txn, name string, tbl *storage.Table, col string,
 	return recs, nil
 }
 
-// constEq recognizes `col = literal` (either side).
-func constEq(p Pred) (*ColRef, types.Value, bool) {
+// constEq recognizes `col = literal` (either side), the literal written
+// out or a parameter, and returns the column and the literal.
+func constEq(p Pred) (*ColRef, Expr, bool) {
 	if p.Op != EQ {
-		return nil, types.Null(), false
+		return nil, nil, false
 	}
-	if cr, ok := p.Left.(*ColRef); ok {
-		if c, ok2 := p.Right.(*ConstExpr); ok2 {
-			return cr, c.Val, true
+	for _, side := range [2][2]Expr{{p.Left, p.Right}, {p.Right, p.Left}} {
+		cr, isCol := side[0].(*ColRef)
+		if !isCol {
+			continue
+		}
+		switch side[1].(type) {
+		case *ConstExpr, *ParamExpr:
+			return cr, side[1], true
 		}
 	}
-	if cr, ok := p.Right.(*ColRef); ok {
-		if c, ok2 := p.Left.(*ConstExpr); ok2 {
-			return cr, c.Val, true
-		}
-	}
-	return nil, types.Null(), false
+	return nil, nil, false
 }

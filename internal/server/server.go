@@ -33,12 +33,15 @@ type Backend interface {
 	Begin() *txn.Txn
 	// BeginReadOnly opens a lock-free snapshot transaction (shared scans).
 	BeginReadOnly() *txn.Txn
-	// Exec runs one auto-committed statement. The session parses a frame's
-	// text once, to classify it; the backend gets the parsed statement and
-	// never sees the text.
-	Exec(stmt sqlparse.Stmt) (*Result, error)
-	// ExecIn runs one parsed statement inside tx.
-	ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*Result, error)
+	// Statements is the engine's statement cache. The session prepares
+	// every frame's text through it — which parses only a statement shape
+	// it has not seen — to classify the frame, and hands the backend the
+	// prepared statement with its parameters; the backend never sees text.
+	Statements() *sqlparse.Cache
+	// Exec runs one auto-committed prepared statement.
+	Exec(stmt sqlparse.Stmt, params []types.Value) (*Result, error)
+	// ExecIn runs one prepared statement inside tx.
+	ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Value) (*Result, error)
 	// Obs is the engine's metrics registry (server.* and shared.* land here).
 	Obs() *obs.Registry
 	// Now is engine time in microseconds, for metrics and trace events.
@@ -113,10 +116,41 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// metrics are the server's instruments, resolved once at Start: a request
+// never looks one up by name.
+type metrics struct {
+	conns, busy, frames, badFrames, authFail, drainRejects *obs.Counter
+	txnBegins, txnsReaped, queries, execs, lagRejects      *obs.Counter
+	sharedFallbacks                                        *obs.Counter
+	active                                                 *obs.Gauge
+	queryMicros                                            *obs.Histogram
+}
+
+func newMetrics(reg *obs.Registry) metrics {
+	return metrics{
+		conns:           reg.Counter(obs.MServerConns),
+		busy:            reg.Counter(obs.MServerBusy),
+		frames:          reg.Counter(obs.MServerFrames),
+		badFrames:       reg.Counter(obs.MServerBadFrames),
+		authFail:        reg.Counter(obs.MServerAuthFail),
+		drainRejects:    reg.Counter(obs.MServerDrainRejects),
+		txnBegins:       reg.Counter(obs.MServerTxnBegins),
+		txnsReaped:      reg.Counter(obs.MServerTxnsReaped),
+		queries:         reg.Counter(obs.MServerQueries),
+		execs:           reg.Counter(obs.MServerExecs),
+		lagRejects:      reg.Counter(obs.MReplLagRejects),
+		sharedFallbacks: reg.Counter(obs.MSharedFallbacks),
+		active:          reg.Gauge(obs.MServerActive),
+		queryMicros:     reg.Histogram(obs.MServerQueryMicros),
+	}
+}
+
 // Server is a running stripd listener.
 type Server struct {
 	cfg    Config
 	be     Backend
+	stmts  *sqlparse.Cache
+	m      metrics
 	ln     net.Listener
 	gather *gatherer
 
@@ -143,6 +177,8 @@ func Start(cfg Config, be Backend) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		be:       be,
+		stmts:    be.Statements(),
+		m:        newMetrics(be.Obs()),
 		ln:       ln,
 		sessions: make(map[int64]*session),
 		tenants:  make(map[string]int),
@@ -204,7 +240,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		s.be.Obs().Counter(obs.MServerConns).Inc()
+		s.m.conns.Inc()
 		if s.draining.Load() {
 			s.refuse(conn, CodeShuttingDown, "server is shutting down")
 			continue
@@ -212,7 +248,7 @@ func (s *Server) acceptLoop() {
 		s.mu.Lock()
 		if len(s.sessions) >= s.cfg.MaxConns {
 			s.mu.Unlock()
-			s.be.Obs().Counter(obs.MServerBusy).Inc()
+			s.m.busy.Inc()
 			s.refuse(conn, CodeBusy, "connection limit reached")
 			continue
 		}
@@ -220,7 +256,7 @@ func (s *Server) acceptLoop() {
 		sess := newSession(s, s.nextID, conn)
 		s.sessions[sess.id] = sess
 		s.mu.Unlock()
-		s.be.Obs().Gauge(obs.MServerActive).Set(int64(s.sessionCount()))
+		s.m.active.Set(int64(s.sessionCount()))
 		s.wg.Add(1)
 		go sess.run()
 	}
@@ -244,7 +280,7 @@ func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
-	s.be.Obs().Gauge(obs.MServerActive).Set(int64(s.sessionCount()))
+	s.m.active.Set(int64(s.sessionCount()))
 }
 
 // admit charges one executing statement against the global and per-tenant
@@ -253,13 +289,13 @@ func (s *Server) dropSession(sess *session) {
 // request was shed (retryable busy).
 func (s *Server) admit(tenant string) (release func(), ok bool) {
 	if s.be.Saturated() {
-		s.be.Obs().Counter(obs.MServerBusy).Inc()
+		s.m.busy.Inc()
 		return nil, false
 	}
 	s.mu.Lock()
 	if s.inflight >= s.cfg.MaxInflight || s.tenants[tenant] >= s.cfg.TenantInflight {
 		s.mu.Unlock()
-		s.be.Obs().Counter(obs.MServerBusy).Inc()
+		s.m.busy.Inc()
 		return nil, false
 	}
 	s.inflight++

@@ -27,8 +27,11 @@ import (
 // whole lifecycle is testable inside this package.
 type testBackend struct {
 	mgr       *txn.Manager
+	stmts     *sqlparse.Cache
 	saturated atomic.Bool
 }
+
+func (b *testBackend) Statements() *sqlparse.Cache { return b.stmts }
 
 func (b *testBackend) Begin() *txn.Txn         { return b.mgr.Begin() }
 func (b *testBackend) BeginReadOnly() *txn.Txn { return b.mgr.BeginReadOnly() }
@@ -40,18 +43,14 @@ func (b *testBackend) Repl() ReplStreamer { return nil }
 
 func (b *testBackend) ReplicaInfo() (bool, bool, int64) { return false, false, 0 }
 
-func (b *testBackend) Exec(stmt sqlparse.Stmt) (*Result, error) {
-	if sel, ok := stmt.(*sqlparse.SelectStmt); ok {
+func (b *testBackend) Exec(stmt sqlparse.Stmt, params []types.Value) (*Result, error) {
+	if _, ok := stmt.(*sqlparse.SelectStmt); ok {
 		tx := b.mgr.BeginReadOnly()
 		defer tx.Commit() //nolint:errcheck
-		out, err := sel.Query.Run(tx, query.TxnResolver{})
-		if err != nil {
-			return nil, err
-		}
-		return resultFromTemp(out), nil
+		return b.ExecIn(tx, stmt, params)
 	}
 	tx := b.mgr.Begin()
-	res, err := b.ExecIn(tx, stmt)
+	res, err := b.ExecIn(tx, stmt, params)
 	if err != nil {
 		tx.Abort() //nolint:errcheck
 		return nil, err
@@ -62,10 +61,10 @@ func (b *testBackend) Exec(stmt sqlparse.Stmt) (*Result, error) {
 	return res, nil
 }
 
-func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*Result, error) {
+func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Value) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		out, err := s.Query.Run(tx, query.TxnResolver{})
+		out, err := s.Query.RunParams(tx, query.TxnResolver{}, params)
 		if err != nil {
 			return nil, err
 		}
@@ -74,10 +73,10 @@ func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*Result, error) {
 		n, err := s.Stmt.Run(tx)
 		return &Result{Affected: n}, err
 	case *sqlparse.UpdateStmt:
-		n, err := s.Stmt.Run(tx)
+		n, err := s.Stmt.RunParams(tx, params)
 		return &Result{Affected: n}, err
 	case *sqlparse.DeleteStmt:
-		n, err := s.Stmt.Run(tx)
+		n, err := s.Stmt.RunParams(tx, params)
 		return &Result{Affected: n}, err
 	default:
 		return nil, fmt.Errorf("test backend: unsupported %T", stmt)
@@ -113,7 +112,7 @@ func serverEnv(t testing.TB, cfg Config) (*Server, *testBackend, *lock.Manager) 
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	be := &testBackend{mgr: mgr}
+	be := &testBackend{mgr: mgr, stmts: sqlparse.NewCache()}
 	cfg.Addr = "127.0.0.1:0"
 	srv, err := Start(cfg, be)
 	if err != nil {
@@ -611,16 +610,19 @@ func TestServerSessionsDebug(t *testing.T) {
 	roundTrip(t, conn, FrameAbort, nil)
 }
 
-// Every served statement is parsed exactly once, whichever way it runs:
-// auto-committed EXEC, QUERY on the shared-scan path (a gather window) or
-// falling back to per-query execution (none), and EXEC / QUERY inside an
-// interactive transaction. The session parses the text to classify the
-// frame and the backend gets the parsed statement, never the text.
+// A served statement is parsed when its shape is first seen and never again,
+// whichever way it runs: auto-committed EXEC, QUERY on the shared-scan path
+// (a gather window) or falling back to per-query execution (none), and EXEC /
+// QUERY inside an interactive transaction. The session prepares the text
+// through the statement cache to classify the frame and the backend gets the
+// prepared statement, never the text; the same statement with other literals
+// of the same kinds is a cache hit. INSERT is not cached: it parses every
+// time, once.
 func TestServerParsesEachStatementOnce(t *testing.T) {
 	for _, window := range []time.Duration{0, time.Millisecond} {
 		srv, _, _ := serverEnv(t, Config{ShareWindow: window})
 		conn := dialHello(t, srv.Addr(), "", "acme")
-		send := func(typ byte, sql string) {
+		send := func(typ byte, sql string, want int64) (byte, []byte) {
 			t.Helper()
 			before := sqlparse.ParseCalls()
 			rt, p := roundTrip(t, conn, typ, EncodeSQL(sql))
@@ -628,20 +630,29 @@ func TestServerParsesEachStatementOnce(t *testing.T) {
 				code, msg, _ := DecodeErr(p)
 				t.Fatalf("%q answered %s: %s", sql, code, msg)
 			}
-			if got := sqlparse.ParseCalls() - before; got != 1 {
-				t.Errorf("share window %v: %q was parsed %d times, want 1", window, sql, got)
+			if got := sqlparse.ParseCalls() - before; got != want {
+				t.Errorf("share window %v: %q was parsed %d times, want %d", window, sql, got, want)
 			}
+			return rt, p
 		}
-		send(FrameExec, "insert into stocks values ('S4', 60)")
-		send(FrameExec, "update stocks set price = 61 where symbol = 'S4'")
-		send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'")
-		send(FrameExec, "select symbol from stocks")
+		send(FrameExec, "insert into stocks values ('S4', 60)", 1)
+		send(FrameExec, "insert into stocks values ('S5', 70)", 1)
+		send(FrameExec, "update stocks set price = 61 where symbol = 'S4'", 1)
+		send(FrameExec, "update stocks set price = 71 where symbol = 'S5'", 0)
+		send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'", 1)
+		_, p := send(FrameQuery, "select symbol, price from stocks where symbol = 'S5'", 0)
+		if _, rows, err := DecodeRows(p); err != nil || len(rows) != 1 || rows[0][0].Str() != "S5" || rows[0][1].Float() != 71 {
+			t.Fatalf("share window %v: cache hit returned %v (%v), want [S5 71]", window, rows, err)
+		}
+		send(FrameExec, "select symbol from stocks", 1)
+		send(FrameExec, "select symbol from stocks", 0)
 		if rt, _ := roundTrip(t, conn, FrameBegin, nil); rt != FrameOK {
 			t.Fatalf("BEGIN answered 0x%02x", rt)
 		}
-		send(FrameExec, "update stocks set price = 62 where symbol = 'S4'")
-		send(FrameQuery, "select symbol, price from stocks")
-		send(FrameExec, "delete from stocks where symbol = 'S4'")
+		send(FrameExec, "update stocks set price = 62 where symbol = 'S4'", 0)
+		send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'", 0)
+		send(FrameExec, "delete from stocks where symbol = 'S4'", 1)
+		send(FrameExec, "delete from stocks where symbol = 'S5'", 0)
 		if rt, _ := roundTrip(t, conn, FrameCommit, nil); rt != FrameOK {
 			t.Fatalf("COMMIT answered 0x%02x", rt)
 		}

@@ -102,7 +102,7 @@ func (s *session) run() {
 			}
 			return // disconnect, mid-frame timeout, or fatal read error
 		}
-		reg.Counter(obs.MServerFrames).Inc()
+		s.srv.m.frames.Inc()
 		if !s.dispatch(typ, payload) {
 			return
 		}
@@ -132,22 +132,21 @@ func (s *session) readFrame() (typ byte, payload []byte, idle bool, err error) {
 
 // handshake reads HELLO, enforces auth, and answers WELCOME.
 func (s *session) handshake() bool {
-	reg := s.srv.be.Obs()
 	s.conn.SetReadDeadline(time.Now().Add(handshakeTimeout)) //nolint:errcheck
 	typ, payload, err := ReadFrame(s.br)
 	if err != nil || typ != FrameHello {
-		reg.Counter(obs.MServerBadFrames).Inc()
+		s.srv.m.badFrames.Inc()
 		s.sendErr(CodeBadRequest, "expected HELLO")
 		return false
 	}
 	token, tenant, maxLag, err := DecodeHelloLag(payload)
 	if err != nil {
-		reg.Counter(obs.MServerBadFrames).Inc()
+		s.srv.m.badFrames.Inc()
 		s.sendErr(CodeBadRequest, err.Error())
 		return false
 	}
 	if s.srv.cfg.AuthToken != "" && token != s.srv.cfg.AuthToken {
-		reg.Counter(obs.MServerAuthFail).Inc()
+		s.srv.m.authFail.Inc()
 		s.sendErr(CodeAuth, "bad token")
 		return false
 	}
@@ -180,7 +179,7 @@ func (s *session) dispatch(typ byte, payload []byte) bool {
 	case FrameReplStream:
 		return s.handleReplStream(payload)
 	default:
-		s.srv.be.Obs().Counter(obs.MServerBadFrames).Inc()
+		s.srv.m.badFrames.Inc()
 		// Framing is intact — an unknown type is an application-level
 		// error, not a reason to cut the connection.
 		return s.sendErr(CodeBadRequest, fmt.Sprintf("unknown frame type 0x%02x", typ))
@@ -197,7 +196,7 @@ func (s *session) handleReplStream(payload []byte) bool {
 		return false
 	}
 	if s.srv.Draining() {
-		s.srv.be.Obs().Counter(obs.MServerDrainRejects).Inc()
+		s.srv.m.drainRejects.Inc()
 		s.sendErr(CodeShuttingDown, "server is draining")
 		return false
 	}
@@ -208,7 +207,7 @@ func (s *session) handleReplStream(payload []byte) bool {
 	}
 	fromLSN, epoch, err := DecodeReplStream(payload)
 	if err != nil {
-		s.srv.be.Obs().Counter(obs.MServerBadFrames).Inc()
+		s.srv.m.badFrames.Inc()
 		s.sendErr(CodeBadRequest, err.Error())
 		return false
 	}
@@ -222,7 +221,7 @@ func (s *session) handleReplStream(payload []byte) bool {
 
 func (s *session) handleBegin() bool {
 	if s.srv.Draining() {
-		s.srv.be.Obs().Counter(obs.MServerDrainRejects).Inc()
+		s.srv.m.drainRejects.Inc()
 		return s.sendErr(CodeShuttingDown, "server is draining")
 	}
 	if replica, _, _ := s.srv.be.ReplicaInfo(); replica {
@@ -239,7 +238,7 @@ func (s *session) handleBegin() bool {
 	s.reaped = false
 	s.lastStmt = time.Now()
 	s.mu.Unlock()
-	s.srv.be.Obs().Counter(obs.MServerTxnBegins).Inc()
+	s.srv.m.txnBegins.Inc()
 	return s.send(FrameOK, EncodeOK(0))
 }
 
@@ -269,21 +268,22 @@ func (s *session) handleTxnEnd(commit bool) bool {
 	return s.send(FrameOK, EncodeOK(0))
 }
 
-// handleSQL runs one QUERY (isQuery) or EXEC frame: decode, parse, admit,
-// execute — inside the session transaction when one is open, auto-committed
-// otherwise. Out-of-transaction QUERY frames are the shared-scan fast path.
+// handleSQL runs one QUERY (isQuery) or EXEC frame: decode, prepare (a
+// statement-cache lookup; a parse only for a statement shape not seen
+// before), admit, execute — inside the session transaction when one is
+// open, auto-committed otherwise. Out-of-transaction QUERY frames are the
+// shared-scan fast path.
 func (s *session) handleSQL(payload []byte, isQuery bool) bool {
-	reg := s.srv.be.Obs()
 	sql, err := DecodeSQL(payload)
 	if err != nil {
-		reg.Counter(obs.MServerBadFrames).Inc()
+		s.srv.m.badFrames.Inc()
 		return s.sendErr(CodeBadRequest, err.Error())
 	}
 	if s.srv.Draining() {
-		reg.Counter(obs.MServerDrainRejects).Inc()
+		s.srv.m.drainRejects.Inc()
 		return s.sendErr(CodeShuttingDown, "server is draining")
 	}
-	stmt, err := sqlparse.Parse(sql)
+	stmt, params, err := s.srv.stmts.Prepare(sql)
 	if err != nil {
 		return s.sendErr(CodeBadRequest, err.Error())
 	}
@@ -299,7 +299,7 @@ func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 			return s.sendErr(CodeLagging, "replica is resyncing from the primary; retry")
 		}
 		if s.maxLagMicros > 0 && lag > s.maxLagMicros {
-			reg.Counter(obs.MReplLagRejects).Inc()
+			s.srv.m.lagRejects.Inc()
 			return s.sendErr(CodeLagging,
 				fmt.Sprintf("replica lag %dus exceeds the session bound %dus; retry", lag, s.maxLagMicros))
 		}
@@ -333,23 +333,23 @@ func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 	s.lastStmt = time.Now()
 	s.mu.Unlock()
 	if tx != nil {
-		res, err = s.srv.be.ExecIn(tx, stmt)
+		res, err = s.srv.be.ExecIn(tx, stmt, params)
 		s.mu.Lock()
 		s.busy = false
 		s.lastStmt = time.Now()
 		s.mu.Unlock()
 	} else {
 		if isSelect {
-			res, err = s.srv.gather.query(sel)
+			res, err = s.srv.gather.query(sel, params)
 		} else {
-			res, err = s.srv.be.Exec(stmt)
+			res, err = s.srv.be.Exec(stmt, params)
 		}
 	}
 	if isQuery {
-		reg.Counter(obs.MServerQueries).Inc()
-		reg.Histogram(obs.MServerQueryMicros).Record(s.srv.be.Now() - start)
+		s.srv.m.queries.Inc()
+		s.srv.m.queryMicros.Record(s.srv.be.Now() - start)
 	} else {
-		reg.Counter(obs.MServerExecs).Inc()
+		s.srv.m.execs.Inc()
 	}
 	if err != nil {
 		return s.sendErr(CodeFor(err), err.Error())
@@ -377,7 +377,7 @@ func (s *session) reapIfIdle(now time.Time, timeout time.Duration) {
 		return
 	}
 	// Count first: an observer that sees the locks gone must see the reap.
-	s.srv.be.Obs().Counter(obs.MServerTxnsReaped).Inc()
+	s.srv.m.txnsReaped.Inc()
 	s.tx.Abort() //nolint:errcheck
 	s.tx = nil
 	s.reaped = true

@@ -4,10 +4,10 @@ import (
 	"sync"
 	"time"
 
-	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/storage"
+	"github.com/stripdb/strip/internal/types"
 )
 
 // gatherer batches compatible out-of-transaction QUERY frames onto shared
@@ -31,8 +31,9 @@ type gatherGroup struct {
 }
 
 type gatherReq struct {
-	sel *sqlparse.SelectStmt
-	ch  chan gatherResp
+	sel    *sqlparse.SelectStmt
+	params []types.Value
+	ch     chan gatherResp
 }
 
 type gatherResp struct {
@@ -45,13 +46,13 @@ func newGatherer(srv *Server) *gatherer {
 }
 
 // query runs one out-of-transaction SELECT, shared when possible.
-func (g *gatherer) query(sel *sqlparse.SelectStmt) (*Result, error) {
+func (g *gatherer) query(sel *sqlparse.SelectStmt, params []types.Value) (*Result, error) {
 	table, eligible := query.SharedEligible(sel.Query)
 	if !eligible || g.window <= 0 {
-		g.srv.be.Obs().Counter(obs.MSharedFallbacks).Inc()
-		return g.srv.be.Exec(sel)
+		g.srv.m.sharedFallbacks.Inc()
+		return g.srv.be.Exec(sel, params)
 	}
-	req := &gatherReq{sel: sel, ch: make(chan gatherResp, 1)}
+	req := &gatherReq{sel: sel, params: params, ch: make(chan gatherResp, 1)}
 	g.mu.Lock()
 	grp := g.groups[table]
 	if grp == nil {
@@ -78,17 +79,18 @@ func (g *gatherer) flush(table string) {
 
 	tx := g.srv.be.BeginReadOnly()
 	qs := make([]*query.Select, len(grp.reqs))
+	params := make([][]types.Value, len(grp.reqs))
 	for i, r := range grp.reqs {
-		qs[i] = r.sel.Query
+		qs[i], params[i] = r.sel.Query, r.params
 	}
-	results, _, err := query.RunShared(tx, table, qs)
+	results, _, err := query.RunShared(tx, table, qs, params)
 	tx.Commit() //nolint:errcheck // read-only commit releases the snapshot
 	if err != nil {
 		// Batch-level failure (e.g. table dropped between parse and run):
 		// every member falls back to per-query execution.
 		for _, r := range grp.reqs {
-			g.srv.be.Obs().Counter(obs.MSharedFallbacks).Inc()
-			res, ferr := g.srv.be.Exec(r.sel)
+			g.srv.m.sharedFallbacks.Inc()
+			res, ferr := g.srv.be.Exec(r.sel, r.params)
 			r.ch <- gatherResp{res: res, err: ferr}
 		}
 		return

@@ -78,21 +78,28 @@ func (*InsertStmt) stmtNode()  {}
 func (*UpdateStmt) stmtNode()  {}
 func (*DeleteStmt) stmtNode()  {}
 
-// parseCalls counts Parse calls process-wide.
+// parseCalls counts parser runs process-wide.
 var parseCalls atomic.Int64
 
-// ParseCalls reports how many times Parse has run in this process. Tests
-// difference it around a request to assert how often a path parses.
+// ParseCalls reports how many times the parser has run in this process,
+// through Parse or through a statement-cache miss. Tests difference it
+// around a request to assert how often a path parses.
 func ParseCalls() int64 { return parseCalls.Load() }
 
 // Parse parses one statement (a trailing semicolon is allowed).
-func Parse(src string) (Stmt, error) {
+func Parse(src string) (Stmt, error) { return parse(src, false) }
+
+// parse runs the parser over src. With template set every literal the
+// lexer numbered becomes a placeholder of the literal's kind instead of a
+// constant: the form the statement cache keeps, executable with any values
+// of those kinds.
+func parse(src string, template bool) (Stmt, error) {
 	parseCalls.Add(1)
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	p := &parser{toks: toks, src: src, template: template}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -105,9 +112,10 @@ func Parse(src string) (Stmt, error) {
 }
 
 type parser struct {
-	toks []token
-	i    int
-	src  string
+	toks     []token
+	i        int
+	src      string
+	template bool
 }
 
 func (p *parser) peek() token    { return p.toks[p.i] }
@@ -671,23 +679,16 @@ func (p *parser) parseTerm() (query.Expr, error) {
 func (p *parser) parsePrimary() (query.Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokNumber:
+	case tokNumber, tokString:
 		p.advance()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return query.Const(types.Float(f)), nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := literal(t)
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return query.Const(types.Int(n)), nil
-	case tokString:
-		p.advance()
-		return query.Const(types.Str(t.text)), nil
+		if p.template && t.param >= 0 {
+			return query.Param(int(t.param), v.Kind()), nil
+		}
+		return query.Const(v), nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.advance()

@@ -47,12 +47,14 @@ func (b dbBackend) BeginReadOnly() *txn.Txn { return b.db.BeginReadOnly() }
 func (b dbBackend) Obs() *obs.Registry      { return b.db.obs }
 func (b dbBackend) Now() int64              { return b.db.clk.Now() }
 
-func (b dbBackend) Exec(stmt sqlparse.Stmt) (*server.Result, error) {
-	return serverResult(b.db.execStmt(stmt))
+func (b dbBackend) Statements() *sqlparse.Cache { return b.db.stmts }
+
+func (b dbBackend) Exec(stmt sqlparse.Stmt, params []Value) (*server.Result, error) {
+	return serverResult(b.db.execStmt(stmt, params))
 }
 
-func (b dbBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*server.Result, error) {
-	return serverResult(b.db.execStmtIn(tx, stmt))
+func (b dbBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []Value) (*server.Result, error) {
+	return serverResult(b.db.execStmtIn(tx, stmt, params))
 }
 
 func serverResult(res *Result, err error) (*server.Result, error) {

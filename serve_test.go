@@ -284,32 +284,102 @@ func TestServeAuthToken(t *testing.T) {
 	}
 }
 
-// Over the wire into the real engine, a served statement is parsed once: the
-// session's classifying parse is the only one (DB.Exec used to parse the
-// same text again).
+// A statement's shape is parsed the first time any entry point sees it and
+// never again, whatever literals later texts carry: served QUERY and EXEC,
+// embedded Exec, ExecIn inside a transaction, and ExecAction / QueryAction
+// inside a rule action all prepare through the one statement cache. INSERT
+// is not cached and parses once per call.
 func TestServeParsesEachStatementOnce(t *testing.T) {
 	db := serveOpen(t, Config{})
 	c := serveDial(t, db, client.Options{})
 	db.MustExec(`create table kv (k text, v float)`)
 	db.MustExec(`create index on kv (k)`)
-	db.MustExec(`insert into kv values ('a', 1)`)
-	for _, sql := range []string{
-		`update kv set v += 1 where k = 'a'`,
-		`insert into kv values ('b', 2)`,
-		`select k, v from kv where k = 'a'`,
-	} {
+	db.MustExec(`create table log (k text, v float)`)
+	db.MustExec(`insert into kv values ('a', 1), ('b', 2)`)
+
+	parses := func(want int64, what string, run func() error) {
+		t.Helper()
 		before := sqlparse.ParseCalls()
-		var err error
-		if strings.HasPrefix(sql, "select") {
-			_, err = c.Query(sql)
-		} else {
-			_, err = c.Exec(sql)
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		if err != nil {
-			t.Fatalf("%q: %v", sql, err)
+		if got := sqlparse.ParseCalls() - before; got != want {
+			t.Errorf("%s was parsed %d times, want %d", what, got, want)
 		}
-		if got := sqlparse.ParseCalls() - before; got != 1 {
-			t.Errorf("%q was parsed %d times, want 1", sql, got)
+	}
+	exec := func(sql string) func() error {
+		return func() error { _, err := c.Exec(sql); return err }
+	}
+	parses(1, "EXEC update, first sight", exec(`update kv set v += 1 where k = 'a'`))
+	parses(0, "EXEC update, other literals", exec(`update kv set v += 2 where k = 'b'`))
+	parses(1, "EXEC insert", exec(`insert into kv values ('c', 3)`))
+	parses(1, "EXEC insert again", exec(`insert into kv values ('d', 4)`))
+	var got *client.Result
+	query := func(sql string) func() error {
+		return func() (err error) { got, err = c.Query(sql); return err }
+	}
+	parses(1, "QUERY, first sight", query(`select k, v from kv where k = 'a'`))
+	parses(0, "QUERY, other literals", query(`select k, v from kv where k = 'b'`))
+	if len(got.Rows) != 1 || got.Rows[0][0].Str() != "b" || got.Rows[0][1].Float() != 4 {
+		t.Fatalf("cache hit returned %v, want [b 4]", got.Rows)
+	}
+	// The embedded entry points share the served ones' templates.
+	parses(0, "DB.Exec of a served shape", func() error {
+		_, err := db.Exec(`update kv set v += 1 where k = 'c'`)
+		return err
+	})
+	parses(0, "DB.ExecIn of a served shape", func() error {
+		tx := db.Begin()
+		if _, err := db.ExecIn(tx, `select k, v from kv where k = 'c'`); err != nil {
+			return err
+		}
+		if _, err := db.ExecIn(tx, `update kv set v += 1 where k = 'c'`); err != nil {
+			return err
+		}
+		return tx.Commit()
+	})
+
+	// A rule action running SQL: each firing carries new literals.
+	fired := make(chan error, 1)
+	if err := db.RegisterFunc("copy", func(ctx *ActionContext) error {
+		rows, _, err := QueryAction(ctx, `select k, v from changed where v > 0`)
+		for _, r := range rows {
+			if err == nil {
+				_, err = ExecAction(ctx, fmt.Sprintf(`update log set v = %.1f where k = '%s'`, r[1].Float()+0.5, r[0].Str()))
+			}
+		}
+		fired <- err
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`insert into log values ('a', 0), ('b', 0)`)
+	db.MustExec(`create rule copy_kv on kv when updated v
+		if select k, v from new bind as changed then execute copy`)
+	fire := func(sql string) func() error {
+		return func() error {
+			if _, err := db.Exec(sql); err != nil {
+				return err
+			}
+			select {
+			case err := <-fired:
+				return err
+			case <-time.After(5 * time.Second):
+				return errors.New("the rule's action did not run")
+			}
+		}
+	}
+	parses(2, "first firing: QueryAction + ExecAction", fire(`update kv set v += 1 where k = 'a'`))
+	parses(0, "second firing, other literals", fire(`update kv set v += 1 where k = 'b'`))
+	// The actions commit after their functions return; give the second a
+	// moment.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		res := db.MustExec(`select k, v from log order by k`)
+		if len(res.Rows) == 2 && res.Rows[0][1].Float() == 3.5 && res.Rows[1][1].Float() == 5.5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("actions wrote %v, want a=3.5 b=5.5", res.Rows)
 		}
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"github.com/stripdb/strip/internal/repl"
 	"github.com/stripdb/strip/internal/sched"
 	"github.com/stripdb/strip/internal/server"
+	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -299,6 +300,9 @@ type DB struct {
 	txns   *txn.Manager
 	sched  *sched.Scheduler
 	engine *core.Engine
+	// stmts is the statement cache every text entry point prepares through:
+	// Exec, ExecIn, Explain, served frames, and SQL run by rule actions.
+	stmts  *sqlparse.Cache
 	wal    *wal.Log
 	mon    *mon.Server
 	server *server.Server
@@ -389,6 +393,8 @@ func Open(cfg Config) (*DB, error) {
 		WidenBase: cfg.Overload.WidenBase.Microseconds(),
 	})
 	db.engine = core.NewEngine(db.txns, db.sched)
+	db.stmts = sqlparse.NewCache()
+	db.engine.SQL = actionSQL{db.stmts}
 	db.engine.SetBreakerPolicy(cfg.BreakerThreshold, cfg.BreakerCooldown.Microseconds())
 	if cfg.DataDir != "" {
 		// Recovery runs before any worker starts and before any rule can be
@@ -747,17 +753,11 @@ func (db *DB) Insert(table string, vals ...Value) error {
 func (db *DB) Query(q *Select) ([][]Value, []string, error) {
 	tx := db.BeginReadOnly()
 	defer tx.Commit() //nolint:errcheck
-	res, err := q.Run(tx, query.TxnResolver{})
+	res, err := selectIn(tx, q, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer res.Retire()
-	rows := res.Rows()
-	names := make([]string, res.Schema().NumCols())
-	for i := range names {
-		names[i] = res.Schema().Col(i).Name
-	}
-	return rows, names, nil
+	return res.Rows, res.Columns, nil
 }
 
 // Stats returns a user function's rule-activity counters.

@@ -141,7 +141,7 @@ func mustSelect(t *testing.T, sql string) *Select {
 	t.Helper()
 	db := MustOpen(Config{Virtual: true}) // parse via a scratch engine
 	_ = db
-	stmt, err := parseSelect(sql)
+	stmt, err := ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
