@@ -238,6 +238,145 @@ func BenchmarkUniqueMerge(b *testing.B) {
 	BenchmarkRuleProcessingOverhead(b)
 }
 
+// --- The firing path, layer by layer ----------------------------------------
+
+// updateStock runs the one-row price update every firing benchmark is
+// triggered by.
+func updateStock(b *testing.B, db *strip.DB, symbol string, price float64) {
+	tx := db.Begin()
+	tbl, _ := tx.WriteTable("stocks")
+	recs, _ := tbl.IndexLookup("symbol", strip.Str(symbol))
+	if _, err := tx.Update("stocks", recs[0], []strip.Value{strip.Str(symbol), strip.Float(price)}); err != nil {
+		b.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// firingDB is benchDB with one rule on stocks, unique on the updated row's
+// symbol, running an empty action.
+func firingDB(b *testing.B) *strip.DB {
+	db := benchDB(b)
+	if err := db.RegisterFunc("noop", func(*strip.ActionContext) error { return nil }); err != nil {
+		b.Fatal(err)
+	}
+	db.MustExec(`
+	  create rule r on stocks when updated price
+	  if select symbol, price from new bind as changes
+	  then execute noop unique on symbol`)
+	return db
+}
+
+// BenchmarkFiringTrigger is the commit hook's side of a firing: a one-row
+// update on a table with one rule, each firing creating its task (the task
+// itself runs outside the timer). BenchmarkTable1_SimpleUpdate is the same
+// update with no rule.
+func BenchmarkFiringTrigger(b *testing.B) {
+	db := firingDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		updateStock(b, db, "S0001", float64(i))
+		b.StopTimer()
+		db.RunReady()
+		b.StartTimer()
+	}
+}
+
+// benchFiringPartition fires a rule unique on one column whose bound table
+// holds rows for `keys` distinct values of it: one split, `keys` tasks.
+func benchFiringPartition(b *testing.B, keys int) {
+	db := benchDB(b)
+	db.MustExec(`create table memberships (comp text, symbol text, weight float)`)
+	db.MustExec(`create index on memberships (symbol)`)
+	for c := 0; c < keys; c++ {
+		db.MustExec(fmt.Sprintf(`insert into memberships values ('C%02d', 'S0001', 0.1)`, c))
+	}
+	if err := db.RegisterFunc("noop", func(*strip.ActionContext) error { return nil }); err != nil {
+		b.Fatal(err)
+	}
+	db.MustExec(`
+	  create rule r on stocks when updated price
+	  if select comp, weight, new.price as price from new, memberships
+	     where memberships.symbol = new.symbol bind as matches
+	  then execute noop unique on comp`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		updateStock(b, db, "S0001", float64(i))
+		b.StopTimer()
+		if n := db.RunReady(); n != keys {
+			b.Fatalf("firing created %d tasks, want %d", n, keys)
+		}
+		b.StartTimer()
+	}
+}
+
+func BenchmarkFiringPartition1Keys(b *testing.B) { benchFiringPartition(b, 1) }
+func BenchmarkFiringPartition2Keys(b *testing.B) { benchFiringPartition(b, 2) }
+func BenchmarkFiringPartition8Keys(b *testing.B) { benchFiringPartition(b, 8) }
+
+// BenchmarkFiringTaskShell is the action's side of a firing with nothing
+// in it: dequeue, begin, an empty action, commit, clean-up. The update that
+// queues the task runs outside the timer.
+func BenchmarkFiringTaskShell(b *testing.B) {
+	db := firingDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		updateStock(b, db, "S0001", float64(i))
+		b.StartTimer()
+		if db.RunReady() != 1 {
+			b.Fatal("no task to run")
+		}
+	}
+}
+
+// benchViewDeltaApply runs the generated delta action of a grouped-sum view
+// over a firing of `rows` merged one-row updates, each joining two groups.
+func benchViewDeltaApply(b *testing.B, rows int) {
+	db := benchDB(b)
+	db.MustExec(`create table memberships (comp text, symbol text, weight float)`)
+	db.MustExec(`create index on memberships (symbol)`)
+	for i := 0; i < 1000; i++ {
+		db.MustExec(fmt.Sprintf(`insert into memberships values ('C%02d', 'S%04d', 0.5), ('C%02d', 'S%04d', 0.25)`,
+			i%50, i, (i+7)%50, i))
+	}
+	def, err := strip.ParseSelect(`
+	  select comp, sum(price * weight) as price from stocks, memberships
+	  where stocks.symbol = memberships.symbol group by comp`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.CreateMaterializedView("comp_view", def, strip.ViewOptions{Mode: strip.ViewModeDelta}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for r := 0; r < rows; r++ {
+			n := i*rows + r
+			updateStock(b, db, fmt.Sprintf("S%04d", n%1000), float64(5000+n))
+		}
+		when, _ := db.NextTaskTime()
+		db.AdvanceTo(when)
+		b.StartTimer()
+		if n := db.RunReady(); n != 1 {
+			b.Fatalf("the firings ran as %d tasks, want 1", n)
+		}
+	}
+	b.StopTimer()
+	if n := db.Metrics().Counters["delta.fallbacks"]; n != 0 {
+		b.Fatalf("%d delta fallbacks", n)
+	}
+}
+
+func BenchmarkViewDeltaApply1Rows(b *testing.B)  { benchViewDeltaApply(b, 1) }
+func BenchmarkViewDeltaApply16Rows(b *testing.B) { benchViewDeltaApply(b, 16) }
+
 // BenchmarkQueryIndexJoin measures the Figure 3 condition-query shape.
 func BenchmarkQueryIndexJoin(b *testing.B) {
 	db := benchDB(b)

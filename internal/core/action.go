@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/clock"
 	"github.com/stripdb/strip/internal/cost"
 	"github.com/stripdb/strip/internal/fault"
@@ -33,12 +34,16 @@ type ActionFunc func(ctx *ActionContext) error
 // transaction plus read-only access to the firing's bound tables, which
 // shadow database tables of the same name (paper §6.3: "whenever a
 // triggered task tries to access a table, its bound table list must be
-// checked as well as the database catalog").
+// checked as well as the database catalog"). It is itself the resolver the
+// action's queries run under.
 type ActionContext struct {
 	engine *Engine
 	task   *sched.Task
 	tx     *txn.Txn
-	bound  map[string]*storage.TempTable
+	// sig names and defines the bound tables; bound holds them, slot for
+	// slot. Both are empty for a periodic task.
+	sig   []*catalog.Schema
+	bound []*storage.TempTable
 }
 
 // Txn returns the action's transaction.
@@ -49,17 +54,29 @@ func (c *ActionContext) Task() *sched.Task { return c.task }
 
 // Bound returns a bound table by name.
 func (c *ActionContext) Bound(name string) (*storage.TempTable, bool) {
-	tt, ok := c.bound[name]
-	return tt, ok
+	for i, s := range c.sig {
+		if s.Name() == name {
+			return c.bound[i], true
+		}
+	}
+	return nil, false
 }
 
 // BoundNames lists the firing's bound tables.
 func (c *ActionContext) BoundNames() []string {
-	out := make([]string, 0, len(c.bound))
-	for n := range c.bound {
-		out = append(out, n)
+	out := make([]string, len(c.sig))
+	for i, s := range c.sig {
+		out[i] = s.Name()
 	}
 	return out
+}
+
+// Resolve implements query.Resolver: bound tables, then the database.
+func (c *ActionContext) Resolve(tx *txn.Txn, name string) (*storage.Table, *storage.TempTable, error) {
+	if tt, ok := c.Bound(name); ok {
+		return nil, tt, nil
+	}
+	return query.TxnResolver{}.Resolve(tx, name)
 }
 
 // Query runs a select inside the action's transaction; bound tables shadow
@@ -68,7 +85,7 @@ func (c *ActionContext) BoundNames() []string {
 // but rows the action then rewrites incrementally must be read through
 // QueryLocked instead.
 func (c *ActionContext) Query(q *query.Select) (*storage.TempTable, error) {
-	return q.Run(c.tx, boundResolver{bound: c.bound})
+	return q.Run(c.tx, c)
 }
 
 // QueryLocked runs a select under S locks held to commit even when the
@@ -78,13 +95,7 @@ func (c *ActionContext) Query(q *query.Select) (*storage.TempTable, error) {
 // read serializes the two. Rule.LockedReads opts the whole action out of
 // snapshot reads instead.
 func (c *ActionContext) QueryLocked(q *query.Select) (*storage.TempTable, error) {
-	var tt *storage.TempTable
-	err := c.tx.LockedReads(func() error {
-		var err error
-		tt, err = q.Run(c.tx, boundResolver{bound: c.bound})
-		return err
-	})
-	return tt, err
+	return c.QueryLockedWith(q, nil)
 }
 
 // QueryLockedWith is QueryLocked with extra temp tables visible to the
@@ -92,10 +103,14 @@ func (c *ActionContext) QueryLocked(q *query.Select) (*storage.TempTable, error)
 // Delta maintenance uses it to join an action-built working set (e.g. the
 // affected base keys of a batch) against base tables read under S locks.
 func (c *ActionContext) QueryLockedWith(q *query.Select, extra map[string]*storage.TempTable) (*storage.TempTable, error) {
+	var res query.Resolver = c
+	if len(extra) > 0 {
+		res = extraResolver{ctx: c, extra: extra}
+	}
 	var tt *storage.TempTable
 	err := c.tx.LockedReads(func() error {
 		var err error
-		tt, err = q.Run(c.tx, boundResolver{bound: c.bound, extra: extra})
+		tt, err = q.Run(c.tx, res)
 		return err
 	})
 	return tt, err
@@ -116,7 +131,7 @@ func (c *ActionContext) QuerySQL(sql string) (*storage.TempTable, error) {
 	if c.engine.SQL == nil {
 		return nil, errNoSQL
 	}
-	return c.engine.SQL.QueryIn(c.tx, boundResolver{bound: c.bound}, sql)
+	return c.engine.SQL.QueryIn(c.tx, c, sql)
 }
 
 // ExecUpdate runs an UPDATE statement inside the action's transaction.
@@ -137,43 +152,36 @@ func (c *ActionContext) Model() cost.Model { return c.engine.model }
 // Now returns the engine time.
 func (c *ActionContext) Now() clock.Micros { return c.engine.clk.Now() }
 
-// boundResolver resolves action-supplied extra tables first, then bound
-// tables, then the database.
-type boundResolver struct {
-	bound map[string]*storage.TempTable
+// extraResolver resolves action-supplied extra tables first, then as the
+// context does.
+type extraResolver struct {
+	ctx   *ActionContext
 	extra map[string]*storage.TempTable
 }
 
 // Resolve implements query.Resolver.
-func (r boundResolver) Resolve(tx *txn.Txn, name string) (*storage.Table, *storage.TempTable, error) {
+func (r extraResolver) Resolve(tx *txn.Txn, name string) (*storage.Table, *storage.TempTable, error) {
 	if tt, ok := r.extra[name]; ok {
 		return nil, tt, nil
 	}
-	if tt, ok := r.bound[name]; ok {
-		return nil, tt, nil
-	}
-	return query.TxnResolver{}.Resolve(tx, name)
+	return r.ctx.Resolve(tx, name)
 }
 
-// actionPayload is the rule-task TCB content (paper §6.3): bound table
-// schemas + data, the user function, and uniqueness bookkeeping.
-type actionPayload struct {
-	engine   *Engine
-	rule     string
-	fnName   string
-	fn       ActionFunc
-	stats    *fnMetrics
-	breaker  *breaker // nil when breakers are disabled
-	bound    map[string]*storage.TempTable
+// firing is a queued rule action — the rule-task TCB (paper §6.3): the
+// scheduler task, the context its action will run in with the bound tables,
+// the profile its transaction will fill, and the uniqueness bookkeeping, in
+// one object. What is the same for every firing of the rule stays in the
+// program; the scheduler's hooks are the package functions below, which
+// find the firing through the task's payload.
+type firing struct {
+	task sched.Task
+	ctx  ActionContext
+	prof txn.TxnProfile
+	prog *program
+	// key is the firing's unique-column values: its entry in the program's
+	// uniqueness table while it is queued.
 	key      types.Key
-	set      *uniqueSet // nil for non-unique actions
 	restarts int
-	// deadlineWindow mirrors Rule.Deadline so retries can re-derive a firm
-	// deadline from their new release time.
-	deadlineWindow clock.Micros
-	// lockedReads mirrors Rule.LockedReads: the action's queries take S
-	// locks instead of reading the begin snapshot.
-	lockedReads bool
 	// triggers are the completion signals (Txn.Done) of the transactions
 	// whose commits fired (or merged into) this task. Tasks are submitted
 	// from inside the commit hook — before the trigger's WAL write and
@@ -182,31 +190,120 @@ type actionPayload struct {
 	// update that triggered it. Only the channel is kept: holding the
 	// transaction itself would keep its write log and lock tables alive
 	// for the whole batching window, once per merged firing. Guarded by
-	// set.mu while the task is queued (merge appends under it).
+	// the uniqueness table's lock while the task is queued (merge appends
+	// under it).
 	triggers []<-chan struct{}
 	// createdAt is the triggering transaction's commit time: the moment the
 	// derived data went stale and the measurement origin for the action
 	// latency span. staleTok closes the staleness sample at action commit.
 	createdAt clock.Micros
 	staleTok  uint64
+
+	// Backing for triggers and ctx.bound in the usual case: one trigger,
+	// a few bound tables.
+	trigger [1]<-chan struct{}
+	tables  [inlineBound]*storage.TempTable
 }
 
-// merge appends another firing's bound rows into this payload's tables.
-// Caller holds the uniqueness set lock; the task has not started.
-func (p *actionPayload) merge(incoming map[string]*storage.TempTable) error {
-	if len(incoming) != len(p.bound) {
-		return fmt.Errorf("core: merge table-count mismatch: %d vs %d", len(incoming), len(p.bound))
+// newFiring builds the task for a firing triggered by trig, taking over
+// the bound tables (the slice itself stays the caller's).
+func (e *Engine) newFiring(trig *txn.Txn, p *program, bound []*storage.TempTable, key types.Key, release, stamp clock.Micros) *firing {
+	rule := p.rule
+	f := &firing{
+		prog:      p,
+		key:       key,
+		createdAt: stamp,
+		staleTok:  p.stats.stale.Track(stamp),
 	}
-	for name, tt := range incoming {
-		dst, ok := p.bound[name]
-		if !ok {
-			return fmt.Errorf("core: merge: no queued bound table %q", name)
-		}
-		if err := dst.AppendFrom(tt, nil); err != nil {
-			return err
-		}
+	f.trigger[0] = trig.Done()
+	f.triggers = f.trigger[:]
+	f.ctx = ActionContext{engine: e, sig: p.sig, bound: append(f.tables[:0], bound...)}
+	f.task = sched.Task{
+		// The id is reserved up front (not at Submit) so merge trace events
+		// can reference the queued task without racing its submission.
+		ID:      e.Sched.ReserveID(),
+		Name:    rule.Action,
+		Release: release,
+		Value:   rule.Value,
+		// Inherit the triggering commit's causal chain; merged firings keep
+		// the first trigger's chain and cross-link via rule.merge events.
+		Trace:   trig.Trace(),
+		Payload: f,
+		Fn:      runFiring,
+		OnShed:  shedFiring,
 	}
-	return nil
+	if rule.Deadline > 0 {
+		f.task.Deadline = release + rule.Deadline
+	}
+	if rule.Firm {
+		f.task.Firm = true
+		f.task.ShedKey = shedKey{fn: rule.Action, key: key}
+		f.task.ShedCost = shedCost(p.stats, rule)
+		// Re-price at shed time from the live profile: a maintenance
+		// function that switched to cheap delta recomputes (or got faster
+		// for any reason) sheds earlier than its stale enqueue-time cost
+		// would suggest. Reads only atomics — safe under the scheduler lock.
+		f.task.CostFn = p.costFn
+	}
+	if p.set != nil {
+		f.task.OnStart = startFiring
+	}
+	return f
+}
+
+func runFiring(t *sched.Task) error { return t.Payload.(*firing).run(t) }
+
+// startFiring runs when the task is dequeued: its bound tables freeze, so
+// it leaves the uniqueness hash and subsequent firings start a new task
+// (paper §2).
+func startFiring(t *sched.Task) {
+	f := t.Payload.(*firing)
+	set := f.prog.set
+	set.mu.Lock()
+	if set.pending[f.key] == f {
+		delete(set.pending, f.key)
+	}
+	set.mu.Unlock()
+}
+
+// shedFiring releases everything a never-run (shed or abandoned) task
+// holds: bound tables, its staleness token, and trigger references. The
+// uniqueness hash entry is removed by startFiring, which the scheduler runs
+// first.
+func shedFiring(t *sched.Task) {
+	f := t.Payload.(*firing)
+	f.prog.stats.shed.Inc()
+	f.prog.stats.stale.Drop(f.staleTok)
+	retireAll(f.ctx.bound)
+	f.ctx.bound, f.triggers = nil, nil
+}
+
+// merge moves another firing's bound rows into this one's tables, taking
+// over the incoming tables, and reports how many rows that was. A table
+// that is still empty here simply becomes the incoming one. Caller holds
+// the uniqueness table's lock; the task has not started.
+func (f *firing) merge(incoming []*storage.TempTable) (rows int, err error) {
+	bound := f.ctx.bound
+	if len(incoming) != len(bound) {
+		return 0, fmt.Errorf("core: merge table-count mismatch: %d vs %d", len(incoming), len(bound))
+	}
+	for slot, in := range incoming {
+		switch dst := bound[slot]; {
+		case in.Len() == 0:
+		case dst.Len() == 0:
+			dst.Retire()
+			bound[slot] = in
+			rows += in.Len()
+			continue
+		default:
+			if err := dst.AppendFrom(in); err != nil {
+				return rows, err
+			}
+			rows += in.Len()
+		}
+		in.Retire()
+	}
+	return rows, nil
 }
 
 // shedKey identifies an action task for supersession shedding: under
@@ -215,86 +312,6 @@ func (p *actionPayload) merge(incoming map[string]*storage.TempTable) error {
 type shedKey struct {
 	fn  string
 	key types.Key
-}
-
-// discard releases everything a never-run (shed or abandoned) task holds:
-// bound tables, its staleness token, and trigger references. The uniqueness
-// hash entry is removed by OnStart, which the scheduler runs first.
-func (p *actionPayload) discard() {
-	p.stats.shed.Inc()
-	p.stats.stale.Drop(p.staleTok)
-	for _, tt := range p.bound {
-		tt.Retire()
-	}
-	p.bound = nil
-	p.triggers = nil
-}
-
-// newActionTask builds the scheduler task for a firing triggered by trig.
-func (e *Engine) newActionTask(trig *txn.Txn, rule *Rule, fn ActionFunc, stats *fnMetrics, br *breaker,
-	bound map[string]*storage.TempTable, key types.Key, set *uniqueSet, release clock.Micros, stamp clock.Micros) *sched.Task {
-
-	payload := &actionPayload{
-		engine:         e,
-		rule:           rule.Name,
-		fnName:         rule.Action,
-		fn:             fn,
-		stats:          stats,
-		breaker:        br,
-		bound:          bound,
-		key:            key,
-		set:            set,
-		lockedReads:    rule.LockedReads,
-		deadlineWindow: rule.Deadline,
-		createdAt:      stamp,
-		staleTok:       stats.stale.Track(stamp),
-	}
-	if trig != nil {
-		payload.triggers = []<-chan struct{}{trig.Done()}
-	}
-	task := &sched.Task{
-		// The id is reserved up front (not at Submit) so merge trace events
-		// can reference the queued task without racing its submission.
-		ID:      e.Sched.ReserveID(),
-		Name:    rule.Action,
-		Release: release,
-		Value:   rule.Value,
-		Payload: payload,
-	}
-	if trig != nil {
-		// Inherit the triggering commit's causal chain; merged firings keep
-		// the first trigger's chain and cross-link via rule.merge events.
-		task.Trace = trig.Trace()
-	}
-	if rule.Deadline > 0 {
-		task.Deadline = release + rule.Deadline
-	}
-	if rule.Firm {
-		task.Firm = true
-		task.ShedKey = shedKey{fn: rule.Action, key: key}
-		task.ShedCost = shedCost(stats, rule)
-		// Re-price at shed time from the live profile: a maintenance
-		// function that switched to cheap delta recomputes (or got faster
-		// for any reason) sheds earlier than its stale enqueue-time cost
-		// would suggest. Reads only atomics — safe under the scheduler lock.
-		task.CostFn = func() float64 { return shedCost(stats, rule) }
-	}
-	task.OnShed = func(t *sched.Task) {
-		t.Payload.(*actionPayload).discard()
-	}
-	// When the task is dequeued its bound tables freeze: remove it from the
-	// uniqueness hash so subsequent firings start a new task (paper §2).
-	if set != nil {
-		task.OnStart = func(t *sched.Task) {
-			set.mu.Lock()
-			if set.pending[key] == t {
-				delete(set.pending, key)
-			}
-			set.mu.Unlock()
-		}
-	}
-	task.Fn = e.runAction
-	return task
 }
 
 // shedCost prices a firm firing for cost-ordered overload shedding: the
@@ -335,12 +352,12 @@ func callAction(fn ActionFunc, ctx *ActionContext) (err error) {
 	return fn(ctx)
 }
 
-// runAction executes a rule action task: new transaction, user function,
-// commit; deadlock victims are resubmitted (restart) up to
-// maxActionRestarts times. Bound tables are reclaimed when the task
-// finishes for good (paper §6.3).
-func (e *Engine) runAction(task *sched.Task) error {
-	p := task.Payload.(*actionPayload)
+// run executes the action: new transaction, user function, commit;
+// deadlock victims are resubmitted (restart) up to maxActionRestarts times.
+// Bound tables are reclaimed when the task finishes for good (paper §6.3).
+func (f *firing) run(task *sched.Task) error {
+	p, stats := f.prog, f.prog.stats
+	e := f.ctx.engine
 	startWork := e.meter.Micros()
 	queued := task.QueueTime()
 
@@ -353,22 +370,22 @@ func (e *Engine) runAction(task *sched.Task) error {
 	// incremental writes must go through QueryLocked (or the rule sets
 	// LockedReads), since two snapshot readers updating the same row would
 	// lose one update.
-	for _, done := range p.triggers {
+	for _, done := range f.triggers {
 		<-done
 	}
-	p.triggers = nil
+	f.triggers = nil
 
 	tx := e.Txns.Begin()
-	if !p.lockedReads {
+	if !p.rule.LockedReads {
 		tx.EnableSnapshotReads()
 	}
 	// Link the action transaction into the triggering commit's causal chain
 	// and point its row/lock-wait accounting at the rule's cost profile.
 	tx.SetCause(task.Trace, task.ID)
-	tp := &txn.TxnProfile{}
-	tx.SetProfile(tp)
-	ctx := &ActionContext{engine: e, task: task, tx: tx, bound: p.bound}
-	err := callAction(p.fn, ctx)
+	f.prof = txn.TxnProfile{}
+	tx.SetProfile(&f.prof)
+	f.ctx.task, f.ctx.tx = task, tx
+	err := callAction(p.fn, &f.ctx)
 	if err == nil {
 		err = tx.Commit()
 	} else if tx.Status() == txn.Active {
@@ -380,19 +397,20 @@ func (e *Engine) runAction(task *sched.Task) error {
 	}
 
 	work := e.meter.Micros() - startWork
-	p.stats.prof.AddRows(tp.RowsScanned, tp.RowsMatched, tp.RowsWritten)
-	p.stats.prof.AddLockWait(tp.LockWaitMicros)
+	stats.prof.AddRows(f.prof.RowsScanned, f.prof.RowsMatched, f.prof.RowsWritten)
+	stats.prof.AddLockWait(f.prof.LockWaitMicros)
 
-	if err != nil && IsRetryable(err) && p.restarts < maxActionRestarts && e.Sched.AllowRetry() {
+	if err != nil && IsRetryable(err) && f.restarts < maxActionRestarts && e.Sched.AllowRetry() {
 		// Restart with capped exponential backoff and deterministic jitter
 		// (paper §3: real-time transactions may be restarted). The staleness
-		// token stays open — the derived data is still stale.
-		p.restarts++
-		p.stats.restarts.Inc()
-		p.stats.work.Add(work)
-		p.stats.queueMicros.Add(queued)
+		// token stays open — the derived data is still stale. The retry is
+		// a task of its own: the scheduler is not done with this one yet.
+		f.restarts++
+		stats.restarts.Inc()
+		stats.work.Add(work)
+		stats.queueMicros.Add(queued)
 		now := e.clk.Now()
-		release := now + retryBackoff(p.restarts, task.ID)
+		release := now + retryBackoff(f.restarts, task.ID)
 		retry := &sched.Task{
 			Name:     task.Name,
 			Trace:    task.Trace,
@@ -403,51 +421,49 @@ func (e *Engine) runAction(task *sched.Task) error {
 			ShedCost: task.ShedCost,
 			CostFn:   task.CostFn,
 			OnShed:   task.OnShed,
-			Payload:  p,
-			Fn:       e.runAction,
+			Payload:  f,
+			Fn:       runFiring,
 		}
-		if p.deadlineWindow > 0 {
-			retry.Deadline = release + p.deadlineWindow
+		if p.rule.Deadline > 0 {
+			retry.Deadline = release + p.rule.Deadline
 		}
 		if e.Sched.Submit(retry) == nil {
 			e.Sched.NoteRetried()
-			e.tracer.EmitSpan(now, obs.KindTaskRetry, p.fnName, int64(p.restarts), task.Trace, task.ID)
+			e.tracer.EmitSpan(now, obs.KindTaskRetry, p.rule.Action, int64(f.restarts), task.Trace, task.ID)
 			return nil
 		}
 		// Scheduler is shutting down: fall through to the permanent path so
-		// the payload's resources are released.
+		// the firing's resources are released.
 	}
 
 	finished := e.clk.Now()
-	p.stats.run.Inc()
-	p.stats.work.Add(work)
-	p.stats.queueMicros.Add(queued)
-	p.stats.latency.Record(finished - p.createdAt)
+	stats.run.Inc()
+	stats.work.Add(work)
+	stats.queueMicros.Add(queued)
+	stats.latency.Record(finished - f.createdAt)
 	if err != nil {
-		p.stats.errs.Inc()
+		stats.errs.Inc()
 		// The recompute never committed; drop the pending stamp rather than
 		// record a bogus closing sample.
-		p.stats.stale.Drop(p.staleTok)
-		if p.breaker != nil && p.breaker.onFailure(finished) {
-			e.tracer.Emit(finished, obs.KindRuleQuarantine, p.fnName, int64(p.restarts))
+		stats.stale.Drop(f.staleTok)
+		if p.br != nil && p.br.onFailure(finished) {
+			e.tracer.Emit(finished, obs.KindRuleQuarantine, p.rule.Action, int64(f.restarts))
 		}
 	} else {
-		p.stats.stale.Observe(p.staleTok, finished)
+		stats.stale.Observe(f.staleTok, finished)
 		// Close the chain with the staleness sample this recompute settles:
 		// Arg is the age of the oldest update it made fresh. Deadline SLO
 		// burn is judged on the same age.
-		age := finished - p.createdAt
-		e.tracer.EmitSpan(finished, obs.KindStaleSample, p.fnName, age, task.Trace, task.ID)
-		if p.deadlineWindow > 0 && age > p.deadlineWindow {
-			p.stats.prof.NoteSLOBreach()
+		age := finished - f.createdAt
+		e.tracer.EmitSpan(finished, obs.KindStaleSample, p.rule.Action, age, task.Trace, task.ID)
+		if p.rule.Deadline > 0 && age > p.rule.Deadline {
+			stats.prof.NoteSLOBreach()
 		}
-		if p.breaker != nil {
-			p.breaker.onSuccess()
+		if p.br != nil {
+			p.br.onSuccess()
 		}
 	}
-	e.tracer.EmitSpan(finished, obs.KindActionDone, p.fnName, finished-p.createdAt, task.Trace, task.ID)
-	for _, tt := range p.bound {
-		tt.Retire()
-	}
+	e.tracer.EmitSpan(finished, obs.KindActionDone, p.rule.Action, finished-f.createdAt, task.Trace, task.ID)
+	retireAll(f.ctx.bound)
 	return err
 }

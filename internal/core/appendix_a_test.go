@@ -30,6 +30,43 @@ func buildBound(t *testing.T, tables map[string][][]types.Value, schemas map[str
 	return out
 }
 
+// partition is one unique-column combination and its bound-table subset.
+type partition struct {
+	key   types.Key
+	bound map[string]*storage.TempTable
+}
+
+// partitionByUnique splits literal bound tables the way a firing of a rule
+// `unique on uniqueOn` binding them would: the column locations come from
+// the compile step, the partitions from the firing's splitter.
+func partitionByUnique(uniqueOn []string, bound map[string]*storage.TempTable) ([]partition, error) {
+	p := &program{rule: &Rule{Name: "r", UniqueOn: uniqueOn}}
+	var names []string
+	for name := range bound {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	tables := make([]*storage.TempTable, len(names))
+	for i, name := range names {
+		tables[i] = bound[name]
+		p.sig = append(p.sig, tables[i].Schema().Rename(name))
+	}
+	if err := p.locateUnique(); err != nil {
+		return nil, err
+	}
+	var parts []partition
+	var buf splitBuf
+	s := buf.split(p, tables)
+	for key, part, ok := s.next(); ok; key, part, ok = s.next() {
+		pb := map[string]*storage.TempTable{}
+		for i, name := range names {
+			pb[name] = part[i]
+		}
+		parts = append(parts, partition{key: key, bound: pb})
+	}
+	return parts, nil
+}
+
 func TestPartitionSingleTable(t *testing.T) {
 	schema := catalog.MustSchema("m",
 		catalog.Column{Name: "comp", Kind: types.KindString},

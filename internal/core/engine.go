@@ -3,8 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/clock"
@@ -174,14 +177,17 @@ type Engine struct {
 	// sets holds one uniqueness hash table per user function, created when
 	// the first rule executing that function is defined (paper §6.3).
 	sets map[string]*uniqueSet
-	// bindSig records each function's bound-table definitions; rules
-	// executing the same function must define them identically (paper §2).
-	// A function's entry is written once, by its first firing, and never
-	// changed, so later firings check against it outside the lock.
-	bindSig map[string]map[string]*catalog.Schema
-	// transProtos caches, per table, the four empty transition tables
-	// (schema + column map) every commit on that table clones from.
-	transProtos map[string]*transProtos
+	// bindSig records each function's bound-table definitions, sorted by
+	// table name; rules executing the same function must define them
+	// identically (paper §2). A function's entry is written once, when its
+	// first rule is created, and never changed.
+	bindSig map[string][]*catalog.Schema
+	// programs is what the commit hook reads: per table with at least one
+	// rule, the rules compiled against the table's schema. The map and
+	// everything it reaches are immutable; rule DDL (and a commit that finds
+	// its table re-created) builds a new one under mu and publishes it here,
+	// so a firing takes no lock.
+	programs atomic.Pointer[map[string]*tablePrograms]
 
 	// stats caches per-function instrument handles (guarded by mu).
 	stats map[string]*fnMetrics
@@ -212,22 +218,22 @@ type Statements interface {
 // and registers itself as the commit hook.
 func NewEngine(txns *txn.Manager, scheduler *sched.Scheduler) *Engine {
 	e := &Engine{
-		Txns:        txns,
-		Sched:       scheduler,
-		clk:         txns.Clock,
-		meter:       txns.Meter,
-		model:       txns.Model,
-		obs:         txns.Obs,
-		tracer:      txns.Obs.Tracer(),
-		rules:       make(map[string]*Rule),
-		byTable:     make(map[string][]*Rule),
-		funcs:       make(map[string]ActionFunc),
-		sets:        make(map[string]*uniqueSet),
-		bindSig:     make(map[string]map[string]*catalog.Schema),
-		transProtos: make(map[string]*transProtos),
-		stats:       make(map[string]*fnMetrics),
-		breakers:    make(map[string]*breaker),
+		Txns:     txns,
+		Sched:    scheduler,
+		clk:      txns.Clock,
+		meter:    txns.Meter,
+		model:    txns.Model,
+		obs:      txns.Obs,
+		tracer:   txns.Obs.Tracer(),
+		rules:    make(map[string]*Rule),
+		byTable:  make(map[string][]*Rule),
+		funcs:    make(map[string]ActionFunc),
+		sets:     make(map[string]*uniqueSet),
+		bindSig:  make(map[string][]*catalog.Schema),
+		stats:    make(map[string]*fnMetrics),
+		breakers: make(map[string]*breaker),
 	}
+	e.programs.Store(&map[string]*tablePrograms{})
 	_, e.virtualClk = txns.Clock.(*clock.Virtual)
 	txns.SetCommitHook(e.ProcessCommit)
 	return e
@@ -249,8 +255,10 @@ func (e *Engine) RegisterFunc(name string, fn ActionFunc) error {
 	return nil
 }
 
-// CreateRule validates and installs a rule. The uniqueness hash table for
-// the rule's function is created on first use.
+// CreateRule validates and installs a rule, compiling it — and, because
+// programs are immutable, every other rule — into the program its firings
+// execute. The uniqueness hash table for the rule's function is created on
+// first use.
 func (e *Engine) CreateRule(r *Rule) error {
 	if err := r.validate(); err != nil {
 		return err
@@ -263,8 +271,16 @@ func (e *Engine) CreateRule(r *Rule) error {
 	if _, ok := e.funcs[r.Action]; !ok {
 		return fmt.Errorf("core: rule %s executes unregistered function %q", r.Name, r.Action)
 	}
-	if _, ok := e.Txns.Catalog.Lookup(r.Table); !ok {
+	base := e.tableSchema(r.Table)
+	if base == nil {
 		return fmt.Errorf("core: rule %s on unknown table %q", r.Name, r.Table)
+	}
+	// Compile before installing anything: a rule whose bound tables cannot
+	// be derived, or differ from what its function's other rules bind, or
+	// do not hold its unique columns, is refused here, not at its first
+	// firing.
+	if tp := e.compileTable((*e.programs.Load())[r.Table], []*Rule{r}, base); tp.progs[0].err != nil {
+		return tp.progs[0].err
 	}
 	e.rules[r.Name] = r
 	e.byTable[r.Table] = append(e.byTable[r.Table], r)
@@ -289,7 +305,51 @@ func (e *Engine) CreateRule(r *Rule) error {
 			e.breakers[r.Action] = newBreaker(e.breakerThreshold, e.breakerCooldown)
 		}
 	}
+	e.publishLocked()
 	return nil
+}
+
+// tableSchema returns the schema commits on the table will carry: the
+// stored table's own (the very pointer its records report), else the
+// catalog's, else nil.
+func (e *Engine) tableSchema(table string) *catalog.Schema {
+	if tbl, ok := e.Txns.Store.Get(table); ok {
+		return tbl.Schema()
+	}
+	s, _ := e.Txns.Catalog.Lookup(table)
+	return s
+}
+
+// publishLocked recompiles every rule and publishes the result. Rule DDL
+// is rare and a compile costs microseconds, so nothing is patched: a new
+// rule, a dropped one, and a function's newly created uniqueness table or
+// breaker all reach every program that needs them the same way.
+func (e *Engine) publishLocked() {
+	prev := *e.programs.Load()
+	next := make(map[string]*tablePrograms, len(e.byTable))
+	for table, rules := range e.byTable {
+		if len(rules) > 0 {
+			next[table] = e.compileTable(prev[table], rules, e.tableSchema(table))
+		}
+	}
+	e.programs.Store(&next)
+}
+
+// retarget recompiles one table's rules against base — the schema a
+// committing transaction's records carry, which the published programs do
+// not describe: the table was dropped and created again.
+func (e *Engine) retarget(table string, base *catalog.Schema) *tablePrograms {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cur := *e.programs.Load()
+	tp := cur[table]
+	if tp == nil || tp.base == base {
+		return tp // dropped, or retargeted by another committer, meanwhile
+	}
+	next := maps.Clone(cur)
+	next[table] = e.compileTable(tp, e.byTable[table], base)
+	e.programs.Store(&next)
+	return next[table]
 }
 
 // SetBreakerPolicy configures circuit breakers for rules created after the
@@ -356,6 +416,7 @@ func (e *Engine) DropRule(name string) error {
 			break
 		}
 	}
+	e.publishLocked()
 	return nil
 }
 
@@ -388,54 +449,78 @@ func (e *Engine) ResetStats() {
 
 // ProcessCommit is the commit hook: event detection over the write log,
 // transition-table construction, condition evaluation, binding, and task
-// creation/merging (paper §6.3).
+// creation/merging (paper §6.3), all of it driven by the programs the
+// tables' rules were compiled into.
 func (e *Engine) ProcessCommit(tx *txn.Txn) error {
 	log := tx.Log()
-	if len(log) == 0 {
+	programs := *e.programs.Load()
+	if len(log) == 0 || len(programs) == 0 {
 		return nil
 	}
-	// Group the log by table, preserving execution order.
+	// Nearly every transaction writes one table: its log is that table's
+	// share as it stands. Only a log that mixes tables is regrouped, in
+	// order of first appearance and execution order within a table.
+	table, mixed, ruled := log[0].Table, false, programs[log[0].Table] != nil
+	for i := 1; i < len(log); i++ {
+		if t := log[i].Table; t != table {
+			table, mixed = t, true
+			ruled = ruled || programs[t] != nil
+		}
+	}
+	if !ruled {
+		return nil
+	}
+	if !mixed {
+		return e.processTable(tx, programs[table], log)
+	}
+	var order []string
 	byTable := map[string][]txn.LogRec{}
-	var tableOrder []string
 	for _, rec := range log {
+		if programs[rec.Table] == nil {
+			continue
+		}
 		if _, seen := byTable[rec.Table]; !seen {
-			tableOrder = append(tableOrder, rec.Table)
+			order = append(order, rec.Table)
 		}
 		byTable[rec.Table] = append(byTable[rec.Table], rec)
 	}
+	for _, table := range order {
+		if err := e.processTable(tx, programs[table], byTable[table]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	for _, table := range tableOrder {
-		recs := byTable[table]
-		base := logRecTable(recs[0]).Schema()
-		e.mu.RLock()
-		rules := append([]*Rule(nil), e.byTable[table]...)
-		protos := e.transProtos[table]
-		e.mu.RUnlock()
-		if len(rules) == 0 {
+// processTable runs one table's programs over its share of the log.
+func (e *Engine) processTable(tx *txn.Txn, tp *tablePrograms, recs []txn.LogRec) error {
+	if base := logRecTable(recs[0]).Schema(); tp.base != base {
+		if tp = e.retarget(recs[0].Table, base); tp == nil {
+			return nil
+		}
+	}
+	for range recs {
+		e.meter.Charge(e.model.ScanRow) // one pass over the table's log
+	}
+	var trans *transitions
+	for _, p := range tp.progs {
+		e.meter.Charge(e.model.EventCheck)
+		if !p.triggered(recs) {
 			continue
 		}
-		if protos == nil || protos.base != base {
-			var err error
-			if protos, err = e.cacheTransProtos(table, base); err != nil {
-				return err
-			}
+		if p.err != nil {
+			trans.retire()
+			return p.err
 		}
-		for range recs {
-			e.meter.Charge(e.model.ScanRow) // one pass over the table's log
+		if trans == nil {
+			trans = &transitions{protos: tp.protos, recs: recs}
 		}
-		trans := &transitions{protos: protos, recs: recs}
-		for _, rule := range rules {
-			e.meter.Charge(e.model.EventCheck)
-			if !triggered(rule, recs) {
-				continue
-			}
-			if err := e.evaluateRule(tx, rule, trans); err != nil {
-				trans.retire()
-				return err
-			}
+		if err := e.evaluate(tx, p, trans); err != nil {
+			trans.retire()
+			return err
 		}
-		trans.retire()
 	}
+	trans.retire()
 	return nil
 }
 
@@ -453,7 +538,10 @@ var transNames = [4]string{transInserted, transDeleted, transNew, transOld}
 // transProtos holds one table's four empty transition tables: the base
 // schema renamed and extended by execute_order, with the column map that
 // resolves base columns through the changed record. Built once per table
-// (again if the table is re-created: base is then a different schema).
+// schema. The prototypes are retired at birth: a retired table reads as
+// empty, refuses appends and ignores further Retire calls, which is what a
+// table shared by every commit must do — so a firing binds the prototype
+// itself for a transition table it has no rows for.
 type transProtos struct {
 	base   *catalog.Schema
 	tables [4]*storage.TempTable
@@ -474,34 +562,29 @@ func newTransProtos(base *catalog.Schema) (*transProtos, error) {
 		if p.tables[i], err = storage.NewTempTable(schema, srcMap, 1); err != nil {
 			return nil, err
 		}
+		p.tables[i].Retire()
 	}
-	return p, nil
-}
-
-// cacheTransProtos builds and remembers table's transition prototypes.
-func (e *Engine) cacheTransProtos(table string, base *catalog.Schema) (*transProtos, error) {
-	p, err := newTransProtos(base)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.transProtos[table] = p
-	e.mu.Unlock()
 	return p, nil
 }
 
 // transitions is one table's share of a committing transaction's log, seen
 // as the inserted/deleted/new/old tables, each with the execute_order
 // column (paper §2: no net-effect reduction — every change appears). A
-// table is materialised the first time a rule names it; a commit whose
-// rules read only `new` never builds the other three.
+// table is materialised the first time a query names it; a commit whose
+// rules read only `new` never builds the other three. It doubles as the
+// resolver the rules' queries run under, and carries the profile their
+// row counts land in, so a triggered commit allocates it once.
 type transitions struct {
 	protos *transProtos
 	recs   []txn.LogRec
 	built  [4]*storage.TempTable
+	prof   txn.TxnProfile
 }
 
 func (tr *transitions) retire() {
+	if tr == nil {
+		return
+	}
 	for _, tt := range tr.built {
 		if tt != nil {
 			tt.Retire()
@@ -509,22 +592,24 @@ func (tr *transitions) retire() {
 	}
 }
 
-// lookup returns the named transition table; ok is false when name is not
-// one of the four.
-func (tr *transitions) lookup(name string) (tt *storage.TempTable, ok bool, err error) {
-	for i, n := range transNames {
-		if n != name {
-			continue
-		}
-		if tr.built[i] == nil {
-			tr.built[i], err = tr.build(i)
-		}
-		return tr.built[i], true, err
+// Resolve implements query.Resolver: the transition tables first, then
+// the database.
+func (tr *transitions) Resolve(tx *txn.Txn, name string) (*storage.Table, *storage.TempTable, error) {
+	slot := slices.Index(transNames[:], name)
+	if slot < 0 {
+		return query.TxnResolver{}.Resolve(tx, name)
 	}
-	return nil, false, nil
+	if tr.built[slot] == nil {
+		var err error
+		if tr.built[slot], err = tr.build(slot); err != nil {
+			return nil, nil, err
+		}
+	}
+	return nil, tr.built[slot], nil
 }
 
-// build materialises transition table slot from the log records.
+// build materialises transition table slot from the log records; with no
+// record of its kind, it is the prototype.
 func (tr *transitions) build(slot int) (*storage.TempTable, error) {
 	// inserted and deleted take the images of inserts and deletes; new and
 	// old take the two images of each update, which share its execute_order
@@ -532,16 +617,30 @@ func (tr *transitions) build(slot int) (*storage.TempTable, error) {
 	// old.execute_order).
 	op := [4]txn.Op{txn.OpInsert, txn.OpDelete, txn.OpUpdate, txn.OpUpdate}[slot]
 	newImage := transNames[slot] == transInserted || transNames[slot] == transNew
+	n := 0
+	for i := range tr.recs {
+		if tr.recs[i].Op == op {
+			n++
+		}
+	}
+	if n == 0 {
+		return tr.protos.tables[slot], nil
+	}
 	tt := tr.protos.tables[slot].Clone()
-	for _, rec := range tr.recs {
+	tt.Grow(n)
+	var ptr [1]*storage.Record
+	var val [1]types.Value
+	for i := range tr.recs {
+		rec := &tr.recs[i]
 		if rec.Op != op {
 			continue
 		}
-		img := rec.Old
+		ptr[0] = rec.Old
 		if newImage {
-			img = rec.New
+			ptr[0] = rec.New
 		}
-		if err := tt.AppendRow([]*storage.Record{img}, []types.Value{types.Int(rec.Seq)}); err != nil {
+		val[0] = types.Int(rec.Seq)
+		if err := tt.AppendRow(ptr[:], val[:]); err != nil {
 			tt.Retire()
 			return nil, err
 		}
@@ -549,150 +648,116 @@ func (tr *transitions) build(slot int) (*storage.TempTable, error) {
 	return tt, nil
 }
 
-// triggered evaluates the rule's transition predicate against the log.
-func triggered(rule *Rule, recs []txn.LogRec) bool {
-	for _, rec := range recs {
-		var kind EventKind
-		var changed map[string]bool
-		switch rec.Op {
-		case txn.OpInsert:
-			kind = Inserted
-		case txn.OpDelete:
-			kind = Deleted
-		case txn.OpUpdate:
-			kind = Updated
-			changed = changedColumns(rec)
+// bind returns a transition table for a firing to own: the one built for
+// the queries copied, or — when no query read it — built for the firing.
+func (tr *transitions) bind(slot int) (*storage.TempTable, error) {
+	if tt := tr.built[slot]; tt != nil {
+		if tt.Len() == 0 {
+			return tt, nil
 		}
-		for _, ev := range rule.Events {
-			if ev.matches(kind, changed) {
-				return true
-			}
-		}
+		return tt.Copy(), nil
 	}
-	return false
+	return tr.build(slot)
 }
 
-func changedColumns(rec txn.LogRec) map[string]bool {
-	out := map[string]bool{}
-	schema := rec.New.Table().Schema()
-	for i := 0; i < schema.NumCols(); i++ {
-		if !rec.Old.Value(i).Equal(rec.New.Value(i)) {
-			out[schema.Col(i).Name] = true
-		}
-	}
-	return out
-}
+// inlineBound is how many bound tables a firing carries without a slice
+// of its own.
+const inlineBound = 4
 
-// transResolver resolves the rule's transition tables first, then the
-// database.
-type transResolver struct{ trans *transitions }
-
-func (r transResolver) Resolve(tx *txn.Txn, name string) (*storage.Table, *storage.TempTable, error) {
-	if tt, ok, err := r.trans.lookup(name); ok {
-		return nil, tt, err
-	}
-	return query.TxnResolver{}.Resolve(tx, name)
-}
-
-// evaluateRule runs the rule's condition inside the triggering transaction,
-// builds bound tables, and fires the action.
-func (e *Engine) evaluateRule(tx *txn.Txn, rule *Rule, trans *transitions) error {
-	res := transResolver{trans: trans}
-	bound := map[string]*storage.TempTable{}
-	retireAll := func() {
-		for _, tt := range bound {
-			tt.Retire()
-		}
-	}
-
+// evaluate runs a triggered rule inside the triggering transaction: its
+// condition, its bound tables, and the firing.
+func (e *Engine) evaluate(tx *txn.Txn, p *program, trans *transitions) error {
 	// Profile the evaluation: wall time and executor row counters charge to
 	// the rule's function. The triggering transaction temporarily carries a
 	// private TxnProfile so the query layer's per-row accounting flows here
 	// without touching user-transaction hot paths; the previous profile (set
 	// when a cascading rule evaluates inside an action transaction) is
 	// restored on the way out.
-	var queries int64
-	fn := e.fnRefs(rule.Action)
-	if stats := fn.stats; stats != nil {
-		start := e.clk.Now()
-		startCost := e.meter.Micros()
-		prev := tx.Profile()
-		tp := &txn.TxnProfile{}
-		tx.SetProfile(tp)
-		defer func() {
-			tx.SetProfile(prev)
-			micros := int64(e.clk.Now() - start)
-			if e.virtualClk {
-				// The virtual clock only advances between driver steps, so
-				// wall deltas are zero; charge the cost model's virtual CPU
-				// instead (evaluation is single-threaded in virtual mode, so
-				// the meter delta is this evaluation's).
-				micros = int64(e.meter.Micros() - startCost)
-			}
-			stats.prof.AddEval(queries, micros)
-			stats.prof.AddRows(tp.RowsScanned, tp.RowsMatched, tp.RowsWritten)
-			stats.prof.AddLockWait(tp.LockWaitMicros)
-		}()
+	start := e.clk.Now()
+	startCost := e.meter.Micros()
+	prev := tx.Profile()
+	trans.prof = txn.TxnProfile{}
+	tx.SetProfile(&trans.prof)
+
+	var buf [inlineBound]*storage.TempTable
+	bound := buf[:0]
+	if len(p.sig) > len(buf) {
+		bound = make([]*storage.TempTable, 0, len(p.sig))
+	}
+	bound = bound[:len(p.sig)]
+	fire, queries, err := e.bindTables(tx, p, trans, bound)
+	if fire {
+		e.fire(tx, p, bound)
+	} else {
+		retireAll(bound)
 	}
 
-	condTrue := true
-	for _, q := range rule.Condition {
-		out, err := q.Run(tx, res)
+	tx.SetProfile(prev)
+	micros := int64(e.clk.Now() - start)
+	if e.virtualClk {
+		// The virtual clock only advances between driver steps, so wall
+		// deltas are zero; charge the cost model's virtual CPU instead
+		// (evaluation is single-threaded in virtual mode, so the meter
+		// delta is this evaluation's).
+		micros = int64(e.meter.Micros() - startCost)
+	}
+	p.stats.prof.AddEval(queries, micros)
+	p.stats.prof.AddRows(trans.prof.RowsScanned, trans.prof.RowsMatched, trans.prof.RowsWritten)
+	p.stats.prof.AddLockWait(trans.prof.LockWaitMicros)
+	return err
+}
+
+func retireAll(tables []*storage.TempTable) {
+	for _, tt := range tables {
+		if tt != nil {
+			tt.Retire()
+		}
+	}
+}
+
+// bindTables evaluates the condition and fills bound, slot by slot. fire is
+// false when the condition is false or on error; bound may then be partly
+// filled.
+func (e *Engine) bindTables(tx *txn.Txn, p *program, trans *transitions, bound []*storage.TempTable) (fire bool, queries int64, err error) {
+	rule := p.rule
+	for i, q := range rule.Condition {
+		out, err := q.Run(tx, trans)
 		queries++
 		if err != nil {
-			retireAll()
-			return fmt.Errorf("core: rule %s condition: %w", rule.Name, err)
+			return false, queries, fmt.Errorf("core: rule %s condition: %w", rule.Name, err)
 		}
-		if out.Len() == 0 {
-			condTrue = false
-			out.Retire()
-			break
+		if slot := p.condSlot[i]; slot >= 0 && out.Len() > 0 {
+			bound[slot] = out
+			continue
 		}
-		if q.Bind != "" {
-			bound[q.Bind] = out
+		empty := out.Len() == 0
+		out.Retire()
+		if empty {
+			return false, queries, nil
+		}
+	}
+	for i, q := range rule.Evaluate {
+		out, err := q.Run(tx, trans)
+		queries++
+		if err != nil {
+			return false, queries, fmt.Errorf("core: rule %s evaluate: %w", rule.Name, err)
+		}
+		if slot := p.evalSlot[i]; slot >= 0 {
+			bound[slot] = out
 		} else {
 			out.Retire()
 		}
 	}
-	if !condTrue {
-		retireAll()
-		return nil
-	}
-	for _, q := range rule.Evaluate {
-		out, err := q.Run(tx, res)
-		queries++
-		if err != nil {
-			retireAll()
-			return fmt.Errorf("core: rule %s evaluate: %w", rule.Name, err)
-		}
-		if q.Bind != "" {
-			bound[q.Bind] = out
-		} else {
-			out.Retire()
-		}
-	}
 
-	// Copy requested transition tables into the bound set — copies, not
-	// the originals: the transitions retire when the commit hook returns,
-	// while bound tables must live until the action runs, and unique
-	// batching appends later firings' transition rows into the queued copy
-	// (the merged rows are the batch's delta).
-	for _, name := range rule.BindTransitions {
-		src, ok, err := trans.lookup(name)
-		if err == nil && !ok {
-			err = fmt.Errorf("no such transition table")
+	// Transition tables the action asked for are bound as tables of the
+	// firing's own — the transitions retire when the commit hook returns,
+	// while bound tables live until the action runs, and unique batching
+	// appends later firings' transition rows to the queued ones (the merged
+	// rows are the batch's delta).
+	for _, tb := range p.transBind {
+		if bound[tb.slot], err = trans.bind(tb.trans); err != nil {
+			return false, queries, fmt.Errorf("core: rule %s: bind transition %q: %w", rule.Name, transNames[tb.trans], err)
 		}
-		if err != nil {
-			retireAll()
-			return fmt.Errorf("core: rule %s: bind transition %q: %w", rule.Name, name, err)
-		}
-		cp := src.Clone()
-		if err := cp.AppendFrom(src, nil); err != nil {
-			cp.Retire()
-			retireAll()
-			return fmt.Errorf("core: rule %s: bind transition %q: %w", rule.Name, name, err)
-		}
-		bound[name] = cp
 	}
 
 	// Bind-time commit_time instantiation. The hook runs just before the
@@ -700,19 +765,14 @@ func (e *Engine) evaluateRule(tx *txn.Txn, rule *Rule, trans *transitions) error
 	// transaction's commit time to within the commit path itself.
 	if rule.BindCommitTime {
 		now := e.clk.Now()
-		stamped := map[string]*storage.TempTable{}
-		for name, tt := range bound {
-			ext, err := withCommitTime(tt, now)
-			tt.Retire()
+		for slot, tt := range bound {
+			ext, err := withCommitTime(tt, p.sig[slot], now)
 			if err != nil {
-				for _, s := range stamped {
-					s.Retire()
-				}
-				return err
+				return false, queries, err
 			}
-			stamped[name] = ext
+			tt.Retire()
+			bound[slot] = ext
 		}
-		bound = stamped
 	}
 
 	for range bound {
@@ -720,38 +780,12 @@ func (e *Engine) evaluateRule(tx *txn.Txn, rule *Rule, trans *transitions) error
 		// charge BindRow for wiring each bound table into the task.
 		e.meter.Charge(e.model.BindRow)
 	}
-
-	if err := e.checkBindSignature(rule, fn.sig, bound); err != nil {
-		retireAll()
-		return err
-	}
-
-	return e.fire(tx, rule, fn, bound)
+	return true, queries, nil
 }
 
-// fnRefs is what a firing needs to know about its rule's function, read
-// under one shared hold of the engine lock.
-type fnRefs struct {
-	fn    ActionFunc
-	set   *uniqueSet
-	stats *fnMetrics
-	br    *breaker
-	sig   map[string]*catalog.Schema // nil before the function's first firing
-}
-
-func (e *Engine) fnRefs(action string) fnRefs {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return fnRefs{fn: e.funcs[action], set: e.sets[action], stats: e.stats[action],
-		br: e.breakers[action], sig: e.bindSig[action]}
-}
-
-// withCommitTime copies tt into a table extended by the commit_time column.
-func withCommitTime(tt *storage.TempTable, now clock.Micros) (*storage.TempTable, error) {
-	schema, err := tt.Schema().WithColumns(catalog.Column{Name: CommitTimeCol, Kind: types.KindTime})
-	if err != nil {
-		return nil, err
-	}
+// withCommitTime copies tt into a table of the given schema: tt's extended
+// by the commit_time column.
+func withCommitTime(tt *storage.TempTable, schema *catalog.Schema, now clock.Micros) (*storage.TempTable, error) {
 	n := tt.Schema().NumCols()
 	srcMap := make([]storage.ColSource, n+1)
 	nVals := 0
@@ -768,19 +802,21 @@ func withCommitTime(tt *storage.TempTable, now clock.Micros) (*storage.TempTable
 	if err != nil {
 		return nil, err
 	}
-	ts := types.Time(now)
+	out.Grow(tt.Len())
+	ptrs := make([]*storage.Record, tt.NumPtrs())
+	vals := make([]types.Value, nVals+1)
+	vals[nVals] = types.Time(now)
 	for i := 0; i < tt.Len(); i++ {
-		ptrs := make([]*storage.Record, tt.NumPtrs())
 		for p := range ptrs {
 			ptrs[p] = tt.RowPtr(i, p)
 		}
-		vals := make([]types.Value, 0, nVals+1)
+		v := 0
 		for c := 0; c < n; c++ {
 			if tt.Source(c).Ptr < 0 {
-				vals = append(vals, tt.Value(i, c))
+				vals[v] = tt.Value(i, c)
+				v++
 			}
 		}
-		vals = append(vals, ts)
 		if err := out.AppendRow(ptrs, vals); err != nil {
 			out.Retire()
 			return nil, err
@@ -789,55 +825,12 @@ func withCommitTime(tt *storage.TempTable, now clock.Micros) (*storage.TempTable
 	return out, nil
 }
 
-// checkBindSignature enforces the paper's §2 requirement: all rules that
-// execute the same user function must define their bound tables
-// identically. The first firing fixes the signature (sig is nil until then)
-// under the engine's exclusive lock; every later firing only compares
-// against that immutable map and takes no lock.
-func (e *Engine) checkBindSignature(rule *Rule, sig map[string]*catalog.Schema, bound map[string]*storage.TempTable) error {
-	if sig == nil {
-		e.mu.Lock()
-		if sig = e.bindSig[rule.Action]; sig == nil {
-			sig = make(map[string]*catalog.Schema, len(bound))
-			for name, tt := range bound {
-				sig[name] = tt.Schema()
-			}
-			e.bindSig[rule.Action] = sig
-			e.mu.Unlock()
-			return nil
-		}
-		e.mu.Unlock() // another committer fired first: check against its signature
-	}
-	if len(sig) != len(bound) {
-		return fmt.Errorf("core: rule %s binds %d tables for function %s, expected %d",
-			rule.Name, len(bound), rule.Action, len(sig))
-	}
-	for name, tt := range bound {
-		want, ok := sig[name]
-		if !ok {
-			return fmt.Errorf("core: rule %s binds unexpected table %q for function %s",
-				rule.Name, name, rule.Action)
-		}
-		if !want.Equal(tt.Schema()) {
-			return fmt.Errorf("core: rule %s binds table %q with a different definition for function %s",
-				rule.Name, name, rule.Action)
-		}
-	}
-	return nil
-}
-
-// fire creates or merges action tasks for one rule firing. The triggering
-// transaction's commit time (now, inside the commit hook) stamps the
-// moment derived data went stale.
-func (e *Engine) fire(tx *txn.Txn, rule *Rule, refs fnRefs, bound map[string]*storage.TempTable) error {
-	fn, set, stats, br := refs.fn, refs.set, refs.stats, refs.br
-	if fn == nil {
-		for _, tt := range bound {
-			tt.Retire()
-		}
-		return fmt.Errorf("core: function %q vanished", rule.Action)
-	}
-	stats.fired.Inc()
+// fire creates or merges action tasks for one rule firing; it takes over
+// the bound tables. The triggering transaction's commit time (now, inside
+// the commit hook) stamps the moment derived data went stale.
+func (e *Engine) fire(tx *txn.Txn, p *program, bound []*storage.TempTable) {
+	rule := p.rule
+	p.stats.fired.Inc()
 
 	stamp := e.clk.Now()
 	delay := rule.Delay
@@ -852,67 +845,47 @@ func (e *Engine) fire(tx *txn.Txn, rule *Rule, refs fnRefs, bound map[string]*st
 	// the transaction whose commit hook is running.
 	e.tracer.EmitSpan(stamp, obs.KindRuleFire, rule.Name, tx.ID(), tx.Trace(), tx.ID())
 
-	if !rule.Unique {
-		e.submitTask(tx, rule, fn, stats, br, bound, types.Key{}, nil, release, stamp)
-		return nil
-	}
-
-	if len(rule.UniqueOn) == 0 {
-		e.enqueueUnique(tx, rule, fn, stats, br, set, types.Key{}, bound, release, stamp)
-		return nil
-	}
-
-	parts, err := partitionByUnique(rule.UniqueOn, bound)
-	if err != nil {
-		for _, tt := range bound {
-			tt.Retire()
+	switch {
+	case !rule.Unique:
+		if p.br != nil && !p.br.allow(stamp) {
+			e.dropQuarantined(p, bound, stamp)
+			return
 		}
-		return fmt.Errorf("core: rule %s: %w", rule.Name, err)
-	}
-	for _, part := range parts {
-		// Rule-system pre-grouping of bound rows into per-key tables
-		// (paper §5.2: slightly faster than grouping in user code).
-		for _, tt := range part.bound {
-			e.meter.Charge(float64(tt.Len()) * e.model.GroupRow)
+		f := e.newFiring(tx, p, bound, types.Key{}, release, stamp)
+		p.stats.created.Inc()
+		e.submit(&f.task)
+	case len(p.unique) == 0:
+		e.enqueueUnique(tx, p, types.Key{}, bound, release, stamp)
+	default:
+		var buf splitBuf
+		s := buf.split(p, bound)
+		for key, part, ok := s.next(); ok; key, part, ok = s.next() {
+			// Rule-system pre-grouping of bound rows into per-key tables
+			// (paper §5.2: slightly faster than grouping in user code).
+			for _, tt := range part {
+				e.meter.Charge(float64(tt.Len()) * e.model.GroupRow)
+			}
+			e.enqueueUnique(tx, p, key, part, release, stamp)
 		}
-		e.enqueueUnique(tx, rule, fn, stats, br, set, part.key, part.bound, release, stamp)
 	}
-	// The originals were copied into the partitions.
-	for _, tt := range bound {
-		tt.Retire()
-	}
-	return nil
 }
 
 // enqueueUnique merges a firing into a queued unique task or creates one
 // (paper §2, §6.3: the hash table maps unique column values to the TCB).
-func (e *Engine) enqueueUnique(trig *txn.Txn, rule *Rule, fn ActionFunc, stats *fnMetrics, br *breaker, set *uniqueSet,
-	key types.Key, bound map[string]*storage.TempTable, release clock.Micros, stamp clock.Micros) {
-
+func (e *Engine) enqueueUnique(trig *txn.Txn, p *program, key types.Key, bound []*storage.TempTable, release, stamp clock.Micros) {
+	stats, set := p.stats, p.set
 	e.meter.Charge(e.model.UniqueHashLookup)
 	set.mu.Lock()
-	pending, ok := set.pending[key]
-	if ok {
-		payload := pending.Payload.(*actionPayload)
-		if trig != nil {
-			// The merged firing's updates must also be visible to the
-			// task's eventual read snapshot.
-			payload.triggers = append(payload.triggers, trig.Done())
-		}
-		merged := 0
-		err := payload.merge(bound)
-		if err == nil {
-			for _, tt := range bound {
-				merged += tt.Len()
-			}
-		}
+	if pending, ok := set.pending[key]; ok {
+		// The merged firing's updates must also be visible to the task's
+		// eventual read snapshot.
+		pending.triggers = append(pending.triggers, trig.Done())
+		merged, err := pending.merge(bound)
 		set.mu.Unlock()
-		for _, tt := range bound {
-			tt.Retire()
-		}
 		if err != nil {
-			// Defined-identically violations are caught earlier by the bind
-			// signature check; reaching here means an internal mismatch.
+			// Rules of one function define their bound tables identically
+			// (checked when they are created); reaching here means an
+			// internal mismatch.
 			panic(fmt.Sprintf("core: merge into queued task failed: %v", err))
 		}
 		e.meter.Charge(float64(merged) * e.model.MergeRow)
@@ -924,48 +897,31 @@ func (e *Engine) enqueueUnique(trig *txn.Txn, rule *Rule, fn ActionFunc, stats *
 		// The merge cross-links two chains: Trace is the merging commit's
 		// chain, Parent the queued task (whose own chain stays rooted at its
 		// first trigger). A span walk from either side finds the join.
-		var mergeTrace int64
-		if trig != nil {
-			mergeTrace = trig.Trace()
-		}
-		e.tracer.EmitSpan(stamp, obs.KindRuleMerge, rule.Action, int64(merged), mergeTrace, pending.ID)
+		e.tracer.EmitSpan(stamp, obs.KindRuleMerge, p.rule.Action, int64(merged), trig.Trace(), pending.task.ID)
 		return
 	}
 	// The breaker gates only new task creation: merging into an already
 	// admitted task (including a half-open probe) costs nothing extra and
 	// keeps that task's bound rows complete.
-	if br != nil && !br.allow(stamp) {
+	if p.br != nil && !p.br.allow(stamp) {
 		set.mu.Unlock()
-		e.dropQuarantined(rule, stats, bound, stamp)
+		e.dropQuarantined(p, bound, stamp)
 		return
 	}
-	task := e.newActionTask(trig, rule, fn, stats, br, bound, key, set, release, stamp)
-	set.pending[key] = task
+	f := e.newFiring(trig, p, bound, key, release, stamp)
+	set.pending[key] = f
 	set.mu.Unlock()
 	stats.created.Inc()
-	e.submit(task)
-}
-
-func (e *Engine) submitTask(trig *txn.Txn, rule *Rule, fn ActionFunc, stats *fnMetrics, br *breaker,
-	bound map[string]*storage.TempTable, key types.Key, set *uniqueSet, release clock.Micros, stamp clock.Micros) {
-	if br != nil && !br.allow(stamp) {
-		e.dropQuarantined(rule, stats, bound, stamp)
-		return
-	}
-	task := e.newActionTask(trig, rule, fn, stats, br, bound, key, set, release, stamp)
-	stats.created.Inc()
-	e.submit(task)
+	e.submit(&f.task)
 }
 
 // dropQuarantined discards a firing rejected by an open circuit breaker:
 // bound tables are retired and the drop is counted and traced. No staleness
 // token exists yet, so nothing else to release.
-func (e *Engine) dropQuarantined(rule *Rule, stats *fnMetrics, bound map[string]*storage.TempTable, stamp clock.Micros) {
-	for _, tt := range bound {
-		tt.Retire()
-	}
-	stats.quarantined.Inc()
-	e.tracer.Emit(stamp, obs.KindRuleQuarantine, rule.Action, 0)
+func (e *Engine) dropQuarantined(p *program, bound []*storage.TempTable, stamp clock.Micros) {
+	retireAll(bound)
+	p.stats.quarantined.Inc()
+	e.tracer.Emit(stamp, obs.KindRuleQuarantine, p.rule.Action, 0)
 }
 
 // submit hands a task to the scheduler; when the scheduler is shutting
@@ -982,151 +938,16 @@ func (e *Engine) submit(task *sched.Task) {
 	}
 }
 
-// uniqueSet is the per-function uniqueness hash table (paper §6.3). The
-// paper guards it with spinlocks; we use a mutex.
+// uniqueSet is the per-function uniqueness hash table (paper §6.3): unique
+// column values to the queued firing. The paper guards it with spinlocks;
+// we use a mutex.
 type uniqueSet struct {
 	mu      sync.Mutex
-	pending map[types.Key]*sched.Task
+	pending map[types.Key]*firing
 }
 
 func newUniqueSet() *uniqueSet {
-	return &uniqueSet{pending: make(map[types.Key]*sched.Task)}
-}
-
-// partition is one unique-column combination and its bound-table subset.
-type partition struct {
-	key   types.Key
-	bound map[string]*storage.TempTable
-}
-
-// partitionByUnique implements Appendix A: tables containing unique columns
-// (T^u) are partitioned by the distinct combinations of unique-column
-// values; tables without unique columns pass whole to every partition.
-func partitionByUnique(uniqueOn []string, bound map[string]*storage.TempTable) ([]partition, error) {
-	if len(uniqueOn) > types.MaxKeyWidth {
-		return nil, fmt.Errorf("unique column width %d exceeds %d", len(uniqueOn), types.MaxKeyWidth)
-	}
-	// Locate each unique column: (table, column index).
-	type colLoc struct {
-		table string
-		col   int
-	}
-	locs := make([]colLoc, len(uniqueOn))
-	for i, name := range uniqueOn {
-		found := false
-		for tname, tt := range bound {
-			if ci := tt.Schema().ColIndex(name); ci >= 0 {
-				if found {
-					return nil, fmt.Errorf("unique column %q appears in multiple bound tables", name)
-				}
-				locs[i] = colLoc{table: tname, col: ci}
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unique column %q not found in any bound table", name)
-		}
-	}
-	uniqueTables := map[string]bool{}
-	for _, l := range locs {
-		uniqueTables[l.table] = true
-	}
-
-	// Per-row key part for each T^u table, then the set of distinct combos
-	// = π_U of the product of T^u (columns from different tables combine
-	// freely; see Appendix A).
-	type rowKey struct {
-		tbl  string
-		keys []types.Key // per-row partial key over this table's unique cols
-	}
-	partialFor := func(tname string) []int {
-		var idxs []int
-		for i, l := range locs {
-			if l.table == tname {
-				idxs = append(idxs, i)
-			}
-		}
-		return idxs
-	}
-
-	partials := map[string]rowKey{}
-	for tname := range uniqueTables {
-		tt := bound[tname]
-		idxs := partialFor(tname)
-		keys := make([]types.Key, tt.Len())
-		for r := 0; r < tt.Len(); r++ {
-			vals := make([]types.Value, len(idxs))
-			for j, li := range idxs {
-				vals[j] = tt.Value(r, locs[li].col)
-			}
-			keys[r] = types.MakeKey(vals...)
-		}
-		partials[tname] = rowKey{tbl: tname, keys: keys}
-	}
-
-	// Enumerate distinct full keys: cross product of per-table distinct
-	// partial keys, assembled in uniqueOn order.
-	tableNames := make([]string, 0, len(uniqueTables))
-	for t := range uniqueTables {
-		tableNames = append(tableNames, t)
-	}
-	distinct := make([]map[types.Key]bool, len(tableNames))
-	order := make([][]types.Key, len(tableNames))
-	for i, t := range tableNames {
-		distinct[i] = map[types.Key]bool{}
-		for _, k := range partials[t].keys {
-			if !distinct[i][k] {
-				distinct[i][k] = true
-				order[i] = append(order[i], k)
-			}
-		}
-	}
-
-	var parts []partition
-	var build func(level int, chosen map[string]types.Key)
-	build = func(level int, chosen map[string]types.Key) {
-		if level == len(tableNames) {
-			// Assemble the full key in uniqueOn order.
-			full := make([]types.Value, len(uniqueOn))
-			for i, l := range locs {
-				part := chosen[l.table]
-				// Position of column i within its table's partial key.
-				pos := 0
-				for _, li := range partialFor(l.table) {
-					if li == i {
-						break
-					}
-					pos++
-				}
-				full[i] = part.At(pos)
-			}
-			key := types.MakeKey(full...)
-			pb := map[string]*storage.TempTable{}
-			for tname, tt := range bound {
-				clone := tt.Clone()
-				if uniqueTables[tname] {
-					pk := partials[tname].keys
-					want := chosen[tname]
-					if err := clone.AppendFrom(tt, func(r int) bool { return pk[r] == want }); err != nil {
-						panic(err) // clone is append-compatible by construction
-					}
-				} else {
-					if err := clone.AppendFrom(tt, nil); err != nil {
-						panic(err)
-					}
-				}
-				pb[tname] = clone
-			}
-			parts = append(parts, partition{key: key, bound: pb})
-			return
-		}
-		for _, k := range order[level] {
-			chosen[tableNames[level]] = k
-			build(level+1, chosen)
-		}
-	}
-	build(0, map[string]types.Key{})
-	return parts, nil
+	return &uniqueSet{pending: make(map[types.Key]*firing)}
 }
 
 // IsDeadlock reports whether err is a lock-manager deadlock abort,

@@ -749,20 +749,39 @@ func TestBindSignatureMismatch(t *testing.T) {
 		From:  []string{"new"},
 		Bind:  "matches",
 	}
-	db.mustCreate(&Rule{
+	// r1 fixed f's signature; r2 is refused when it is created, before any
+	// transaction can trigger it.
+	err := db.engine.CreateRule(&Rule{
 		Name: "r2", Table: "comp_prices", Events: []EventSpec{{Kind: Updated}},
 		Condition: []*query.Select{other},
 		Action:    "f", Unique: true,
 	})
-	db.setPrice("S1", 31) // fixes the signature via r1
-	// r2 firing must be rejected, aborting its triggering transaction.
-	tx := db.txns.Begin()
-	tbl, _ := tx.WriteTable("comp_prices")
-	recs, _ := tbl.IndexLookup("comp", types.Str("C1"))
-	if _, err := tx.Update("comp_prices", recs[0], []types.Value{types.Str("C1"), types.Float(1)}); err != nil {
+	if err == nil || !strings.Contains(err.Error(), "different definition") {
+		t.Errorf("CreateRule err = %v, want bind-signature mismatch", err)
+	}
+	if len(db.engine.Rules("comp_prices")) != 0 {
+		t.Error("the refused rule was installed")
+	}
+	// The table its function's rules were compiled for can change under
+	// them: re-created with another column, r1's `matches` no longer fits
+	// f's signature, and a commit that triggers r1 fails with that.
+	if err := db.txns.Catalog.Drop("stocks"); err != nil {
 		t.Fatal(err)
 	}
-	err := tx.Commit()
+	if err := db.txns.Store.Drop("stocks"); err != nil {
+		t.Fatal(err)
+	}
+	db.mkTable(catalog.MustSchema("stocks",
+		catalog.Column{Name: "symbol", Kind: types.KindString},
+		catalog.Column{Name: "price", Kind: types.KindInt}), "symbol")
+	db.seed("stocks", [][]types.Value{{types.Str("S1"), types.Int(30)}})
+	tx := db.txns.Begin()
+	tbl, _ := tx.WriteTable("stocks")
+	recs, _ := tbl.IndexLookup("symbol", types.Str("S1"))
+	if _, err := tx.Update("stocks", recs[0], []types.Value{types.Str("S1"), types.Int(31)}); err != nil {
+		t.Fatal(err)
+	}
+	err = tx.Commit()
 	if err == nil || !strings.Contains(err.Error(), "different definition") {
 		t.Errorf("commit err = %v, want bind-signature mismatch", err)
 	}

@@ -175,23 +175,6 @@ func (r *Rule) validate() error {
 	return nil
 }
 
-// matches reports whether the spec matches a change, where changedCols is
-// non-nil only for updates (names of columns whose values differ).
-func (e EventSpec) matches(kind EventKind, changedCols map[string]bool) bool {
-	if e.Kind != kind {
-		return false
-	}
-	if e.Kind != Updated || len(e.Columns) == 0 {
-		return true
-	}
-	for _, c := range e.Columns {
-		if changedCols[c] {
-			return true
-		}
-	}
-	return false
-}
-
 // transition table names (reserved).
 const (
 	transInserted = "inserted"

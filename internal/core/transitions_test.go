@@ -41,20 +41,25 @@ func TestTransitionsBuildOnlyWhatIsNamed(t *testing.T) {
 	}
 	tr := &transitions{protos: protos, recs: tx.Log()}
 	defer tr.retire()
-	if _, ok, _ := tr.lookup("stocks"); ok {
-		t.Fatal(`lookup("stocks") claims to be a transition table`)
+	lookup := func(name string) *storage.TempTable {
+		t.Helper()
+		tbl, tt, err := tr.Resolve(tx, name)
+		if err != nil || (tbl == nil) == (tt == nil) {
+			t.Fatalf("Resolve(%s) = %v, %v, %v", name, tbl, tt, err)
+		}
+		return tt
 	}
-	nw, ok, err := tr.lookup(transNew)
-	if !ok || err != nil {
-		t.Fatalf("lookup(new) = %v, %v", ok, err)
+	if lookup("stocks") != nil {
+		t.Fatal(`Resolve("stocks") claims to be a transition table`)
 	}
+	nw := lookup(transNew)
 	for i, name := range transNames {
 		if built := tr.built[i] != nil; built != (name == transNew) {
 			t.Errorf("after naming only `new`: %s built = %v", name, built)
 		}
 	}
-	if again, _, _ := tr.lookup(transNew); again != nw {
-		t.Error("second lookup(new) built a second table")
+	if lookup(transNew) != nw {
+		t.Error("second Resolve(new) built a second table")
 	}
 	// symbol, price, execute_order of every row, per table.
 	want := map[string][][]types.Value{
@@ -64,10 +69,7 @@ func TestTransitionsBuildOnlyWhatIsNamed(t *testing.T) {
 		transDeleted:  {{types.Str("S2"), types.Float(40), types.Int(3)}},
 	}
 	for name, rows := range want {
-		tt, ok, err := tr.lookup(name)
-		if !ok || err != nil {
-			t.Fatalf("lookup(%s) = %v, %v", name, ok, err)
-		}
+		tt := lookup(name)
 		if tt.Schema().Name() != name || tt.Schema().ColIndex(ExecuteOrderCol) != 2 {
 			t.Errorf("%s: schema %s with execute_order at %d", name, tt.Schema().Name(), tt.Schema().ColIndex(ExecuteOrderCol))
 		}
@@ -84,9 +86,9 @@ func TestTransitionsBuildOnlyWhatIsNamed(t *testing.T) {
 	}
 }
 
-// The per-table prototypes are built by the first commit that reaches a
-// rule on the table and reused by every later one; re-creating the table
-// under a new schema replaces them.
+// The per-table prototypes are built when the table's first rule is
+// created and reused by every commit and every later rule; re-creating the
+// table under a new schema replaces them.
 func TestTransitionProtosCachedPerTable(t *testing.T) {
 	db := newTestDB(t)
 	var fired int
@@ -100,18 +102,16 @@ func TestTransitionProtosCachedPerTable(t *testing.T) {
 		Condition: []*query.Select{{Star: true, From: []string{"new"}, Bind: "changed"}},
 		Action:    "count",
 	})
-	if db.engine.transProtos["stocks"] != nil {
-		t.Fatal("prototypes exist before any commit")
+	protosOf := func(table string) *transProtos { return (*db.engine.programs.Load())[table].protos }
+	first := protosOf("stocks")
+	if first == nil {
+		t.Fatal("creating the rule did not build the table's prototypes")
 	}
 	db.setPrice("S1", 31)
-	first := db.engine.transProtos["stocks"]
-	if first == nil {
-		t.Fatal("first commit did not cache the table's prototypes")
-	}
 	db.setPrice("S1", 32)
 	db.setPrice("S2", 41)
-	if db.engine.transProtos["stocks"] != first {
-		t.Error("a later commit rebuilt the prototypes")
+	if protosOf("stocks") != first {
+		t.Error("a commit rebuilt the prototypes")
 	}
 	for _, proto := range first.tables {
 		if proto.Len() != 0 {
@@ -163,7 +163,7 @@ func TestTransitionProtosCachedPerTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.drain()
-	if second := db.engine.transProtos["stocks"]; second == first || second.base.NumCols() != 3 {
+	if second := protosOf("stocks"); second == first || second.base.NumCols() != 3 {
 		t.Error("prototypes were not rebuilt for the re-created table")
 	}
 	if cols != 4 {
@@ -171,9 +171,9 @@ func TestTransitionProtosCachedPerTable(t *testing.T) {
 	}
 }
 
-// After a function's first firing fixed its bound-table signature, firings
-// are checked against it without the engine's exclusive lock: a commit that
-// fires while another goroutine holds the lock shared does not wait.
+// A function's bound-table signature is fixed, and checked, when its rules
+// are created; a firing takes no engine lock at all: a commit that fires
+// while another goroutine holds the lock does not wait.
 func TestBindSignatureCheckTakesNoExclusiveLock(t *testing.T) {
 	db := newTestDB(t)
 	db.register("noop", func(*ActionContext) error { return nil })
@@ -182,11 +182,11 @@ func TestBindSignatureCheckTakesNoExclusiveLock(t *testing.T) {
 		Condition: []*query.Select{{Star: true, From: []string{"new"}, Bind: "changed"}},
 		Action:    "noop",
 	})
-	db.setPrice("S1", 31) // first firing: fixes the signature
 	if db.engine.bindSig["noop"] == nil {
-		t.Fatal("first firing did not record the signature")
+		t.Fatal("creating the rule did not record the signature")
 	}
-	db.engine.mu.RLock() // an exclusive Lock in the commit hook would wait for this
+	db.setPrice("S1", 31)
+	db.engine.mu.Lock() // any use of the lock in the commit hook would wait for this
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -198,10 +198,10 @@ func TestBindSignatureCheckTakesNoExclusiveLock(t *testing.T) {
 	}()
 	select {
 	case <-done:
-		db.engine.mu.RUnlock()
+		db.engine.mu.Unlock()
 	case <-time.After(5 * time.Second):
-		db.engine.mu.RUnlock()
-		t.Fatal("commit waited for the engine lock while it was held shared")
+		db.engine.mu.Unlock()
+		t.Fatal("commit waited for the engine lock")
 	}
 	if st := db.engine.Stats("noop"); st.Fired != 2 {
 		t.Fatalf("fired = %d, want 2", st.Fired)

@@ -31,7 +31,7 @@ type compiled struct {
 	// items; an aggregation folds aggs per group and fills each remaining
 	// (grouped-column) item i from position repKey[i] of the group's key,
 	// built from groupBy.
-	outCols []catalog.Column
+	out     *catalog.Schema // shared by every run's result table
 	items   []lowered
 	aggs    []aggSpec
 	groupBy []lowered
@@ -292,19 +292,18 @@ func compile(orig *Select, tx *txn.Txn, srcs []*source, fixed bool) (*compiled, 
 	return c, c.lowerItems(srcs)
 }
 
-// lowerItems lowers the select list and derives the output columns. For
-// an aggregation it also decides what each aggregate item tracks: the sum
-// of an INT-kinded argument stays in int64, exact past 2^53.
-func (c *compiled) lowerItems(srcs []*source) error {
-	q := c.q
-	c.outCols = make([]catalog.Column, len(q.Items))
-	c.items = make([]lowered, len(q.Items))
+// outputSchema derives a resolved query's result schema: one column per
+// select item, named by its alias (a bare column reference defaults to the
+// column's name) and typed by the item's expression, under the query's bind
+// name.
+func outputSchema(q *Select, srcs []*source) (*catalog.Schema, error) {
+	cols := make([]catalog.Column, len(q.Items))
 	for i, it := range q.Items {
 		name := it.As
 		if name == "" {
 			cr, ok := it.Expr.(*ColRef)
 			if !ok || it.Agg != AggNone {
-				return fmt.Errorf("query: select item %d (%s) needs an alias", i, it.Expr)
+				return nil, fmt.Errorf("query: select item %d (%s) needs an alias", i, it.Expr)
 			}
 			name = cr.Col
 		}
@@ -315,7 +314,49 @@ func (c *compiled) lowerItems(srcs []*source) error {
 		case AggAvg:
 			kind = types.KindFloat
 		}
-		c.outCols[i] = catalog.Column{Name: name, Kind: kind}
+		cols[i] = catalog.Column{Name: name, Kind: kind}
+	}
+	name := q.Bind
+	if name == "" {
+		name = "result"
+	}
+	return catalog.NewSchema(name, cols)
+}
+
+// OutputSchema reports the schema a run of the query will produce, given
+// the schema of each FROM table (lookup returns nil for a name it does not
+// know). The rule system derives a rule's bound-table definitions from it
+// when the rule is created, before any run.
+func (q *Select) OutputSchema(lookup func(table string) *catalog.Schema) (*catalog.Schema, error) {
+	srcs := make([]*source, len(q.From))
+	for i, name := range q.From {
+		schema := lookup(name)
+		if schema == nil {
+			return nil, fmt.Errorf("query: table %q does not exist", name)
+		}
+		srcs[i] = &source{name: name, schema: schema}
+	}
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("query: select with empty FROM")
+	}
+	resolved, _, err := lowerQuery(q, srcs)
+	if err != nil {
+		return nil, err
+	}
+	return outputSchema(resolved, srcs)
+}
+
+// lowerItems lowers the select list and fixes the output schema. For
+// an aggregation it also decides what each aggregate item tracks: the sum
+// of an INT-kinded argument stays in int64, exact past 2^53.
+func (c *compiled) lowerItems(srcs []*source) error {
+	q := c.q
+	var err error
+	if c.out, err = outputSchema(q, srcs); err != nil {
+		return err
+	}
+	c.items = make([]lowered, len(q.Items))
+	for i, it := range q.Items {
 		c.items[i] = lower(it.Expr, srcs)
 	}
 	if !c.agg {
@@ -338,7 +379,7 @@ func (c *compiled) lowerItems(srcs []*source) error {
 		c.aggs = append(c.aggs, aggSpec{
 			item:  i,
 			agg:   it.Agg,
-			exact: it.Agg == AggSum && c.outCols[i].Kind == types.KindInt,
+			exact: it.Agg == AggSum && c.out.Col(i).Kind == types.KindInt,
 			arg:   c.items[i],
 		})
 	}

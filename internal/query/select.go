@@ -360,15 +360,7 @@ const maxOutputReserve = 1 << 10
 // prepareOutput builds the result temp table: schema, pointer slots, and
 // static map.
 func (ex *exec) prepareOutput() error {
-	name := ex.q.Bind
-	if name == "" {
-		name = "result"
-	}
-	schema, err := catalog.NewSchema(name, ex.c.outCols)
-	if err != nil {
-		return err
-	}
-
+	schema := ex.c.out
 	if ex.c.agg {
 		ex.out = storage.NewValueTempTable(schema)
 		ex.groups = newGroups(len(ex.c.groupBy), len(ex.c.aggs))
@@ -405,8 +397,8 @@ func (ex *exec) prepareOutput() error {
 		}
 		srcMap[i] = storage.FromRecord(idx, off)
 	}
-	ex.out, err = storage.NewTempTable(schema, srcMap, len(ex.ptrSlots))
-	if err != nil {
+	var err error
+	if ex.out, err = storage.NewTempTable(schema, srcMap, len(ex.ptrSlots)); err != nil {
 		return err
 	}
 	ex.ptrBuf = make([]*storage.Record, len(ex.ptrSlots))

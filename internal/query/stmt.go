@@ -53,7 +53,10 @@ func (s *UpdateStmt) Run(tx *txn.Txn) (int, error) { return s.RunParams(tx, nil)
 // RunParams is Run for a statement with placeholders; params holds the
 // run's values in placeholder order.
 func (s *UpdateStmt) RunParams(tx *txn.Txn, params []types.Value) (int, error) {
-	p, recs, r, err := collectTargets(tx, &s.plan, s.Table, s.Where, s.Set, params)
+	var cur [1]cursor
+	var buf [inlineTargets]*storage.Record
+	r := &row{cur: cur[:], params: params}
+	p, recs, err := collectTargets(tx, &s.plan, s.Table, s.Where, s.Set, r, buf[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -95,7 +98,9 @@ func (s *DeleteStmt) Run(tx *txn.Txn) (int, error) { return s.RunParams(tx, nil)
 
 // RunParams is Run for a statement with placeholders.
 func (s *DeleteStmt) RunParams(tx *txn.Txn, params []types.Value) (int, error) {
-	_, recs, _, err := collectTargets(tx, &s.plan, s.Table, s.Where, nil, params)
+	var cur [1]cursor
+	var buf [inlineTargets]*storage.Record
+	_, recs, err := collectTargets(tx, &s.plan, s.Table, s.Where, nil, &row{cur: cur[:], params: params}, buf[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -171,88 +176,86 @@ func bindDML(tbl *storage.Table, table string, where []Pred, set []SetClause) (*
 	return p, nil
 }
 
+// inlineTargets is how many target records a statement run holds without
+// allocating: a held statement through a key index finds one.
+const inlineTargets = 4
+
 // collectTargets gathers the records matching the WHERE clause before any
 // mutation (a statement must not observe its own writes mid-scan), binding
 // the statement into cache first if it has no plan for the table as it now
 // is. Indexed probes take the table's IX intent plus X locks on just the
 // probed rows, so statements targeting different rows of one table run in
 // parallel; scan-driven statements escalate to a full table X up front.
-// The returned row is positioned on the table for evaluating SET clauses.
-func collectTargets(tx *txn.Txn, cache *atomic.Pointer[dmlPlan], table string, where []Pred, set []SetClause, params []types.Value) (*dmlPlan, []*storage.Record, *row, error) {
+// r is the run's row — one cursor and the parameters — left positioned on
+// the table for evaluating SET clauses; an index probe's targets land in
+// buf.
+func collectTargets(tx *txn.Txn, cache *atomic.Pointer[dmlPlan], table string, where []Pred, set []SetClause, r *row, buf []*storage.Record) (*dmlPlan, []*storage.Record, error) {
 	model := tx.Model()
 	tx.Charge(model.StmtSetup)
 	tbl, err := tx.WriteIntent(table)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	p := cache.Load()
 	if _, nIdx := tbl.PlanStats(); p == nil || p.tbl != tbl || p.nIdx != nIdx {
 		if p, err = bindDML(tbl, table, where, set); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		cache.Store(p)
 	}
-	if len(params) < p.nParams {
-		return nil, nil, nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", p.nParams, len(params))
-	}
-	r := &row{cur: []cursor{{}}, params: params}
-
-	var recs []*storage.Record
-	match := func(rec *storage.Record) error {
-		r.cur[0].rec = rec
-		ok, err := allHold(p.filter, r)
-		if ok {
-			recs = append(recs, rec)
-		}
-		return err
+	if len(r.params) < p.nParams {
+		return nil, nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", p.nParams, len(r.params))
 	}
 
 	tx.Charge(model.OpenCursor)
+	var recs []*storage.Record
 	if p.probeCol != "" {
 		key, err := p.probeKey.eval(r)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		tx.Charge(model.IndexProbe)
-		candidates, err := lockedWriteLookup(tx, table, tbl, p.probeCol, key)
-		if err != nil {
-			return nil, nil, nil, err
+		if recs, err = lockedWriteLookup(tx, table, tbl, p.probeCol, key, buf); err != nil {
+			return nil, nil, err
 		}
-		for _, rec := range candidates {
+		for range recs {
 			tx.Charge(model.FetchCursor)
-			if err := match(rec); err != nil {
-				return nil, nil, nil, err
-			}
 		}
 	} else {
 		// No usable index: the statement reads the whole table to decide
 		// its targets, so take the full X (write-side escalation).
 		if _, err := tx.WriteTable(table); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		var scanErr error
-		tbl.Scan(func(rec *storage.Record) bool {
+		recs = tbl.AppendLive(nil)
+		for range recs {
 			tx.Charge(model.ScanRow)
-			scanErr = match(rec)
-			return scanErr == nil
-		})
-		if scanErr != nil {
-			return nil, nil, nil, scanErr
+		}
+	}
+	// Keep, in place, the candidates the residual predicates hold for.
+	keep := recs[:0]
+	for _, rec := range recs {
+		r.cur[0].rec = rec
+		ok, err := allHold(p.filter, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		if ok {
+			keep = append(keep, rec)
 		}
 	}
 	tx.Charge(model.CloseCursor)
-	return p, recs, r, nil
+	return p, keep, nil
 }
 
-// lockedWriteLookup probes the index and X-locks the rows it returns,
-// retrying when a row was replaced while the lock request waited (the
-// replacement keeps the lock ID, so the retry's re-probe is already
+// lockedWriteLookup probes the index into buf and X-locks the rows it
+// returns, retrying when a row was replaced while the lock request waited
+// (the replacement keeps the lock ID, so the retry's re-probe is already
 // covered). Persistent churn escalates to a full table X.
-func lockedWriteLookup(tx *txn.Txn, name string, tbl *storage.Table, col string, v types.Value) ([]*storage.Record, error) {
+func lockedWriteLookup(tx *txn.Txn, name string, tbl *storage.Table, col string, v types.Value, buf []*storage.Record) ([]*storage.Record, error) {
 	const maxAttempts = 3
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		recs, _ := tbl.IndexLookup(col, v)
-		out := recs[:0]
+		recs, _ := tbl.AppendIndexLookup(buf[:0], col, v)
 		stale := false
 		for _, r := range recs {
 			if err := tx.LockRecordExclusive(name, r.ID()); err != nil {
@@ -262,16 +265,16 @@ func lockedWriteLookup(tx *txn.Txn, name string, tbl *storage.Table, col string,
 				stale = true
 				break
 			}
-			out = append(out, r)
 		}
 		if !stale {
-			return out, nil
+			return recs, nil
 		}
+		buf = recs
 	}
 	if _, err := tx.WriteTable(name); err != nil {
 		return nil, err
 	}
-	recs, _ := tbl.IndexLookup(col, v)
+	recs, _ := tbl.AppendIndexLookup(buf[:0], col, v)
 	return recs, nil
 }
 

@@ -273,6 +273,22 @@ func (s *Scheduler) Pending() (delayed, ready int) {
 	return s.delay.Len(), s.ready.Len()
 }
 
+// Idle reports quiescence: no task delayed, ready or running. A running
+// task submits its follow-ups before it stops counting as running, so a
+// true answer means every task submitted so far has finished.
+func (s *Scheduler) Idle() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idleLocked(true)
+}
+
+// idleLocked is the scheduler's one idle predicate: nothing ready and
+// nothing running, and — when delayed is set — nothing waiting for its
+// release either (StopDrain does not wait for those; it abandons them).
+func (s *Scheduler) idleLocked(delayed bool) bool {
+	return s.ready.Len() == 0 && s.running == 0 && (!delayed || s.delay.Len() == 0)
+}
+
 // Step runs the next ready task at the current clock time, if any. It
 // returns the task it executed (after completion) or nil when nothing was
 // ready. Used by the virtual-time experiment driver.
@@ -692,7 +708,7 @@ func (s *Scheduler) StopDrain(timeout time.Duration) {
 		if s.releaseDueLocked(s.clk.Now()) > 0 {
 			s.cond.Broadcast()
 		}
-		idle := s.ready.Len() == 0 && s.running == 0
+		idle := s.idleLocked(false)
 		s.mu.Unlock()
 		if idle || time.Now().After(deadline) {
 			break

@@ -200,9 +200,8 @@ func (tt *TempTable) Scan(fn func(rowIdx int) bool) {
 // defined identically (same column names/kinds and same static map) — the
 // precondition STRIP imposes on bound tables of rules executing the same
 // user function (paper §2). Appended rows pin their records again on behalf
-// of tt. If rowFilter is non-nil only rows for which it returns true are
-// appended; it is used by the Appendix-A partitioning of unique columns.
-func (tt *TempTable) AppendFrom(other *TempTable, rowFilter func(rowIdx int) bool) error {
+// of tt.
+func (tt *TempTable) AppendFrom(other *TempTable) error {
 	if tt.retired {
 		return fmt.Errorf("storage: append to retired temp table %s", tt.schema.Name())
 	}
@@ -214,19 +213,52 @@ func (tt *TempTable) AppendFrom(other *TempTable, rowFilter func(rowIdx int) boo
 		return fmt.Errorf("storage: temp tables %s and %s have different static maps",
 			tt.schema.Name(), other.schema.Name())
 	}
-	n := other.n
-	if rowFilter == nil {
-		tt.Grow(n)
+	for _, r := range other.ptrs {
+		r.Pin()
 	}
-	for i := 0; i < n; i++ {
-		if rowFilter != nil && !rowFilter(i) {
-			continue
-		}
-		if err := tt.AppendRow(other.rowPtrs(i), other.rowVals(i)); err != nil {
-			return err
-		}
-	}
+	tt.ptrs = append(tt.ptrs, other.ptrs...)
+	tt.vals = append(tt.vals, other.vals...)
+	tt.n += other.n
 	return nil
+}
+
+// Copy returns a new table holding tt's rows, pinned again on its behalf.
+func (tt *TempTable) Copy() *TempTable {
+	cp := tt.Clone()
+	for _, r := range tt.ptrs {
+		r.Pin()
+	}
+	cp.n, cp.ptrs, cp.vals = tt.n, slices.Clone(tt.ptrs), slices.Clone(tt.vals)
+	return cp
+}
+
+// Split moves tt's rows into len(counts) new tables — row i goes to table
+// part[i], rows keeping their order; counts[p] says how many rows part p
+// gets — and retires tt. The rows' record pins move with them, and each new
+// table's slabs hold exactly its rows: this is the Appendix-A partitioning
+// of a bound table by unique-column values, done in one pass. The new
+// tables share one allocation.
+func (tt *TempTable) Split(part, counts []int) []TempTable {
+	out := make([]TempTable, len(counts))
+	// One slab of each kind, carved by part: the carves never grow (a
+	// later append to one reallocates it, as for any full slice).
+	ptrs := make([]*Record, len(tt.ptrs))
+	vals := make([]types.Value, len(tt.vals))
+	po, vo := 0, 0
+	for p := range out {
+		pn, vn := counts[p]*tt.nPtrs, counts[p]*tt.nVals
+		out[p] = TempTable{schema: tt.schema, srcMap: tt.srcMap, nPtrs: tt.nPtrs, nVals: tt.nVals,
+			ptrs: ptrs[po : po : po+pn], vals: vals[vo : vo : vo+vn]}
+		po, vo = po+pn, vo+vn
+	}
+	for i, p := range part[:tt.n] {
+		o := &out[p]
+		o.ptrs = append(o.ptrs, tt.rowPtrs(i)...)
+		o.vals = append(o.vals, tt.rowVals(i)...)
+		o.n++
+	}
+	tt.retired, tt.n, tt.ptrs, tt.vals = true, 0, nil, nil
+	return out
 }
 
 func (tt *TempTable) rowPtrs(i int) []*Record { return tt.ptrs[i*tt.nPtrs : (i+1)*tt.nPtrs] }

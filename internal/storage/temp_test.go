@@ -181,7 +181,7 @@ func TestAppendFrom(t *testing.T) {
 	if err := b.AppendRow([]*Record{c, o, n}, []types.Value{types.Float(0.7)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AppendFrom(b, nil); err != nil {
+	if err := a.AppendFrom(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != 2 {
@@ -191,22 +191,19 @@ func TestAppendFrom(t *testing.T) {
 	if o.Refs() != 4 { // 2 rows in a + 2 rows in b reference o once each
 		t.Errorf("o.Refs = %d, want 4", o.Refs())
 	}
-	// Filtered append.
-	a2, _ := NewTempTable(matchesSchema(), matchesSrcMap(), 3)
-	if err := a2.AppendFrom(b, func(i int) bool { return i == 1 }); err != nil {
-		t.Fatal(err)
-	}
-	if a2.Len() != 1 || a2.Value(0, 4).Float() != 0.7 {
-		t.Error("filtered AppendFrom wrong")
+	// A copy pins on its own behalf.
+	a2 := b.Copy()
+	if a2.Len() != 2 || a2.Value(1, 4).Float() != 0.7 || o.Refs() != 6 {
+		t.Errorf("Copy: %d rows, o.Refs = %d", a2.Len(), o.Refs())
 	}
 	// Mismatched schemas rejected.
 	other := NewValueTempTable(catalog.MustSchema("x", catalog.Column{Name: "y", Kind: types.KindInt}))
-	if err := a.AppendFrom(other, nil); err == nil {
+	if err := a.AppendFrom(other); err == nil {
 		t.Error("AppendFrom across schemas accepted")
 	}
 	// Mismatched static maps rejected even with equal schemas.
 	vt := NewValueTempTable(matchesSchema())
-	if err := a.AppendFrom(vt, nil); err == nil {
+	if err := a.AppendFrom(vt); err == nil {
 		t.Error("AppendFrom across static maps accepted")
 	}
 	a.Retire()
@@ -223,7 +220,7 @@ func TestClone(t *testing.T) {
 	if cl.Len() != 0 || cl.NumPtrs() != 3 || !cl.Schema().Equal(tt.Schema()) {
 		t.Error("clone shape wrong")
 	}
-	if err := tt.AppendFrom(cl, nil); err != nil {
+	if err := tt.AppendFrom(cl); err != nil {
 		t.Errorf("clone not append-compatible: %v", err)
 	}
 }
@@ -278,11 +275,18 @@ func TestQuickPinBalance(t *testing.T) {
 				return false
 			}
 		}
-		if err := b.AppendFrom(a, func(i int) bool { return i%2 == 0 }); err != nil {
+		if err := b.AppendFrom(a); err != nil {
 			return false
 		}
-		a.Retire()
-		b.Retire()
+		part := make([]int, a.Len())
+		for i := range part {
+			part[i] = i % 2
+		}
+		halves := a.Split(part, []int{(len(part) + 1) / 2, len(part) / 2})
+		c := halves[0].Copy()
+		for _, tt := range []*TempTable{a, b, c, &halves[0], &halves[1]} {
+			tt.Retire()
+		}
 		for _, r := range recs {
 			if r.Refs() != 0 {
 				return false
@@ -296,7 +300,7 @@ func TestQuickPinBalance(t *testing.T) {
 }
 
 // TestTempTableModel drives a family of identically defined temp tables
-// through random AppendRow / AppendFrom (with and without a filter) /
+// through random AppendRow / AppendFrom / Split /
 // Truncate / SortRows / Clone / Rows / Retire and checks every table
 // against a naive [][]Value copy of what it should hold. When the last
 // table is retired every contributing record's pin count must be back
@@ -362,19 +366,40 @@ func TestTempTableModel(t *testing.T) {
 				if src == p {
 					continue
 				}
-				var filter func(int) bool
-				if mod := rng.Intn(3); mod > 0 {
-					filter = func(i int) bool { return i%(mod+1) == 0 }
-				}
-				if err := p.tt.AppendFrom(src.tt, filter); err != nil {
+				if err := p.tt.AppendFrom(src.tt); err != nil {
 					t.Fatal(err)
 				}
-				for i, row := range src.ref {
-					if filter == nil || filter(i) {
-						p.ref = append(p.ref, row)
-					}
-				}
+				p.ref = append(p.ref, src.ref...)
 			case k < 8:
+				// Split consumes the table: its rows land, in order, in the
+				// part the row index picks, and the table itself is retired.
+				op = "split"
+				n := 1 + rng.Intn(3)
+				part := make([]int, len(p.ref))
+				parts := make([]*pair, n)
+				for i := range parts {
+					parts[i] = &pair{}
+				}
+				for i := range part {
+					part[i] = rng.Intn(n)
+					parts[part[i]].ref = append(parts[part[i]].ref, p.ref[i])
+				}
+				counts := make([]int, n)
+				for i := range parts {
+					counts[i] = len(parts[i].ref)
+				}
+				out := p.tt.Split(part, counts)
+				if !p.tt.Retired() {
+					t.Fatalf("step %d: Split left its source live", step)
+				}
+				live = slices.DeleteFunc(live, func(q *pair) bool { return q == p })
+				for i := range parts {
+					parts[i].tt = &out[i]
+					check(step, op, parts[i])
+					live = append(live, parts[i])
+				}
+				continue
+			case k < 9:
 				op = "truncate"
 				n := rng.Intn(len(p.ref) + 3) // sometimes past the end: a no-op
 				p.tt.Truncate(n)

@@ -445,7 +445,8 @@ const (
 // maintaining the materialized table, under the given advice and a
 // *resolved* maintenance mode (ModeDelta or ModeFull — the caller resolves
 // ModeAuto against DeltaRequirements before calling). actionName must be
-// unique per view.
+// unique per view; reg is the engine's registry, where the delta actions
+// count their runs.
 //
 // Both modes trigger on inserts, deletes, and updates of the columns the
 // view reads (value columns plus the join key, so re-keyed base rows
@@ -455,7 +456,7 @@ const (
 // partitioned by the engine's unique-on splitter, and the full rule binds
 // nothing at all. Coalesced firings merge their transition rows into the
 // queued task; the merged rows are exactly the batch's delta.
-func (sp *Spec) MaintenanceRule(actionName string, adv Advice, mode Mode) (*core.Rule, core.ActionFunc, error) {
+func (sp *Spec) MaintenanceRule(actionName string, adv Advice, mode Mode, reg *obs.Registry) (*core.Rule, core.ActionFunc, error) {
 	updateCols := append(append([]string{}, sp.baseCols...), sp.baseJoinCol)
 	rule := &core.Rule{
 		Name:  "maintain_" + sp.Name,
@@ -474,9 +475,9 @@ func (sp *Spec) MaintenanceRule(actionName string, adv Advice, mode Mode) (*core
 	case ModeDelta:
 		rule.BindTransitions = []string{transInserted, transDeleted, transNew, transOld}
 		if sp.Kind == Aggregation {
-			return rule, sp.deltaAggAction(), nil
+			return rule, sp.deltaAggAction(newDeltaCounters(reg)), nil
 		}
-		return rule, sp.deltaPerRowAction(), nil
+		return rule, sp.deltaPerRowAction(newDeltaCounters(reg)), nil
 	case ModeFull:
 		return rule, sp.fullRebuildAction(), nil
 	default:
@@ -484,116 +485,56 @@ func (sp *Spec) MaintenanceRule(actionName string, adv Advice, mode Mode) (*core
 	}
 }
 
-// retargetBase rewrites the canonicalized value expression's base-table
-// references onto a transition table.
-func (sp *Spec) retargetBase(trans string) query.Expr {
-	return query.RewriteRefs(sp.valueExpr, func(c *query.ColRef) *query.ColRef {
-		if c.Table == sp.base {
-			return query.QCol(trans, c.Col)
-		}
-		return c
-	})
+// deltaCounters are the registry's delta-maintenance counters, resolved
+// once per generated rule.
+type deltaCounters struct{ applied, rows, fallbacks *obs.Counter }
+
+func newDeltaCounters(reg *obs.Registry) deltaCounters {
+	return deltaCounters{
+		applied:   reg.Counter(obs.MDeltaApplied),
+		rows:      reg.Counter(obs.MDeltaRows),
+		fallbacks: reg.Counter(obs.MDeltaFallbacks),
+	}
 }
 
-// deltaLeaf is one transition table's contribution to an aggregation
-// delta: inserted/new rows add support, deleted/old rows subtract it.
-// Deletion of the old image plus insertion of the new one handles every
-// update uniformly — including join-key churn, which moves support from
-// one group to another.
-type deltaLeaf struct {
-	name string
-	sign float64
-	q    *query.Select
-}
-
-// aggLeaves builds the four per-leaf delta queries once, at rule
-// generation time, so every firing reuses their cached plans: each scans
-// one transition leaf and index-probes the dimension, grouping by view
-// key — an O(|leaf|) operator tree.
-func (sp *Spec) aggLeaves() []deltaLeaf {
-	leaves := []deltaLeaf{
-		{name: transInserted, sign: +1},
-		{name: transNew, sign: +1},
-		{name: transDeleted, sign: -1},
-		{name: transOld, sign: -1},
+// settle closes one delta run: count it, or — when a consistency check
+// tripped — count the fallback and rebuild the view in the same
+// transaction, so it self-heals at the cost of one O(|base|) run.
+func (c deltaCounters) settle(ctx *core.ActionContext, consumed int, err error, rebuild core.ActionFunc) error {
+	switch {
+	case err == nil:
+		c.applied.Inc()
+		c.rows.Add(int64(consumed))
+		return nil
+	case errors.Is(err, query.ErrDeltaInconsistent):
+		c.fallbacks.Inc()
+		return rebuild(ctx)
+	default:
+		return err
 	}
-	for i := range leaves {
-		l := &leaves[i]
-		l.q = &query.Select{
-			Items: []query.SelectItem{
-				query.Item(query.QCol(sp.dim, sp.keyCol.Col), "vg_key"),
-				query.AggItem(query.AggSum, sp.retargetBase(l.name), "vg_sum"),
-				query.AggItem(query.AggCount, query.Const(types.Int(1)), "vg_n"),
-			},
-			From:    []string{l.name, sp.dim},
-			Where:   []query.Pred{query.Eq(query.QCol(sp.dim, sp.dimJoinCol), query.QCol(l.name, sp.baseJoinCol))},
-			GroupBy: []*query.ColRef{query.QCol(sp.dim, sp.keyCol.Col)},
-		}
-	}
-	return leaves
 }
 
 // deltaAggAction maintains an aggregation view from its transition-table
-// deltas: each leaf query yields per-group (sum, count) contributions,
-// folded with sign into net group deltas and applied through the view's
-// key index — O(|delta|) total, however large the base table is. Any
-// consistency check tripping falls back to a full rebuild in the same
-// transaction, so the view self-heals at the cost of one O(|base|) run.
-func (sp *Spec) deltaAggAction() core.ActionFunc {
-	view, keyCol, valCol := sp.Name, sp.keyCol.Col, sp.valueName
-	leaves := sp.aggLeaves()
+// deltas through the chain query.NewAggView compiles here, once: per leaf
+// row an index probe of the dimension and a signed fold into the groups it
+// joins, then one held UPDATE per touched group — O(|delta|) total, however
+// large the base table is.
+func (sp *Spec) deltaAggAction(counters deltaCounters) core.ActionFunc {
+	view := query.NewAggView(sp.Name, sp.keyCol.Col, sp.valueName, CountColumn,
+		sp.base, sp.baseJoinCol, sp.dim, sp.dimJoinCol, sp.keyCol.Col, sp.valueExpr)
 	rebuild := sp.rebuildFn()
 	return func(ctx *core.ActionContext) error {
-		model := ctx.Model()
-		acc := map[types.Value]*query.AggDelta{}
-		var order []types.Value
-		var consumed int64
-		for _, l := range leaves {
-			tt, ok := ctx.Bound(l.name)
-			if !ok {
-				return fmt.Errorf("viewgen: view %s: transition table %q not bound", view, l.name)
-			}
-			if tt.Len() == 0 {
-				continue
-			}
-			consumed += int64(tt.Len())
-			out, err := ctx.Query(l.q)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < out.Len(); i++ {
-				ctx.Charge(model.UserGroupRow)
-				k := out.Value(i, 0)
-				d := acc[k]
-				if d == nil {
-					d = &query.AggDelta{Key: k}
-					acc[k] = d
-					order = append(order, k)
-				}
-				d.Sum += l.sign * out.Value(i, 1).Float()
-				d.Count += int64(l.sign) * out.Value(i, 2).Int()
-			}
-			out.Retire()
+		var d query.BaseDelta
+		var ok [4]bool
+		d.Inserted, ok[0] = ctx.Bound(transInserted)
+		d.New, ok[1] = ctx.Bound(transNew)
+		d.Deleted, ok[2] = ctx.Bound(transDeleted)
+		d.Old, ok[3] = ctx.Bound(transOld)
+		if ok != [4]bool{true, true, true, true} {
+			return fmt.Errorf("viewgen: view %s: transition tables not bound", sp.Name)
 		}
-		deltas := make([]query.AggDelta, 0, len(order))
-		for _, k := range order {
-			deltas = append(deltas, *acc[k])
-		}
-		reg := ctx.Txn().Manager().Obs
-		if _, err := query.ApplyAggDeltas(ctx.Txn(), view, keyCol, valCol, CountColumn, deltas); err != nil {
-			if errors.Is(err, query.ErrDeltaInconsistent) {
-				if reg != nil {
-					reg.Counter(obs.MDeltaFallbacks).Inc()
-				}
-				return rebuild(ctx)
-			}
-			return err
-		}
-		if reg != nil {
-			reg.Counter(obs.MDeltaApplied).Inc()
-			reg.Counter(obs.MDeltaRows).Add(consumed)
-		}
-		return nil
+		consumed, err := view.ApplyDelta(ctx.Txn(), d)
+		return counters.settle(ctx, consumed, err, rebuild)
 	}
 }
 
@@ -613,8 +554,9 @@ const affTable = "vg_aff"
 // maintenance rule. Base rows are read under S locks (QueryLockedWith) so
 // the recompute serializes with concurrent base writers instead of
 // overwriting their updates from a stale snapshot.
-func (sp *Spec) deltaPerRowAction() core.ActionFunc {
-	view, keyCol, valCol := sp.Name, sp.keyCol.Col, sp.valueName
+func (sp *Spec) deltaPerRowAction(counters deltaCounters) core.ActionFunc {
+	view := sp.Name
+	rows := query.NewRowView(sp.Name, sp.keyCol.Col, sp.valueName)
 	names := []string{transInserted, transNew, transDeleted, transOld}
 	// Keys of view rows that may have gone stale: groups the deleted/old
 	// images pointed at. If the base row was merely updated in place the
@@ -649,13 +591,13 @@ func (sp *Spec) deltaPerRowAction() core.ActionFunc {
 		aff := storage.NewValueTempTable(affSchema)
 		defer aff.Retire()
 		seen := map[types.Value]bool{}
-		var consumed int64
+		consumed := 0
 		for _, n := range names {
 			tt, ok := ctx.Bound(n)
 			if !ok {
 				return fmt.Errorf("viewgen: view %s: transition table %q not bound", view, n)
 			}
-			consumed += int64(tt.Len())
+			consumed += tt.Len()
 			ci := tt.Schema().ColIndex(sp.baseJoinCol)
 			for i := 0; i < tt.Len(); i++ {
 				ctx.Charge(model.UserGroupRow)
@@ -711,21 +653,8 @@ func (sp *Spec) deltaPerRowAction() core.ActionFunc {
 				live = append(live, k)
 			}
 		}
-		reg := ctx.Txn().Manager().Obs
-		if _, err := query.ApplyRowDeltas(ctx.Txn(), view, keyCol, valCol, fresh, live); err != nil {
-			if errors.Is(err, query.ErrDeltaInconsistent) {
-				if reg != nil {
-					reg.Counter(obs.MDeltaFallbacks).Inc()
-				}
-				return rebuild(ctx)
-			}
-			return err
-		}
-		if reg != nil {
-			reg.Counter(obs.MDeltaApplied).Inc()
-			reg.Counter(obs.MDeltaRows).Add(consumed)
-		}
-		return nil
+		_, err = rows.Apply(ctx.Txn(), fresh, live)
+		return counters.settle(ctx, consumed, err, rebuild)
 	}
 }
 
@@ -735,7 +664,7 @@ func (sp *Spec) deltaPerRowAction() core.ActionFunc {
 // rebuilds), re-run the defining query under S locks so committed base
 // state — not the action's begin snapshot — is what gets materialized,
 // and reload the rows.
-func (sp *Spec) rebuildFn() func(ctx *core.ActionContext) error {
+func (sp *Spec) rebuildFn() core.ActionFunc {
 	view := sp.Name
 	load := sp.LoadQuery()
 	return func(ctx *core.ActionContext) error {
@@ -768,7 +697,4 @@ func (sp *Spec) rebuildFn() func(ctx *core.ActionContext) error {
 
 // fullRebuildAction is the ModeFull maintenance action: every firing
 // rebuilds the view wholesale — the O(|base|) baseline.
-func (sp *Spec) fullRebuildAction() core.ActionFunc {
-	rebuild := sp.rebuildFn()
-	return func(ctx *core.ActionContext) error { return rebuild(ctx) }
-}
+func (sp *Spec) fullRebuildAction() core.ActionFunc { return sp.rebuildFn() }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/clock"
+	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -205,7 +206,8 @@ func TestMaintenanceRuleShape(t *testing.T) {
 	}
 	adv := sp.Advise(Stats{UpdateRate: 33, FanOut: 12, Groups: 400, MaxStaleness: clock.FromSeconds(3)})
 
-	rule, fn, err := sp.MaintenanceRule("maintain_cp", adv, ModeDelta)
+	reg := obs.NewRegistry()
+	rule, fn, err := sp.MaintenanceRule("maintain_cp", adv, ModeDelta, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestMaintenanceRuleShape(t *testing.T) {
 		t.Errorf("maintenance = %q", rule.Maintenance)
 	}
 
-	full, ffn, err := sp.MaintenanceRule("maintain_cp", adv, ModeFull)
+	full, ffn, err := sp.MaintenanceRule("maintain_cp", adv, ModeFull, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +260,7 @@ func TestMaintenanceRuleShape(t *testing.T) {
 		t.Errorf("maintenance = %q", full.Maintenance)
 	}
 
-	if _, _, err := sp.MaintenanceRule("maintain_cp", adv, ModeAuto); err == nil {
+	if _, _, err := sp.MaintenanceRule("maintain_cp", adv, ModeAuto, reg); err == nil {
 		t.Error("unresolved ModeAuto accepted")
 	}
 }

@@ -586,6 +586,13 @@ func (db *DB) CreateTable(name string, cols ...Column) error {
 	if err := db.writable("create table"); err != nil {
 		return err
 	}
+	return db.defineTable(schema)
+}
+
+// defineTable registers an empty table for the schema in the catalog and
+// the store and logs the DDL, unwinding the first two if the log refuses.
+func (db *DB) defineTable(schema *catalog.Schema) error {
+	name := schema.Name()
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
 	if err := db.txns.Catalog.Define(schema); err != nil {
@@ -811,28 +818,23 @@ func (db *DB) NextTaskTime() (int64, bool) { return db.sched.NextEventTime() }
 // PendingTasks reports (delayed, ready) queue sizes.
 func (db *DB) PendingTasks() (int, int) { return db.sched.Pending() }
 
-// WaitIdle drains ready tasks in live mode by polling the scheduler until
-// both queues are empty (test/demo helper).
+// WaitIdle returns when the scheduler is idle — no task delayed, ready or
+// still running (test/demo helper). In virtual mode it is the driver: it
+// runs what is ready and jumps the clock to the next release.
 func (db *DB) WaitIdle() {
-	for {
-		d, r := db.sched.Pending()
-		if d == 0 && r == 0 {
-			return
-		}
-		if !db.live {
-			// Virtual mode: run what is ready; if only delayed tasks
-			// remain, jump the clock to the next release.
-			if db.RunReady() == 0 {
-				if when, ok := db.sched.NextEventTime(); ok {
-					db.vclk.AdvanceTo(when)
-				} else {
-					return
-				}
-			}
+	for !db.sched.Idle() {
+		if db.live {
+			// The worker pool is draining; yield.
+			liveYield()
 			continue
 		}
-		// Live mode: the worker pool is draining; yield.
-		liveYield()
+		if db.RunReady() == 0 {
+			when, ok := db.sched.NextEventTime()
+			if !ok {
+				return
+			}
+			db.vclk.AdvanceTo(when)
+		}
 	}
 }
 

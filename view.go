@@ -116,21 +116,28 @@ func (db *DB) CreateMaterializedView(name string, def *Select, opts ViewOptions)
 		return nil, err
 	}
 
-	if err := db.txns.Catalog.Define(schema); err != nil {
+	// The view is an ordinary logged table: its DDL, its index and its
+	// initial rows go through the write-ahead log like the maintenance
+	// commits that follow, so recovery and a standby replay all of them.
+	if err := db.defineTable(schema); err != nil {
 		return nil, err
 	}
-	tbl, err := db.txns.Store.Create(schema)
-	if err != nil {
-		db.txns.Catalog.Drop(name) //nolint:errcheck
-		return nil, err
-	}
-	if err := db.CreateIndex(name, spec.KeyColumn(), "hash"); err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if _, err := tbl.Insert(row); err != nil {
-			return nil, err
+	load := func() error {
+		if err := db.CreateIndex(name, spec.KeyColumn(), "hash"); err != nil {
+			return err
 		}
+		tx := db.Begin()
+		for _, row := range rows {
+			if _, err := tx.Insert(name, row); err != nil {
+				tx.Abort() //nolint:errcheck
+				return err
+			}
+		}
+		return tx.Commit()
+	}
+	if err := load(); err != nil {
+		db.DropTable(name) //nolint:errcheck // best-effort unwind, as in CreateTable
+		return nil, err
 	}
 
 	// Advise batching from data statistics plus caller-provided rates.
@@ -154,7 +161,7 @@ func (db *DB) CreateMaterializedView(name string, def *Select, opts ViewOptions)
 	})
 
 	action := "maintain_" + name + "_fn"
-	rule, fn, err := spec.MaintenanceRule(action, adv, mode)
+	rule, fn, err := spec.MaintenanceRule(action, adv, mode, db.obs)
 	if err != nil {
 		return nil, err
 	}

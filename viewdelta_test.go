@@ -4,10 +4,25 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/stripdb/strip/internal/obs"
 )
+
+// viewDefs are the oracle's two view shapes.
+var viewDefs = map[string]string{
+	"agg": `
+	  select comp, sum(price * weight) as price
+	  from stocks, comps_list
+	  where stocks.symbol = comps_list.symbol
+	  group by comp`,
+	"perrow": `
+	  select opt, vd_intrinsic(price, strike) as v
+	  from stocks, opts
+	  where stocks.symbol = opts.symbol`,
+}
 
 // viewDB builds one engine with the oracle's schema, seed data, and a
 // materialized view of the requested shape and maintenance mode.
@@ -31,11 +46,10 @@ func viewDB(t *testing.T, shape string, mode ViewMode) *DB {
 				db.MustExec(fmt.Sprintf(`insert into comps_list values ('C%d', 'S%d', 0.%d5)`, c, s, c+1))
 			}
 		}
-		def = mustSelect(t, `
-		  select comp, sum(price * weight) as price
-		  from stocks, comps_list
-		  where stocks.symbol = comps_list.symbol
-		  group by comp`)
+		// CX holds only symbols the random operations never touch: the
+		// oracle scripts its birth, death and re-keying.
+		db.MustExec(`insert into comps_list values ('CX', 'S20', 0.5), ('CX', 'S21', 0.25)`)
+		def = mustSelect(t, viewDefs["agg"])
 	} else {
 		RegisterScalarFunc("vd_intrinsic", func(args []Value) (Value, error) {
 			v := args[0].Float() - args[1].Float()
@@ -49,10 +63,8 @@ func viewDB(t *testing.T, shape string, mode ViewMode) *DB {
 		for o := 0; o < 16; o++ {
 			db.MustExec(fmt.Sprintf(`insert into opts values ('O%d', 'S%d', %d)`, o, o%12, 8+o))
 		}
-		def = mustSelect(t, `
-		  select opt, vd_intrinsic(price, strike) as v
-		  from stocks, opts
-		  where stocks.symbol = opts.symbol`)
+		db.MustExec(`insert into opts values ('OX', 'S20', 3), ('OY', 'S21', 4)`)
+		def = mustSelect(t, viewDefs["perrow"])
 	}
 	vi, err := db.CreateMaterializedView("v", def, ViewOptions{Mode: mode})
 	if err != nil {
@@ -86,16 +98,50 @@ func viewContents(t *testing.T, db *DB, shape string) map[string]float64 {
 // TestDeltaFullEquivalenceOracle drives identical randomized batches of
 // base-table inserts, deletes, price updates, and join-key re-keys through
 // two engines — one maintaining the view from transition deltas, one
-// rebuilding it wholesale — and requires identical view contents after
-// every settled batch, for both supported view shapes. The delta engine
-// must also actually run on the delta path: applied firings and zero
-// consistency fallbacks.
+// rebuilding it wholesale — and requires identical view contents, equal to
+// a fresh evaluation of the defining query, after every settled batch, for
+// both supported view shapes. A batch's firings merge into one maintenance
+// task (the view's window is longer than a batch), scripted steps make a
+// group appear, die, come back and lose its rows by re-keying, and all the
+// while another goroutine writes the dimension — rows that join nothing, so
+// the view's contents do not depend on them, but which go through the very
+// index the delta chain probes. The delta engine must also actually run on
+// the delta path: applied firings and zero consistency fallbacks.
 func TestDeltaFullEquivalenceOracle(t *testing.T) {
 	for _, shape := range []string{"agg", "perrow"} {
 		t.Run(shape, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
 			delta := viewDB(t, shape, ViewModeDelta)
 			full := viewDB(t, shape, ViewModeFull)
+
+			// The dimension writer.
+			dimRow, dimDel := `insert into comps_list values ('CZ', 'Z9', 1.0)`, `delete from comps_list where symbol = 'Z9'`
+			if shape != "agg" {
+				dimRow, dimDel = `insert into opts values ('OZ', 'Z9', 1)`, `delete from opts where symbol = 'Z9'`
+			}
+			stop := make(chan struct{})
+			var writers sync.WaitGroup
+			for _, db := range []*DB{delta, full} {
+				writers.Add(1)
+				go func() {
+					defer writers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, sql := range []string{dimRow, dimDel} {
+							if _, err := db.Exec(sql); err != nil {
+								t.Errorf("dimension writer: %v", err)
+								return
+							}
+						}
+					}
+				}()
+			}
+			defer writers.Wait()
+			defer close(stop)
 
 			live := map[string]bool{}
 			for i := 0; i < 8; i++ {
@@ -121,7 +167,25 @@ func TestDeltaFullEquivalenceOracle(t *testing.T) {
 				delta.MustExec(sql)
 				full.MustExec(sql)
 			}
+			// The scripted life of the group (agg: CX) or view rows (perrow:
+			// OX, OY) over S20 and S21, by batch.
+			script := map[int]string{
+				2:  `insert into stocks values ('S20', 12)`,                 // birth
+				5:  `insert into stocks values ('S21', 20)`,                 // a second base row joins
+				8:  `delete from stocks where symbol = 'S20'`,               // one leaves
+				11: `delete from stocks where symbol = 'S21'`,               // death
+				14: `insert into stocks values ('S21', 8)`,                  // rebirth
+				17: `update stocks set symbol = 'S20' where symbol = 'S21'`, // re-keyed within the group
+				20: `update stocks set symbol = 'S22' where symbol = 'S20'`, // re-keyed out of it: death again
+			}
+			scripted, born, died := "CX", 0, 0
+			if shape != "agg" {
+				scripted = "OX"
+			}
 			for batch := 0; batch < 25; batch++ {
+				if sql, ok := script[batch]; ok {
+					both(sql)
+				}
 				for op := 0; op < 1+rng.Intn(4); op++ {
 					switch r := rng.Intn(10); {
 					case r < 4: // price update
@@ -154,16 +218,28 @@ func TestDeltaFullEquivalenceOracle(t *testing.T) {
 				full.WaitIdle()
 				want := viewContents(t, full, shape)
 				got := viewContents(t, delta, shape)
-				if len(got) != len(want) {
-					t.Fatalf("batch %d: delta view has %d rows, full has %d\n delta=%v\n full=%v",
-						batch, len(got), len(want), got, want)
+				def := map[string]float64{}
+				for _, r := range delta.MustExec(viewDefs[shape]).Rows {
+					def[r[0].Str()] = r[1].Float()
+				}
+				if len(got) != len(want) || len(def) != len(want) {
+					t.Fatalf("batch %d: delta view has %d rows, full has %d, the defining query %d\n delta=%v\n full=%v\n query=%v",
+						batch, len(got), len(want), len(def), got, want, def)
 				}
 				for k, w := range want {
 					g, ok := got[k]
-					if !ok || math.Abs(g-w) > 1e-6*(1+math.Abs(w)) {
-						t.Fatalf("batch %d key %s: delta=%v full=%v", batch, k, g, w)
+					if d, inDef := def[k]; !ok || !inDef || math.Abs(g-w) > 1e-6*(1+math.Abs(w)) || math.Abs(d-w) > 1e-6*(1+math.Abs(w)) {
+						t.Fatalf("batch %d key %s: delta=%v full=%v query=%v", batch, k, g, w, d)
 					}
 				}
+				if _, alive := got[scripted]; alive && born == died {
+					born++
+				} else if !alive && born > died {
+					died++
+				}
+			}
+			if born != 2 || died != 2 {
+				t.Errorf("%s was born %d times and died %d times, want 2 and 2", scripted, born, died)
 			}
 
 			dm := delta.Metrics().Counters
@@ -172,6 +248,9 @@ func TestDeltaFullEquivalenceOracle(t *testing.T) {
 			}
 			if dm[obs.MDeltaFallbacks] != 0 {
 				t.Errorf("delta engine fell back %d times", dm[obs.MDeltaFallbacks])
+			}
+			if merged := delta.Stats("maintain_v_fn").TasksMerged; merged == 0 {
+				t.Error("no batch merged several firings into one maintenance task")
 			}
 			fm := full.Metrics().Counters
 			if fm[obs.MDeltaApplied] != 0 {
@@ -231,5 +310,49 @@ func TestDeltaFallbackRepairsView(t *testing.T) {
 	}
 	if db.Stats("maintain_v_fn").TaskErrors != 0 {
 		t.Errorf("fallback surfaced as task error")
+	}
+}
+
+// The generated delta action for a one-row update that touches two groups
+// — begin, two index probes, two held updates, commit — stays under its
+// allocation ceiling (165 allocations when each leaf was a planned GROUP BY
+// select and each group's update a freshly built statement).
+func TestViewDeltaActionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	db := viewDB(t, "agg", ViewModeDelta)
+	price := 100
+	run := func() float64 {
+		price++
+		db.MustExec(fmt.Sprintf(`update stocks set price = %d where symbol = 'S2'`, price)) // in C0 and C2
+		when, ok := db.NextTaskTime()
+		if !ok {
+			t.Fatal("the update queued no maintenance task")
+		}
+		db.AdvanceTo(when)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := db.RunReady()
+		runtime.ReadMemStats(&after)
+		if n != 1 {
+			t.Fatalf("%d tasks ran, want the one maintenance task", n)
+		}
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	run()
+	const runs = 100
+	total := 0.0
+	for i := 0; i < runs; i++ {
+		total += run()
+	}
+	if got := total / runs; got > 40 {
+		t.Errorf("the view delta action allocates %.1f times per run, ceiling 40", got)
+	} else {
+		t.Logf("%.1f allocations per run", got)
+	}
+	if n := db.Metrics().Counters[obs.MDeltaFallbacks]; n != 0 {
+		t.Errorf("%d delta fallbacks", n)
 	}
 }
