@@ -132,6 +132,7 @@ func main() {
 				st.Primary, st.Connected, st.Resyncing, st.Fenced, st.Promoted)
 			fmt.Printf("  epoch         %d\n", st.Epoch)
 			fmt.Printf("  applied lsn   %d (primary %d, lag %d records)\n", st.AppliedLSN, st.PrimaryLSN, st.LagLSN)
+			fmt.Printf("  durable lsn   %d (fsynced in this replica's own log)\n", st.DurableLSN)
 			if st.LagMicros >= 0 {
 				fmt.Printf("  lag           %d µs\n", st.LagMicros)
 			} else {

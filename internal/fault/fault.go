@@ -40,9 +40,10 @@ const (
 	SchedWorkerStall Point = "sched.worker_stall"
 	// ActionPanic panics inside a rule action's user function.
 	ActionPanic Point = "core.action_panic"
-	// WalSyncFail fails one group-commit fsync. The injected failure is
-	// transient: the batch rolls back (truncate) and later batches proceed,
-	// unlike a real fsync error which permanently fails the log.
+	// WalSyncFail fails one WAL fsync. The injected failure is transient: a
+	// group-commit batch rolls back (truncate), a replica's cadence sync
+	// keeps its bytes for the next one, and later syncs proceed — unlike a
+	// real fsync error, which permanently fails the log.
 	WalSyncFail Point = "wal.sync_fail"
 	// IndexCorruptRow makes an index probe return a wrong row: storage's
 	// index lookups swap a random other record into the result. Probe

@@ -152,7 +152,9 @@ const (
 	// repl.* instruments WAL-shipping replication. On a follower,
 	// MReplLagLSN gauges primary-LSN minus applied-LSN and MReplLagMs
 	// gauges wall-clock staleness of the last received batch; both feed
-	// db.Staleness("repl"). Shipper-side counters account frames/bytes
+	// db.Staleness("repl"); MReplUnsyncedBytes gauges the applied frames its
+	// log has written but not yet fsynced and MReplLogSyncs counts the
+	// fsyncs that caught up. Shipper-side counters account frames/bytes
 	// shipped to followers.
 	MReplLagLSN       = "repl.lag_lsn"
 	MReplLagMs        = "repl.lag_ms"
@@ -167,6 +169,8 @@ const (
 	MReplStreams      = "repl.streams"
 	MReplShippedBytes = "repl.shipped_bytes"
 	MReplShippedSnaps = "repl.shipped_snapshots"
+	MReplUnsynced     = "repl.unsynced_bytes"
+	MReplLogSyncs     = "repl.log_syncs"
 
 	// storage.* self-validation: MStorageIndexCorrupt counts index probes
 	// whose returned row failed key re-verification (see the

@@ -67,6 +67,9 @@ type Status struct {
 	Promoted   bool   `json:"promoted"`
 	Epoch      uint64 `json:"epoch"`
 	AppliedLSN uint64 `json:"applied_lsn"`
+	// DurableLSN is the newest LSN fsynced in the replica's own log; it
+	// trails AppliedLSN by at most one heartbeat of frames.
+	DurableLSN uint64 `json:"durable_lsn"`
 	PrimaryLSN uint64 `json:"primary_lsn"`
 	LagLSN     uint64 `json:"lag_lsn"`
 	LagMicros  int64  `json:"lag_micros"`
@@ -89,6 +92,7 @@ type Follower struct {
 	stale *obs.Staleness
 
 	applied    atomic.Uint64 // newest applied (and published) LSN
+	durable    atomic.Uint64 // newest LSN fsynced in the local log
 	primaryLSN atomic.Uint64 // newest durable LSN reported by the primary
 	lastWall   atomic.Int64  // primary wall clock at the last batch, unix micros
 	connected  atomic.Bool
@@ -97,19 +101,30 @@ type Follower struct {
 	promoted   atomic.Bool
 	reconnects atomic.Int64
 	resyncs    atomic.Int64
-	stats      wal.RecoveryStats // replay-loop private (single goroutine)
-	lastErr    atomic.Value      // string
-	stop       chan struct{}
-	done       chan struct{}
-	closeOnce  sync.Once
-	connMu     sync.Mutex
-	conn       net.Conn
+	lastErr    atomic.Value // string
+
+	// Replay-loop private (single goroutine; Promote reads them only after
+	// the loop has exited). unsynced counts the applied bytes the log has
+	// written but not fsynced; lastSync is when it last caught up.
+	stats    wal.RecoveryStats
+	unsynced int64
+	lastSync time.Time
+
+	// Instruments of the per-batch path, resolved once.
+	mApplied, mBytes, mBatches, mHeartbeats, mLogSyncs *obs.Counter
+	gLagLSN, gLagMs, gUnsynced                         *obs.Gauge
+
+	stop      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
+	connMu    sync.Mutex
+	conn      net.Conn
 }
 
 // NewFollower builds a follower over an engine's recovered state. The
 // engine must have a durable data directory (log): every received frame is
-// persisted locally before it is applied, which is what makes replica
-// crash/restart resume cleanly.
+// written to it before it is applied and fsynced on the heartbeat cadence,
+// which is what makes replica crash/restart resume from its own LSN.
 func NewFollower(cfg Config, log *wal.Log, cat *catalog.Catalog, store *storage.Store, mgr *txn.Manager, reg *obs.Registry) *Follower {
 	cfg = cfg.withDefaults()
 	if reg == nil {
@@ -125,8 +140,19 @@ func NewFollower(cfg Config, log *wal.Log, cat *catalog.Catalog, store *storage.
 		stale: reg.Staleness(StalenessFunc),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
+
+		lastSync:    time.Now(),
+		mApplied:    reg.Counter(obs.MReplApplied),
+		mBytes:      reg.Counter(obs.MReplBytes),
+		mBatches:    reg.Counter(obs.MReplBatches),
+		mHeartbeats: reg.Counter(obs.MReplHeartbeats),
+		mLogSyncs:   reg.Counter(obs.MReplLogSyncs),
+		gLagLSN:     reg.Gauge(obs.MReplLagLSN),
+		gLagMs:      reg.Gauge(obs.MReplLagMs),
+		gUnsynced:   reg.Gauge(obs.MReplUnsynced),
 	}
 	f.applied.Store(log.NextLSN() - 1)
+	f.durable.Store(log.NextLSN() - 1)
 	f.lastErr.Store("")
 	return f
 }
@@ -137,7 +163,7 @@ func (f *Follower) Start() {
 }
 
 // Close stops the replication loop and waits for it to drain the batch it
-// is applying. Idempotent.
+// is applying and fsync the log behind it. Idempotent.
 func (f *Follower) Close() {
 	f.closeOnce.Do(func() {
 		close(f.stop)
@@ -151,12 +177,17 @@ func (f *Follower) Close() {
 }
 
 // Promote turns the follower into a standalone primary: the replication
-// loop stops (draining any batch mid-apply), and a bumped fencing epoch is
-// stamped durably into the local WAL so the old primary — whose epoch is
-// now stale — is rejected if it ever offers or requests frames. The caller
-// flips the engine writable after this returns.
+// loop stops (draining any batch mid-apply), every applied frame is made
+// durable, and then a bumped fencing epoch is stamped durably into the local
+// WAL so the old primary — whose epoch is now stale — is rejected if it ever
+// offers or requests frames. The caller flips the engine writable after this
+// returns.
 func (f *Follower) Promote() (epoch uint64, err error) {
 	f.Close()
+	// The loop synced as it exited; this retries a sync that failed there.
+	if err := f.syncLog(); err != nil {
+		return 0, fmt.Errorf("repl: promote: %w", err)
+	}
 	epoch, err = f.log.BumpEpoch()
 	if err != nil {
 		return 0, fmt.Errorf("repl: promote: %w", err)
@@ -212,6 +243,7 @@ func (f *Follower) Status() Status {
 		Promoted:   f.promoted.Load(),
 		Epoch:      f.log.Epoch(),
 		AppliedLSN: applied,
+		DurableLSN: f.durable.Load(),
 		PrimaryLSN: plsn,
 		LagLSN:     lagLSN,
 		LagMicros:  lagMicros,
@@ -246,6 +278,12 @@ func (f *Follower) run() {
 		start := time.Now()
 		err := f.streamOnce()
 		f.connected.Store(false)
+		// The stream is over: what it applied becomes durable before the next
+		// connection (whose first act may be a resync), and before Close or
+		// Promote — which wait for this loop — return.
+		if serr := f.syncLog(); err == nil {
+			err = serr
+		}
 		if err != nil {
 			f.lastErr.Store(err.Error())
 			if errors.Is(err, ErrFenced) {
@@ -394,12 +432,22 @@ func (f *Follower) frameError(typ byte, payload []byte, expected string) error {
 	return fmt.Errorf("repl: expected %s frame, got 0x%02x", expected, typ)
 }
 
-// applyBatch persists and replays one REPL_BATCH. Frames at or below the
-// applied LSN are filtered out first — a reconnect may replay a segment
-// the follower already has, and applying it twice would duplicate rows —
-// then the rest is made durable in the local log BEFORE it is applied
-// (write-ahead), and finally the new applied LSN is published so snapshot
-// readers advance atomically to the batch boundary.
+// applyBatch writes, replays and publishes one REPL_BATCH. Frames at or
+// below the applied LSN are filtered out first — a reconnect may replay a
+// segment the follower already has, and applying it twice would duplicate
+// rows — then the rest is written to the local log BEFORE it is applied
+// (so the file is always a superset of what readers have seen), and finally
+// the new applied LSN is published so snapshot readers advance atomically to
+// the batch boundary.
+//
+// The log is fsynced on the heartbeat cadence, not per batch: when a
+// heartbeat arrives (the stream has been idle for cfg.Heartbeat) and when
+// cfg.Heartbeat has passed since the last sync while frames keep arriving.
+// Nothing here is ever acknowledged to the primary, this process's state
+// dies with it, and the primary's log — which ships only fsynced frames —
+// is the upstream backup: after an operating-system crash the replica
+// restarts at most one heartbeat behind what it had served and re-streams
+// the difference.
 func (f *Follower) applyBatch(primaryLast uint64, wall int64, frames []byte) error {
 	applied := f.applied.Load()
 	keep := frames
@@ -428,13 +476,15 @@ func (f *Follower) applyBatch(primaryLast uint64, wall int64, frames []byte) err
 
 	if len(keep) > 0 {
 		if err := f.log.AppendFrames(keep, maxLSN); err != nil {
-			return fmt.Errorf("repl: persist batch: %w", err)
+			return fmt.Errorf("repl: write batch: %w", err)
 		}
+		f.unsynced += int64(len(keep))
+		f.gUnsynced.Set(f.unsynced)
 		records := 0
 		for off := 0; off < len(keep); {
 			kind, lsn, body, next, ok := wal.ParseFrame(keep, off)
 			if !ok {
-				return fmt.Errorf("repl: corrupt frame after persist at offset %d", off)
+				return fmt.Errorf("repl: corrupt frame after write at offset %d", off)
 			}
 			if err := wal.ApplyRecord(kind, lsn, body, f.cat, f.store, &f.stats); err != nil {
 				return fmt.Errorf("repl: apply lsn %d: %w", lsn, err)
@@ -449,11 +499,11 @@ func (f *Follower) applyBatch(primaryLast uint64, wall int64, frames []byte) err
 		}
 		f.applied.Store(maxLSN)
 		f.mgr.SeedLSN(maxLSN)
-		f.reg.Counter(obs.MReplApplied).Add(int64(records))
-		f.reg.Counter(obs.MReplBytes).Add(int64(len(keep)))
-		f.reg.Counter(obs.MReplBatches).Inc()
+		f.mApplied.Add(int64(records))
+		f.mBytes.Add(int64(len(keep)))
+		f.mBatches.Inc()
 	} else {
-		f.reg.Counter(obs.MReplHeartbeats).Inc()
+		f.mHeartbeats.Inc()
 	}
 
 	if primaryLast > f.primaryLSN.Load() {
@@ -461,21 +511,46 @@ func (f *Follower) applyBatch(primaryLast uint64, wall int64, frames []byte) err
 	}
 	f.lastWall.Store(wall)
 	now := f.wallNow()
-	applied = f.applied.Load()
 	var lagLSN int64
-	if p := f.primaryLSN.Load(); p > applied {
-		lagLSN = int64(p - applied)
+	if p := f.primaryLSN.Load(); p > maxLSN {
+		lagLSN = int64(p - maxLSN)
 	}
-	f.reg.Gauge(obs.MReplLagLSN).Set(lagLSN)
+	f.gLagLSN.Set(lagLSN)
 	lagMs := (now - wall) / 1000
 	if lagMs < 0 {
 		lagMs = 0
 	}
-	f.reg.Gauge(obs.MReplLagMs).Set(lagMs)
+	f.gLagMs.Set(lagMs)
 	// Each batch is one staleness sample: the derived data here is the
 	// whole replica, stale by (local now − primary wall at send).
 	tok := f.stale.Track(wall)
 	f.stale.Observe(tok, now)
+
+	if len(keep) == 0 || time.Since(f.lastSync) >= f.cfg.Heartbeat {
+		// An injected sync failure keeps the bytes and is retried at the next
+		// cadence point; only the log's sticky error ends the stream.
+		if err := f.syncLog(); err != nil && f.log.Err() != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// syncLog fsyncs the local log if it holds applied frames that are not yet
+// durable, and then advances the durable LSN to the applied one.
+func (f *Follower) syncLog() error {
+	f.lastSync = time.Now()
+	if f.unsynced == 0 {
+		return nil
+	}
+	if err := f.log.SyncFrames(); err != nil {
+		f.lastErr.Store(err.Error())
+		return fmt.Errorf("repl: sync log: %w", err)
+	}
+	f.unsynced = 0
+	f.gUnsynced.Set(0)
+	f.durable.Store(f.applied.Load())
+	f.mLogSyncs.Inc()
 	return nil
 }
 
@@ -510,7 +585,10 @@ func (f *Follower) installSnapshot(raw []byte, snapLSN uint64) error {
 	if err := f.log.ResetForResync(lsn); err != nil {
 		return err
 	}
+	f.unsynced = 0
+	f.gUnsynced.Set(0)
 	f.applied.Store(lsn)
+	f.durable.Store(lsn)
 	f.mgr.SeedLSN(lsn)
 	f.resyncs.Add(1)
 	f.reg.Counter(obs.MReplResyncs).Inc()

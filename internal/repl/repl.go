@@ -13,10 +13,13 @@
 //
 // Robustness model:
 //
-//   - Replica crash: the follower persists every received frame to its own
-//     local WAL before applying it, so restart recovers from its snapshot +
-//     log tail (same torn-tail truncation as a primary) and resumes
-//     streaming from its own applied LSN.
+//   - Replica crash: the follower writes every received frame to its own
+//     local WAL before applying it and fsyncs that log on the heartbeat
+//     cadence (and at stream end, Close and Promote), so restart recovers
+//     from its snapshot + log tail (same torn-tail truncation as a primary)
+//     and resumes streaming from its own recovered LSN — after an
+//     operating-system crash, at most one heartbeat behind what it had
+//     served; the primary's log is the upstream backup for the difference.
 //   - Primary disconnect: capped-backoff reconnect. The stream request
 //     carries the follower's LSN; replay is idempotent because frames at or
 //     below it are filtered out.

@@ -27,12 +27,17 @@ type env struct {
 	wal   *wal.Log
 }
 
-func openEnv(t *testing.T, dir string) *env {
+func openEnv(t testing.TB, dir string) *env {
+	t.Helper()
+	return openEnvOpts(t, dir, wal.Options{})
+}
+
+func openEnvOpts(t testing.TB, dir string, opts wal.Options) *env {
 	t.Helper()
 	cat := catalog.New()
 	store := storage.NewStore()
 	mgr := txn.NewManager(cat, store, lock.New(), clock.NewReal(), cost.NewMeter(), cost.Zero())
-	w, err := wal.Open(dir, wal.Options{}, cat, store)
+	w, err := wal.Open(dir, opts, cat, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func openEnv(t *testing.T, dir string) *env {
 	return &env{cat: cat, store: store, mgr: mgr, wal: w}
 }
 
-func (e *env) createTable(t *testing.T, name string) {
+func (e *env) createTable(t testing.TB, name string) {
 	t.Helper()
 	schema := catalog.MustSchema(name,
 		catalog.Column{Name: "k", Kind: types.KindString},
@@ -57,7 +62,7 @@ func (e *env) createTable(t *testing.T, name string) {
 	}
 }
 
-func (e *env) insert(t *testing.T, table, k string, v int64) {
+func (e *env) insert(t testing.TB, table, k string, v int64) {
 	t.Helper()
 	tx := e.mgr.Begin()
 	if _, err := tx.Insert(table, []types.Value{types.Str(k), types.Int(v)}); err != nil {
@@ -68,7 +73,7 @@ func (e *env) insert(t *testing.T, table, k string, v int64) {
 	}
 }
 
-func (e *env) rows(t *testing.T, table string) []string {
+func (e *env) rows(t testing.TB, table string) []string {
 	t.Helper()
 	tbl, ok := e.store.Get(table)
 	if !ok {
@@ -83,14 +88,14 @@ func (e *env) rows(t *testing.T, table string) []string {
 	return out
 }
 
-func (e *env) follower(t *testing.T) *Follower {
+func (e *env) follower(t testing.TB) *Follower {
 	t.Helper()
 	return NewFollower(Config{Primary: "unused:0"}, e.wal, e.cat, e.store, e.mgr, nil)
 }
 
 // historyFrames captures the primary's whole durable log as one shippable
 // frame batch.
-func historyFrames(t *testing.T, l *wal.Log) (frames []byte, lastLSN uint64) {
+func historyFrames(t testing.TB, l *wal.Log) (frames []byte, lastLSN uint64) {
 	t.Helper()
 	sub, err := l.Subscribe(0)
 	if err != nil {

@@ -23,6 +23,8 @@ type Shipper struct {
 	log       *wal.Log
 	reg       *obs.Registry
 	heartbeat time.Duration
+	// mShippedBytes is the per-send instrument, resolved once.
+	mShippedBytes *obs.Counter
 }
 
 // NewShipper builds a shipper over the primary's log. heartbeat <= 0 uses
@@ -34,7 +36,7 @@ func NewShipper(log *wal.Log, reg *obs.Registry, heartbeat time.Duration) *Shipp
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Shipper{log: log, reg: reg, heartbeat: heartbeat}
+	return &Shipper{log: log, reg: reg, heartbeat: heartbeat, mShippedBytes: reg.Counter(obs.MReplShippedBytes)}
 }
 
 // ServeStream converts conn into a WAL ship for a follower whose last
@@ -97,10 +99,12 @@ func (sh *Shipper) ServeStream(conn net.Conn, fromLSN, reqEpoch uint64, stop <-c
 
 	// Archived frames first (already durable at subscription time), then
 	// the live tap. Both are LSN-ordered with no gap or overlap: Subscribe
-	// captured history and registered the tap under one lock acquisition.
+	// captured where history ends and registered the tap under one lock
+	// acquisition.
 	if err := sh.sendFrames(conn, sub.History); err != nil {
 		return err
 	}
+	sub.History = nil // it aliases the whole log read; the stream may live long
 	for {
 		chunk, ok, timedOut := sub.Tap.NextTimeout(stop, sh.heartbeat)
 		switch {
@@ -188,7 +192,7 @@ func (sh *Shipper) sendFrames(conn net.Conn, frames []byte) error {
 		if err := sh.send(conn, server.FrameReplBatch, payload); err != nil {
 			return err
 		}
-		sh.reg.Counter(obs.MReplShippedBytes).Add(int64(end))
+		sh.mShippedBytes.Add(int64(end))
 		frames = frames[end:]
 	}
 	return nil

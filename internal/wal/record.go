@@ -49,18 +49,23 @@ type commitRec struct {
 	ops      []redoOp
 }
 
-// frame wraps a record payload as it appears in the log file:
+// frameOverhead is what appendFrame adds around a record body.
+const frameOverhead = 8 + 9
+
+// appendFrame appends a record to dst as it appears in the log file:
 // [u32 payload length][u32 CRC-32 (IEEE) of payload][payload],
-// payload = [u8 kind][u64 LSN][body].
-func frame(kind byte, lsn uint64, body []byte) []byte {
-	payload := make([]byte, 0, 9+len(body))
-	payload = append(payload, kind)
-	payload = binary.LittleEndian.AppendUint64(payload, lsn)
-	payload = append(payload, body...)
-	out := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+// payload = [u8 kind][u64 LSN][body]. The checksum is computed over the
+// payload where it lands in dst, so a group-commit batch is encoded straight
+// into the one buffer that is written and then shipped.
+func appendFrame(dst []byte, kind byte, lsn uint64, body []byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = append(dst, body...)
+	payload := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // readFrame parses the frame starting at off. ok is false when the bytes at

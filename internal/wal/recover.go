@@ -102,6 +102,7 @@ func Open(dir string, opts Options, cat *catalog.Catalog, store *storage.Store) 
 	}
 	l.file = f
 	l.size = validLen
+	l.synced = validLen
 	l.nextLSN = maxU64(snapLSN, maxLSN) + 1
 	l.snapLSN = snapLSN
 	l.epoch = stats.Epoch

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,9 +13,10 @@ import (
 )
 
 // This file is the WAL's replication surface: durable-frame taps feeding
-// the primary-side shipper, raw-frame appends for followers persisting a
-// received redo stream, fencing-epoch records, and the exported frame
-// parse/apply helpers the follower's replay loop shares with recovery.
+// the primary-side shipper, raw-frame appends (written at once, synced on the
+// follower's cadence) for a received redo stream, fencing-epoch records, and
+// the exported frame parse/apply helpers the follower's replay loop shares
+// with recovery.
 
 // ErrGap is returned by Subscribe when the log no longer contains the
 // requested LSN: a checkpoint truncated past it, so the subscriber must
@@ -151,9 +153,10 @@ func (t *Tap) close() {
 }
 
 // Subscription is a live view of the log from one LSN: History holds every
-// frame currently in the log with LSN > FromLSN, and Tap yields every frame
-// made durable after the subscription was taken — with no gap between them,
-// because both are captured under the log mutex.
+// durable frame in the log with LSN > FromLSN, and Tap yields every frame
+// made durable after the subscription was taken — with no gap or overlap
+// between them, because the synced size that ends History is captured, and
+// the tap registered, under one hold of the log mutex.
 type Subscription struct {
 	FromLSN uint64
 	// LastLSN is the newest durable LSN at subscription time.
@@ -174,49 +177,85 @@ func (s *Subscription) Cancel() {
 	s.Tap.close()
 }
 
-// Subscribe returns the log's content from fromLSN (exclusive) plus a live
-// tap of later durable frames. ErrGap means a checkpoint truncated past
-// fromLSN and the subscriber needs a full resync (see SnapshotInfo).
+// subscribeAttempts bounds Subscribe's re-reads when checkpoints keep
+// truncating the log under it; each retry needs a whole checkpoint to land
+// inside one file read.
+const subscribeAttempts = 5
+
+// Subscribe returns the log's durable content from fromLSN (exclusive) plus
+// a live tap of later durable frames. ErrGap means a checkpoint truncated
+// past fromLSN and the subscriber needs a full resync (see SnapshotBytes).
+//
+// The file is read and walked outside the log mutex, so a connecting
+// follower does not stall committers for a time proportional to the log's
+// size: bytes below the synced size only change when a checkpoint (or a
+// resync) truncates the log, which moves snapLSN, and then the read is
+// thrown away and retried.
 func (l *Log) Subscribe(fromLSN uint64) (*Subscription, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed != nil {
-		return nil, l.failed
+	for attempt := 0; attempt < subscribeAttempts; attempt++ {
+		l.mu.Lock()
+		if l.failed != nil {
+			l.mu.Unlock()
+			return nil, l.failed
+		}
+		if fromLSN < l.snapLSN {
+			l.mu.Unlock()
+			return nil, ErrGap
+		}
+		// Only durable bytes count: an unsynced tail would ship frames this
+		// log may itself lose. They reach the tap when they are synced.
+		synced, snapLSN := l.synced, l.snapLSN
+		tap := newTap()
+		l.taps = append(l.taps, tap)
+		l.mu.Unlock()
+
+		// LastLSN starts at the checkpoint's: that is the newest durable LSN
+		// of a log with no frames in it.
+		sub := &Subscription{FromLSN: fromLSN, LastLSN: snapLSN, Tap: tap, l: l}
+		raw, err := readPrefix(l.path, synced)
+		l.mu.Lock()
+		truncated := l.snapLSN != snapLSN
+		l.mu.Unlock()
+		if truncated {
+			sub.Cancel()
+			continue
+		}
+		if err != nil {
+			sub.Cancel()
+			return nil, fmt.Errorf("wal: subscribe read: %w", err)
+		}
+		// LSNs ascend through the file, so history is one contiguous suffix.
+		off, from := len(logMagic), len(raw)
+		for off < len(raw) {
+			_, lsn, _, next, ok := readFrame(raw, off)
+			if !ok {
+				sub.Cancel()
+				return nil, fmt.Errorf("wal: subscribe: unreadable frame at offset %d of %d synced bytes", off, len(raw))
+			}
+			if lsn > fromLSN && from == len(raw) {
+				from = off
+			}
+			sub.LastLSN = lsn
+			off = next
+		}
+		sub.History = raw[from:]
+		return sub, nil
 	}
-	if fromLSN < l.snapLSN {
-		return nil, ErrGap
-	}
-	raw, err := os.ReadFile(l.path)
+	return nil, fmt.Errorf("wal: subscribe: checkpoints outpaced %d reads of the log", subscribeAttempts)
+}
+
+// readPrefix reads the first n bytes of the file at path.
+func readPrefix(path string, n int64) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: subscribe read: %w", err)
+		return nil, err
 	}
-	// Only durable bytes count: an unsynced tail would ship frames the
-	// primary itself may roll back on fsync failure. l.size tracks the
-	// synced prefix (flush truncates failed batches back out).
-	if int64(len(raw)) > l.size {
-		raw = raw[:l.size]
+	defer f.Close()
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, err
 	}
-	var history []byte
-	off := len(logMagic)
-	for {
-		_, lsn, _, next, ok := readFrame(raw, off)
-		if !ok {
-			break
-		}
-		if lsn > fromLSN {
-			history = append(history, raw[off:next]...)
-		}
-		off = next
-	}
-	tap := newTap()
-	l.taps = append(l.taps, tap)
-	return &Subscription{
-		FromLSN: fromLSN,
-		LastLSN: l.nextLSN - 1,
-		History: history,
-		Tap:     tap,
-		l:       l,
-	}, nil
+	return raw, nil
 }
 
 func (l *Log) unsubscribe(t *Tap) {
@@ -287,27 +326,16 @@ func (l *Log) BumpEpoch() (uint64, error) {
 	defer l.mu.Unlock()
 	next := l.epoch + 1
 	lsn := l.nextLSN
-	startSize := l.size
-	startLSN := l.nextLSN
-	if err := l.appendLocked(recEpoch, encodeEpoch(next)); err != nil {
-		return 0, err
-	}
-	if err := l.syncLocked(); err != nil {
-		if terr := l.file.Truncate(startSize); terr == nil {
-			l.size = startSize
-			l.nextLSN = startLSN
-		}
-		l.pending = nil
+	if err := l.appendRecordLocked(recEpoch, encodeEpoch(next)); err != nil {
 		return 0, err
 	}
 	l.epoch = next
 	l.epochLSN = lsn
-	l.publishLocked(l.takePendingLocked())
 	return next, nil
 }
 
 // SetEpoch adopts an epoch learned from a replayed redo stream (the epoch
-// record is already durable in the local log via AppendFrames).
+// record is already in the local log via AppendFrames).
 func (l *Log) SetEpoch(epoch, lsn uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -317,11 +345,13 @@ func (l *Log) SetEpoch(epoch, lsn uint64) {
 	}
 }
 
-// AppendFrames persists pre-framed records received from a primary,
-// verbatim, and advances the LSN cursor to lastLSN+1. The follower's local
-// log therefore stays byte-compatible with recovery: a replica crash
-// resumes from its own snapshot + log tail with the same torn-tail
-// truncation as a primary.
+// AppendFrames writes pre-framed records received from a primary, verbatim,
+// and advances the LSN cursor to lastLSN+1 — without syncing: the frames
+// become durable, and reach this log's own taps, at the next SyncFrames. The
+// write still precedes the caller's apply, so the file always holds a
+// superset of what the replica has served, byte-compatible with recovery: a
+// replica crash resumes from its own snapshot + log tail with the same
+// torn-tail truncation as a primary.
 func (l *Log) AppendFrames(frames []byte, lastLSN uint64) error {
 	if len(frames) == 0 {
 		return nil
@@ -331,45 +361,54 @@ func (l *Log) AppendFrames(frames []byte, lastLSN uint64) error {
 	if l.failed != nil {
 		return l.failed
 	}
-	startSize := l.size
 	if _, err := l.file.Write(frames); err != nil {
 		l.failed = fmt.Errorf("wal: append frames: %w", err)
 		return l.failed
 	}
 	l.size += int64(len(frames))
-	if err := l.syncLocked(); err != nil {
-		if terr := l.file.Truncate(startSize); terr == nil {
-			l.size = startSize
-		}
-		return err
-	}
+	l.pending = append(l.pending, frames...)
 	if lastLSN >= l.nextLSN {
 		l.nextLSN = lastLSN + 1
 	}
 	l.appends.Inc()
 	l.bytesTotal.Add(int64(len(frames)))
-	l.publishLocked(frames)
 	return nil
 }
 
+// SyncFrames makes every frame AppendFrames has written durable and only
+// then publishes them to the taps, so a standby of this standby never sees a
+// frame its upstream could lose. It costs nothing when nothing is unsynced.
+// A failure injected at fault.WalSyncFail leaves the bytes in place for the
+// next call; a real fsync error is sticky (see Err).
+func (l *Log) SyncFrames() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.failed != nil {
+		return l.failed
+	}
+	if l.synced == l.size {
+		return nil
+	}
+	return l.syncLocked()
+}
+
+// Err reports the sticky error after which the log refuses all work (nil
+// while it is healthy).
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
+}
+
 // ResetForResync discards the local log and snapshot cursor in favor of a
-// freshly shipped checkpoint covering snapLSN: the log restarts empty and
-// the next expected LSN is snapLSN+1. The caller has already written the
-// shipped snapshot file into the data directory.
+// freshly shipped checkpoint covering snapLSN: the log restarts empty —
+// unsynced frames included — and the next expected LSN is snapLSN+1. The
+// caller has already written the shipped snapshot file into the data
+// directory.
 func (l *Log) ResetForResync(snapLSN uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.file.Truncate(0); err != nil {
-		l.failed = fmt.Errorf("wal: resync truncate: %w", err)
-		return l.failed
-	}
-	l.size = 0
-	if _, err := l.file.Write(logMagic); err != nil {
-		l.failed = fmt.Errorf("wal: resync header: %w", err)
-		return l.failed
-	}
-	l.size = int64(len(logMagic))
-	if err := l.syncLocked(); err != nil {
+	if err := l.resetLocked("resync"); err != nil {
 		return err
 	}
 	l.snapLSN = snapLSN

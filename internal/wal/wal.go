@@ -100,20 +100,26 @@ type Log struct {
 	sync     SyncPolicy
 	openFile OpenFileFunc
 
-	// mu guards the file, LSN counter, and size; it serializes appends from
-	// the group committer, DDL appends, and checkpoint truncation.
+	// mu guards the file, LSN counter, and sizes; it serializes appends from
+	// the group committer, DDL appends, and checkpoint truncation. size is
+	// what has been written, synced the prefix of it known to be fsynced.
+	// Every append of the log's own (commit, DDL, epoch) syncs before it
+	// returns, so the two differ only on a replica, between AppendFrames and
+	// the next SyncFrames.
 	mu      sync.Mutex
 	file    File
 	nextLSN uint64
 	size    int64
+	synced  int64
 	failed  error // sticky: after an append/sync error the log refuses work
 
 	// Replication state (all guarded by mu). snapLSN is the LSN the on-disk
 	// checkpoint covers: the log holds only frames with higher LSNs, so a
-	// subscriber below it needs a full resync. pending accumulates framed
-	// bytes appended but not yet fsynced; taps receive them only after a
-	// successful sync, so subscribers never see frames the primary may roll
-	// back. epoch/epochLSN track the newest fencing-epoch record.
+	// subscriber below it needs a full resync. pending holds the frames in
+	// [synced, size): received and written by AppendFrames but not yet
+	// fsynced. Taps receive frames only after a successful sync, so
+	// subscribers never see frames this log may lose. epoch/epochLSN track
+	// the newest fencing-epoch record.
 	snapLSN  uint64
 	epoch    uint64
 	epochLSN uint64
@@ -163,7 +169,7 @@ func (l *Log) instrument(reg *obs.Registry) {
 // Dir returns the data directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Size returns the log file's current size in bytes.
+// Size returns the log file's current (written) size in bytes.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -299,36 +305,21 @@ func (l *Log) drainPending() {
 	}
 }
 
-// flush appends a batch of commit records and fsyncs once. On a mid-batch
-// write error the partially appended bytes are rolled back with Truncate so
-// no unacknowledged record can survive a subsequent OS flush.
+// flush encodes a batch of commit records into one buffer, writes it with one
+// Write, fsyncs once, and wakes the committers.
 func (l *Log) flush(batch []*commitReq) {
-	l.mu.Lock()
-	err := l.failed
-	if err == nil {
-		startSize := l.size
-		startLSN := l.nextLSN
-		for _, r := range batch {
-			if err = l.appendLocked(recCommit, r.body); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = l.syncLocked()
-		}
-		if err != nil {
-			// Roll the unacknowledged batch bytes back out of the file so a
-			// later OS flush (or recovery) cannot resurrect commits that were
-			// reported as failed.
-			if terr := l.file.Truncate(startSize); terr == nil {
-				l.size = startSize
-				l.nextLSN = startLSN
-			}
-			l.pending = nil
-		} else {
-			l.publishLocked(l.takePendingLocked())
-		}
+	total := 0
+	for _, r := range batch {
+		total += frameOverhead + len(r.body)
 	}
+	buf := make([]byte, 0, total)
+	l.mu.Lock()
+	lsn := l.nextLSN
+	for _, r := range batch {
+		buf = appendFrame(buf, recCommit, lsn, r.body)
+		lsn++
+	}
+	err := l.appendDurableLocked(buf, len(batch))
 	l.mu.Unlock()
 	l.batchHist.Record(int64(len(batch)))
 	for _, r := range batch {
@@ -336,75 +327,97 @@ func (l *Log) flush(batch []*commitReq) {
 	}
 }
 
-// appendLocked frames and writes one record; call with l.mu held.
-func (l *Log) appendLocked(kind byte, body []byte) error {
+// appendDurableLocked writes buf — n complete frames stamped from l.nextLSN
+// on — with one Write, fsyncs, and only then advances the LSN cursor and
+// hands that same buffer to the taps. On a write or sync error the bytes are
+// rolled back with Truncate so no unacknowledged record can survive a later
+// OS flush or be resurrected by recovery. Call with l.mu held.
+func (l *Log) appendDurableLocked(buf []byte, n int) error {
 	if l.failed != nil {
 		return l.failed
 	}
-	f := frame(kind, l.nextLSN, body)
-	if _, err := l.file.Write(f); err != nil {
+	startSize := l.size
+	var err error
+	if _, err = l.file.Write(buf); err != nil {
 		l.failed = fmt.Errorf("wal: append: %w", err)
-		return l.failed
+		err = l.failed
+	} else {
+		l.size += int64(len(buf))
+		err = l.syncLocked()
 	}
-	l.nextLSN++
-	l.size += int64(len(f))
-	l.pending = append(l.pending, f...)
-	l.appends.Inc()
-	l.bytesTotal.Add(int64(len(f)))
-	return nil
-}
-
-// takePendingLocked hands ownership of the not-yet-published durable bytes
-// to the caller; call with l.mu held, after a successful sync.
-func (l *Log) takePendingLocked() []byte {
-	chunk := l.pending
-	l.pending = nil
-	return chunk
-}
-
-// syncLocked fsyncs the log file per policy; call with l.mu held.
-func (l *Log) syncLocked() error {
-	if l.sync.Disabled {
-		return nil
-	}
-	if fault.Armed() {
-		if err := fault.ErrorAt(fault.WalSyncFail); err != nil {
-			// Injected fsync failures are transient by design: the caller
-			// truncates the unacknowledged batch and the log stays usable,
-			// unlike a real fsync error below, which is sticky. That lets
-			// chaos runs fail individual commits without killing the log.
-			return fmt.Errorf("wal: fsync: %w", err)
+	if err != nil {
+		if terr := l.file.Truncate(startSize); terr == nil {
+			l.size = startSize
 		}
+		return err
 	}
-	start := time.Now()
-	if err := l.file.Sync(); err != nil {
-		l.failed = fmt.Errorf("wal: fsync: %w", err)
-		return l.failed
-	}
-	l.fsyncs.Inc()
-	l.fsyncHist.Record(time.Since(start).Microseconds())
+	l.nextLSN += uint64(n)
+	l.appends.Add(int64(n))
+	l.bytesTotal.Add(int64(len(buf)))
+	l.publishLocked(buf)
 	return nil
 }
 
-// appendDDL durably appends one DDL record (DDL is rare; it always syncs).
+// appendRecordLocked durably appends one record of the log's own (DDL and
+// epoch records are rare; each pays its own fsync). Call with l.mu held.
+func (l *Log) appendRecordLocked(kind byte, body []byte) error {
+	buf := appendFrame(make([]byte, 0, frameOverhead+len(body)), kind, l.nextLSN, body)
+	return l.appendDurableLocked(buf, 1)
+}
+
+// syncLocked fsyncs the log file per policy. On success everything written
+// is durable, so frames a replica wrote ahead of this sync (pending) go to
+// the taps. Call with l.mu held.
+func (l *Log) syncLocked() error {
+	if !l.sync.Disabled {
+		if fault.Armed() {
+			if err := fault.ErrorAt(fault.WalSyncFail); err != nil {
+				// Injected fsync failures are transient by design: a committer
+				// truncates its unacknowledged batch, a replica retries at its
+				// next sync point, and the log stays usable — unlike a real
+				// fsync error below, which is sticky. That lets chaos runs fail
+				// individual commits without killing the log.
+				return fmt.Errorf("wal: fsync: %w", err)
+			}
+		}
+		start := time.Now()
+		if err := l.file.Sync(); err != nil {
+			l.failed = fmt.Errorf("wal: fsync: %w", err)
+			return l.failed
+		}
+		l.fsyncs.Inc()
+		l.fsyncHist.Record(time.Since(start).Microseconds())
+	}
+	l.synced = l.size
+	if len(l.pending) > 0 {
+		l.publishLocked(l.pending)
+		l.pending = nil
+	}
+	return nil
+}
+
+// resetLocked empties the log down to its header and syncs it. Frames a
+// replica had written but not synced go with the bytes that held them. Call
+// with l.mu held; what names the caller in errors.
+func (l *Log) resetLocked(what string) error {
+	if err := l.file.Truncate(0); err != nil {
+		l.failed = fmt.Errorf("wal: %s truncate: %w", what, err)
+		return l.failed
+	}
+	l.size, l.synced, l.pending = 0, 0, nil
+	if _, err := l.file.Write(logMagic); err != nil {
+		l.failed = fmt.Errorf("wal: %s header: %w", what, err)
+		return l.failed
+	}
+	l.size = int64(len(logMagic))
+	return l.syncLocked()
+}
+
+// appendDDL durably appends one DDL record.
 func (l *Log) appendDDL(kind byte, body []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	startSize := l.size
-	startLSN := l.nextLSN
-	if err := l.appendLocked(kind, body); err != nil {
-		return err
-	}
-	if err := l.syncLocked(); err != nil {
-		if terr := l.file.Truncate(startSize); terr == nil {
-			l.size = startSize
-			l.nextLSN = startLSN
-		}
-		l.pending = nil
-		return err
-	}
-	l.publishLocked(l.takePendingLocked())
-	return nil
+	return l.appendRecordLocked(kind, body)
 }
 
 // LogCreateTable records a CREATE TABLE.
@@ -461,34 +474,18 @@ func (l *Log) Checkpoint(tx *txn.Txn, cat *catalog.Catalog, store *storage.Store
 	if l.failed != nil {
 		return l.failed
 	}
-	if err := l.file.Truncate(0); err != nil {
-		l.failed = fmt.Errorf("wal: checkpoint truncate: %w", err)
-		return l.failed
-	}
-	l.size = 0
-	if _, err := l.file.Write(logMagic); err != nil {
-		l.failed = fmt.Errorf("wal: checkpoint header: %w", err)
-		return l.failed
-	}
-	l.size = int64(len(logMagic))
-	if err := l.syncLocked(); err != nil {
+	if err := l.resetLocked("checkpoint"); err != nil {
 		return err
 	}
 	l.snapLSN = snapLSN
-	l.pending = nil
 	// The truncation just dropped any epoch record; re-append it so the
 	// fencing epoch survives checkpoints (recovery learns it from the log).
 	if l.epoch > 0 {
 		epochAt := l.nextLSN
-		if err := l.appendLocked(recEpoch, encodeEpoch(l.epoch)); err != nil {
-			return err
-		}
-		if err := l.syncLocked(); err != nil {
-			l.pending = nil
+		if err := l.appendRecordLocked(recEpoch, encodeEpoch(l.epoch)); err != nil {
 			return err
 		}
 		l.epochLSN = epochAt
-		l.publishLocked(l.takePendingLocked())
 	}
 	l.checkpoints.Inc()
 	l.ckptHist.Record(time.Since(start).Microseconds())

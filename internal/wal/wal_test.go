@@ -21,7 +21,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	body := []byte("hello, durable world")
-	f := frame(recCommit, 42, body)
+	f := appendFrame(nil, recCommit, 42, body)
 	kind, lsn, got, next, ok := readFrame(f, 0)
 	if !ok {
 		t.Fatal("readFrame rejected a well-formed frame")
@@ -95,7 +95,7 @@ type env struct {
 	wal   *Log
 }
 
-func newEnv(t *testing.T, dir string, opts Options) *env {
+func newEnv(t testing.TB, dir string, opts Options) *env {
 	t.Helper()
 	cat := catalog.New()
 	store := storage.NewStore()
@@ -108,7 +108,7 @@ func newEnv(t *testing.T, dir string, opts Options) *env {
 	return &env{dir: dir, cat: cat, store: store, mgr: mgr, wal: w}
 }
 
-func (e *env) createTable(t *testing.T, name string, cols ...catalog.Column) {
+func (e *env) createTable(t testing.TB, name string, cols ...catalog.Column) {
 	t.Helper()
 	schema := catalog.MustSchema(name, cols...)
 	if err := e.cat.Define(schema); err != nil {
@@ -122,7 +122,7 @@ func (e *env) createTable(t *testing.T, name string, cols ...catalog.Column) {
 	}
 }
 
-func (e *env) insert(t *testing.T, table string, rows ...[]types.Value) {
+func (e *env) insert(t testing.TB, table string, rows ...[]types.Value) {
 	t.Helper()
 	tx := e.mgr.Begin()
 	for _, row := range rows {

@@ -37,7 +37,9 @@ type ReplOptions struct {
 	Tenant    string
 	// Heartbeat is the shipper's keep-alive interval; it bounds how stale
 	// the replica's lag measurement can get while the stream is idle, and
-	// stream reads time out after ~10 missed heartbeats. Default 100ms.
+	// stream reads time out after ~10 missed heartbeats. It is also the
+	// cadence on which a replica fsyncs its own log: at most one interval of
+	// applied frames is not yet durable locally. Default 100ms.
 	Heartbeat time.Duration
 	// MaxBackoff caps the reconnect backoff after a lost primary
 	// connection. Default 3s.
@@ -68,8 +70,9 @@ func (db *DB) ReplStatus() (st ReplStatus, ok bool) {
 }
 
 // Promote turns a replica into a standalone writable primary: replication
-// stops, a bumped fencing epoch is stamped durably into the local WAL, and
-// writes are accepted from then on. The deposed primary — and any follower
+// stops, every applied frame is made durable, a bumped fencing epoch is
+// stamped durably into the local WAL after them, and writes are accepted
+// from then on. The deposed primary — and any follower
 // still replaying its divergent tail — is rejected by the epoch if it later
 // offers or requests frames. Not reversible; to demote, reopen the engine
 // with Config.ReplicaOf.

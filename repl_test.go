@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/stripdb/strip/client"
+	"github.com/stripdb/strip/internal/obs"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -313,5 +314,79 @@ func TestReplPromotionFencesOldPrimary(t *testing.T) {
 	res := r.MustExec(`select * from kv where k = 'lost-1'`)
 	if len(res.Rows) != 0 {
 		t.Fatal("divergent write leaked onto the new primary")
+	}
+}
+
+// The standby's fsync rides the heartbeat, not the batch: 1,000 commits
+// shipped one batch each cost the replica about one fsync per heartbeat
+// interval of the run, not 1,000; once the stream goes idle everything
+// applied is durable by the time a second heartbeat arrives; and Promote
+// leaves nothing unsynced behind the epoch record.
+func TestReplStandbySyncsOnHeartbeat(t *testing.T) {
+	const commits, heartbeat = 1000, 10 * time.Millisecond
+	p := serveOpen(t, Config{DataDir: t.TempDir(), Repl: ReplOptions{Heartbeat: heartbeat}})
+	p.MustExec(`create table kv (k int, v int)`)
+	r := serveOpen(t, Config{
+		DataDir:   t.TempDir(),
+		ReplicaOf: p.ServerAddr(),
+		Repl:      ReplOptions{Heartbeat: heartbeat},
+	})
+	waitUntil(t, 10*time.Second, "replica catch-up", func() bool {
+		st, _ := r.ReplStatus()
+		return st.Connected && replicaRows(r, "kv") == 0
+	})
+	before, _ := r.WalInfo()
+
+	start := time.Now()
+	for i := 0; i < commits; i++ {
+		p.MustExec(fmt.Sprintf(`insert into kv values (%d, %d)`, i, i))
+	}
+	pw, _ := p.WalInfo()
+	last := pw.NextLSN - 1
+	waitUntil(t, 10*time.Second, "replica convergence", func() bool {
+		st, _ := r.ReplStatus()
+		return st.AppliedLSN == last
+	})
+	streamed := time.Since(start)
+	// The stream is idle from here. A heartbeat's sync completes before the
+	// next heartbeat is counted, so two counted heartbeats with unsynced
+	// frames left would break the bound however late this loop observes it.
+	idleAt := time.Now()
+	heartbeats := r.Obs().Counter(obs.MReplHeartbeats)
+	hb0 := heartbeats.Load()
+	waitUntil(t, 10*time.Second, "durable LSN to reach applied LSN on the idle stream", func() bool {
+		seen := heartbeats.Load() - hb0
+		st, _ := r.ReplStatus()
+		if st.DurableLSN != last && seen >= 2 {
+			t.Fatalf("%d heartbeats into an idle stream the durable LSN is %d, applied %d", seen, st.DurableLSN, st.AppliedLSN)
+		}
+		return st.DurableLSN == last
+	})
+	caughtUp := time.Since(idleAt)
+
+	after, _ := r.WalInfo()
+	fsyncs := after.Fsyncs - before.Fsyncs
+	bound := int64(streamed/heartbeat) + 5
+	t.Logf("%d commits shipped in %v (one per %v): replica fsyncs %d (bound %d, primary %d); durable == applied %v after the stream went idle",
+		commits, streamed.Round(time.Millisecond), (streamed / commits).Round(time.Microsecond), fsyncs, bound, pw.Fsyncs, caughtUp.Round(time.Millisecond))
+	if fsyncs > bound {
+		t.Fatalf("replica fsynced %d times for %d commits over %v; the heartbeat cadence allows %d", fsyncs, commits, streamed, bound)
+	}
+	if st, _ := r.ReplStatus(); st.Resyncs != 0 || st.Reconnects != 0 {
+		t.Fatalf("status %+v; want an undisturbed stream", st)
+	}
+
+	// Promote with frames in flight: whatever was applied is durable before
+	// the epoch record, and the engine holds every row.
+	for i := commits; i < commits+20; i++ {
+		p.MustExec(fmt.Sprintf(`insert into kv values (%d, %d)`, i, i))
+	}
+	waitUntil(t, 10*time.Second, "the tail to arrive", func() bool { return replicaRows(r, "kv") == commits+20 })
+	if _, err := r.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := r.ReplStatus()
+	if !st.Promoted || st.DurableLSN != st.AppliedLSN || st.AppliedLSN != last+20 {
+		t.Fatalf("after Promote: %+v, primary lsn %d", st, last+20)
 	}
 }

@@ -217,9 +217,10 @@ type Config struct {
 	// recovery path, so read-only transactions (and served QUERY frames) see
 	// the primary's committed state at the replica's applied LSN. Writes and
 	// interactive transactions are refused with ErrReplica. Requires
-	// DataDir — received frames are persisted locally before they apply,
-	// which is what makes replica crash/restart resume cleanly. See
-	// DB.Promote for failover.
+	// DataDir — received frames are written to the local log before they
+	// apply and fsynced on the Repl.Heartbeat cadence (and at stream end,
+	// Close and Promote), which is what makes replica crash/restart resume
+	// from its own LSN. See DB.Promote for failover.
 	ReplicaOf string
 	// Repl tunes replication when ReplicaOf is set.
 	Repl ReplOptions
@@ -335,7 +336,7 @@ type DB struct {
 // them after Open and they arm over the recovered tables.
 func Open(cfg Config) (*DB, error) {
 	if cfg.ReplicaOf != "" && cfg.DataDir == "" {
-		return nil, errors.New("strip: ReplicaOf requires DataDir (received frames persist locally before they apply)")
+		return nil, errors.New("strip: ReplicaOf requires DataDir (received frames are logged locally before they apply)")
 	}
 	db := &DB{cfg: cfg}
 	if cfg.Virtual {
