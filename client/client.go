@@ -261,8 +261,8 @@ func (c *Client) statement(typ byte, sql string) (*Result, error) {
 	}
 }
 
-// Query runs one SELECT. Outside a transaction it is eligible for the
-// server's shared snapshot execution.
+// Query runs one SELECT — inside the session transaction when one is open,
+// otherwise in a read-only transaction of its own.
 func (c *Client) Query(sql string) (*Result, error) {
 	return c.statement(server.FrameQuery, sql)
 }

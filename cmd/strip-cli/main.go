@@ -334,8 +334,7 @@ func remoteShell(addr, token, tenant string) {
   \abort     abort it
   \ping      round-trip liveness check
   \quit
-SQL statements run as QUERY (select) or EXEC (everything else) frames;
-selects outside a transaction are eligible for shared snapshot execution.`)
+SQL statements run as QUERY (select) or EXEC (everything else) frames.`)
 			continue
 		case line == `\begin`:
 			reportRemote(c.Begin())

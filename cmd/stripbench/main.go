@@ -12,8 +12,6 @@
 //	stripbench -exp contention -workers 1,2,4,8   # lock-scaling sweep
 //	stripbench -exp mvcc                # snapshot-read scan-vs-writer sweep
 //	stripbench -exp overload            # feed-rate ramp vs shedding policy
-//	stripbench -exp join                # planner join-order comparison
-//	stripbench -exp serve               # stripd open-loop client sweep
 //	stripbench -exp delta               # delta vs full view maintenance sweep
 //	stripbench -exp repl                # read scale-out across WAL-shipping replicas
 //
@@ -31,7 +29,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, comps, options, fig9..fig14, table1, sched, locality, taper, wal, contention, mvcc, overload, join, serve, delta, repl")
+	exp := flag.String("exp", "all", "experiment: all, comps, options, fig9..fig14, table1, sched, locality, taper, wal, contention, mvcc, overload, delta, repl")
 	scale := flag.String("scale", "paper", "workload scale: paper or small")
 	includeOptSym := flag.Bool("include-option-symbol", false,
 		"also run the unique-on-option_symbol configuration (the paper found it unmanageable)")
@@ -79,18 +77,6 @@ func main() {
 			path = "BENCH_overload.json"
 		}
 		runOverload(path, *scale, progress)
-	case "join":
-		path := *metricsPath
-		if path == "BENCH_metrics.json" {
-			path = "BENCH_join.json"
-		}
-		runJoinBench(path, *scale, progress)
-	case "serve":
-		path := *metricsPath
-		if path == "BENCH_metrics.json" {
-			path = "BENCH_serve.json"
-		}
-		runServeBench(path, *scale, progress)
 	case "delta":
 		path := *metricsPath
 		if path == "BENCH_metrics.json" {

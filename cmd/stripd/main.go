@@ -5,11 +5,9 @@
 //
 //	stripd -listen :9629 -monitor :9620 -data /var/lib/strip
 //
-// Clients get per-session interactive transactions with idle reaping,
+// Clients get per-session interactive transactions with idle reaping and
 // admission control (connection caps, per-tenant in-flight limits, and —
-// with -shed-depth — shedding on engine saturation), and shared snapshot
-// query execution: compatible read-only queries arriving within the gather
-// window run as one snapshot scan at a single LSN.
+// with -shed-depth — shedding on engine saturation).
 //
 // With -replica-of the engine instead runs as a warm-standby replica: it
 // streams the primary's WAL, replays it continuously, and serves read-only
@@ -43,7 +41,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "global concurrent statement cap (0 = default 64)")
 	tenantInflight := flag.Int("tenant-inflight", 0, "per-tenant concurrent statement cap (0 = global cap)")
 	idleTxn := flag.Duration("idle-txn", 30*time.Second, "abort interactive transactions idle this long (releases their locks)")
-	shareWindow := flag.Duration("share-window", 2*time.Millisecond, "gather window for shared snapshot query execution; 0 disables sharing")
 	shedDepth := flag.Int("shed-depth", 0, "engine ready-queue depth past which admission control sheds (0 disables)")
 	drain := flag.Duration("drain", 5*time.Second, "shutdown drain window for in-flight session transactions")
 	replicaOf := flag.String("replica-of", "", "run as a read-only replica of the primary stripd at this address (requires -data); SIGUSR1 promotes")
@@ -68,7 +65,6 @@ func main() {
 			MaxInflight:    *maxInflight,
 			TenantInflight: *tenantInflight,
 			IdleTxnTimeout: *idleTxn,
-			ShareWindow:    *shareWindow,
 			DrainTimeout:   *drain,
 		},
 	})

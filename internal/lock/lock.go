@@ -136,7 +136,7 @@ type Stats struct {
 	DetectorCycles int64
 	RecordAcquires int64 // acquires naming a RecordID
 	// WaitTimeout is the configured park duration before the fallback
-	// deadlock detector runs (Config.LockWaitTimeout / SetWaitTimeout).
+	// deadlock detector runs (SetWaitTimeout).
 	WaitTimeout time.Duration
 	// MaxWait is the cap past which a wait aborts with ErrWaitTimeout
 	// (zero = wait forever).

@@ -139,16 +139,6 @@ const (
 	MServerDrainRejects = "server.drain_rejected"
 	MServerQueryMicros  = "server.query_micros"
 
-	// shared.* instruments shared snapshot query execution: how many
-	// gather groups ran, how many queries they absorbed (vs fell back to
-	// per-query execution), group sizes, and the rows one shared scan fed
-	// to its whole group.
-	MSharedGroups    = "shared.groups"
-	MSharedQueries   = "shared.queries"
-	MSharedFallbacks = "shared.fallbacks"
-	MSharedGroupSize = "shared.group_size"
-	MSharedScanRows  = "shared.rows_scanned"
-
 	// repl.* instruments WAL-shipping replication. On a follower,
 	// MReplLagLSN gauges primary-LSN minus applied-LSN and MReplLagMs
 	// gauges wall-clock staleness of the last received batch; both feed

@@ -20,7 +20,6 @@ import (
 type compiled struct {
 	q      *Select // private resolved clone (star expanded)
 	agg    bool
-	fixed  bool        // planner mode the plan was built under
 	levels []levelPlan // execution order
 	consts []lowPred   // predicates over no source, checked once per run
 	// nParams is how many parameters a run must supply: one past the
@@ -168,13 +167,12 @@ func sigMatch(sig []srcSig, srcs []*source) bool {
 
 // ensureCompiled returns a plan for the query against the given
 // resolved sources, reusing the cached one when its signature still
-// holds and the planner mode is unchanged. Build errors are never
-// cached; a later run with fixed inputs retries from scratch.
+// holds. Build errors are never cached; a later run with fixed inputs
+// retries from scratch.
 func (q *Select) ensureCompiled(tx *txn.Txn, srcs []*source) (*compiled, error) {
 	mgr := tx.Manager()
-	fixed := mgr.PlanFixedOrder
 	feedback := false
-	if c := q.cache.Load(); c != nil && c.fixed == fixed && sigMatch(c.sig, srcs) {
+	if c := q.cache.Load(); c != nil && sigMatch(c.sig, srcs) {
 		if !c.stale.Load() {
 			mgr.Query.PlanHits.Inc()
 			return c, nil
@@ -184,7 +182,7 @@ func (q *Select) ensureCompiled(tx *txn.Txn, srcs []*source) (*compiled, error) 
 		// leash so persistent skew doesn't rebuild every few runs.
 		feedback = true
 	}
-	c, err := compile(q, tx, srcs, fixed)
+	c, err := compile(q, tx, srcs)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +239,7 @@ func lowerQuery(orig *Select, srcs []*source) (*Select, bool, error) {
 // compile lowers the query onto the resolved sources, hands the shape to
 // the planner, and maps its chosen levels back onto executable probes
 // and residual filters.
-func compile(orig *Select, tx *txn.Txn, srcs []*source, fixed bool) (*compiled, error) {
+func compile(orig *Select, tx *txn.Txn, srcs []*source) (*compiled, error) {
 	q, agg, err := lowerQuery(orig, srcs)
 	if err != nil {
 		return nil, err
@@ -249,20 +247,16 @@ func compile(orig *Select, tx *txn.Txn, srcs []*source, fixed bool) (*compiled, 
 
 	tables, preds, probeSides := planInputs(q, srcs)
 	model := tx.Model()
-	res := plan.Choose(tables, preds, plan.Options{
-		FixedOrder: fixed,
-		Costs: plan.Costs{
-			IndexProbe: model.IndexProbe,
-			ScanRow:    model.ScanRow,
-			JoinRow:    model.JoinRow,
-		},
+	res := plan.Choose(tables, preds, plan.Costs{
+		IndexProbe: model.IndexProbe,
+		ScanRow:    model.ScanRow,
+		JoinRow:    model.JoinRow,
 	})
 
 	c := &compiled{
 		q:       q,
 		agg:     agg,
 		nParams: paramCount(q.exprs()...),
-		fixed:   fixed,
 		estRows: res.EstRows,
 		estCost: res.EstCost,
 		sig:     makeSig(srcs),
@@ -422,7 +416,7 @@ type probeSide struct {
 // planInputs describes the resolved query to the planner: per-source
 // statistics and per-predicate source sets, selectivity classes, and
 // index-probe candidates (bare column = expression, candidate order
-// left-then-right to match the seed interpreter).
+// left-then-right).
 func planInputs(q *Select, srcs []*source) ([]plan.Table, []plan.Pred, [][]probeSide) {
 	tables := make([]plan.Table, len(srcs))
 	for i, s := range srcs {

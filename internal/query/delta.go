@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/catalog"
+	"github.com/stripdb/strip/internal/lock"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -204,7 +205,7 @@ func (v *AggView) ApplyDelta(tx *txn.Txn, d BaseDelta) (int, error) {
 		for i := 0; i < leaf.Len(); i++ {
 			cur[0].row = i
 			tx.Charge(model.ScanRow + model.IndexProbe)
-			if recs, err = lookupRecords(tx, &p.dim, v.dimJoin, *leaf.At(i, p.join), recs[:0]); err != nil {
+			if recs, err = fetchRecords(tx, &p.dim, lock.Shared, v.dimJoin, *leaf.At(i, p.join), recs); err != nil {
 				return rows, err
 			}
 			if prof != nil {

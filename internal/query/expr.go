@@ -353,17 +353,3 @@ func FoldConst(e Expr) (types.Value, bool) {
 	}
 	return v, true
 }
-
-// maxSource returns the highest source index referenced by the predicate,
-// used to schedule residual predicates at the earliest join level.
-func (p Pred) maxSource() int {
-	max := -1
-	for _, e := range []Expr{p.Left, p.Right} {
-		e.walk(func(x Expr) {
-			if c, ok := x.(*ColRef); ok && c.src > max {
-				max = c.src
-			}
-		})
-	}
-	return max
-}

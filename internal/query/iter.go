@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/stripdb/strip/internal/lock"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -82,10 +83,11 @@ func (ex *exec) drive(root op) error {
 }
 
 // scanOp iterates one source: a temp table by row index, a standard
-// table by collecting the visible record set on first open — under the
-// table S lock for locked reads, or lock-free at the transaction's
-// snapshot. The set is collected under the table latch into a buffer the
-// storage layer sizes once, and visited only after the latch is released:
+// table by collecting the visible record set on first open (fetchRecords:
+// under the table S lock for locked reads, or lock-free at the
+// transaction's snapshot). The set is collected under the table latch into
+// a buffer the storage layer sizes once, and visited only after the latch
+// is released:
 // with no table S locks serializing writers on the snapshot path, a latch
 // held across the consumer (which may latch another table, or this one
 // again) can deadlock against a queued writer (RWMutex is
@@ -108,12 +110,6 @@ type scanOp struct {
 func (o *scanOp) open() error {
 	o.i = 0
 	s := o.ex.srcs[o.lp.src]
-	if o.ex.shared != nil && s.tbl != nil {
-		// Shared-scan leaf: the batch already materialized the record
-		// set at the group snapshot and charged its scan once.
-		o.recs, o.mode, o.mat = o.ex.shared, "shared", true
-		return nil
-	}
 	if s.tbl == nil {
 		o.mode = "temp"
 		return nil
@@ -121,22 +117,14 @@ func (o *scanOp) open() error {
 	if o.mat {
 		return nil
 	}
-	if snap, me, ok := o.ex.tx.SnapshotRead(); ok {
+	o.mode = "locked"
+	if o.ex.tx.SnapshotReads() {
 		o.mode = "snapshot"
-		o.ex.tx.Manager().Query.SnapshotScans.Inc()
-		o.recs = s.tbl.AppendVisible(nil, snap, me)
-	} else {
-		// A full scan locks the whole table shared rather than every
-		// row (read-side escalation); this also shuts out record
-		// writers whose IX would otherwise let rows change mid-scan.
-		o.mode = "locked"
-		if _, err := o.ex.tx.ScanTable(s.name); err != nil {
-			return err
-		}
-		o.recs = s.tbl.AppendLive(nil)
 	}
-	o.mat = true
-	return nil
+	var err error
+	o.recs, err = fetchRecords(o.ex.tx, s, lock.Shared, "", types.Value{}, nil)
+	o.mat = err == nil
+	return err
 }
 
 func (o *scanOp) next() (bool, error) {
@@ -152,9 +140,7 @@ func (o *scanOp) next() (bool, error) {
 		if o.i >= len(o.recs) {
 			return false, nil
 		}
-		if ex.shared == nil {
-			ex.tx.Charge(ex.model.ScanRow)
-		}
+		ex.tx.Charge(ex.model.ScanRow)
 		c.rec = o.recs[o.i]
 	}
 	o.i++
@@ -186,9 +172,9 @@ func (o *scanOp) node() *PlanNode {
 
 // probeOp is an index nested-loop step: each open evaluates the key
 // expression against the outer cursors and looks up the source's index
-// — lock-free against the snapshot, or S-locking exactly the probed
-// rows. The matches land in recs, which the op owns and refills on every
-// re-open.
+// (fetchRecords: lock-free against the snapshot, or S-locking exactly the
+// probed rows). The matches land in recs, which the op owns and refills
+// on every re-open.
 type probeOp struct {
 	ex   *exec
 	lp   *levelPlan
@@ -206,7 +192,7 @@ func (o *probeOp) open() error {
 		return err
 	}
 	ex.tx.Charge(ex.model.IndexProbe)
-	o.recs, err = lookupRecords(ex.tx, ex.srcs[o.lp.src], o.lp.probe.col, v, o.recs[:0])
+	o.recs, err = fetchRecords(ex.tx, ex.srcs[o.lp.src], lock.Shared, o.lp.probe.col, v, o.recs)
 	return err
 }
 
@@ -438,62 +424,87 @@ func (ex *exec) itemList() string {
 	return strings.Join(parts, ", ")
 }
 
-// lookupRecords resolves an index probe into buf (emptied by the caller):
-// lock-free against the transaction's snapshot when snapshot reads are
-// enabled, otherwise through lockedLookup's record S locks.
-func lookupRecords(tx *txn.Txn, s *source, col string, v types.Value, buf []*storage.Record) ([]*storage.Record, error) {
-	snap, me, ok := tx.SnapshotRead()
-	if !ok {
-		return lockedLookup(tx, s, col, v, buf)
-	}
-	tx.Manager().Query.SnapshotProbes.Inc()
-	recs, exact := s.tbl.LookupSnapshot(col, v, snap, me, buf)
-	if exact {
-		return recs, nil
-	}
-	// An update changed an indexed column's value on this table, so the
-	// index (which covers head versions only) could miss older versions
-	// that match. Fall back to a filtered snapshot scan.
-	ci := s.tbl.Schema().ColIndex(col)
-	s.tbl.ScanSnapshot(snap, me, func(r *storage.Record) bool {
-		if r.Value(ci).Equal(v) {
-			recs = append(recs, r)
-		}
-		return true
-	})
-	return recs, nil
-}
-
-// lockedLookup probes the index into buf and S-locks exactly the rows it
-// returns. Acquiring the record lock can block behind a writer that
-// replaces or deletes the row before committing (copy-on-update
-// replacements keep the lock ID); when the granted record turns out
-// stale the probe re-runs — the lock already held covers the
-// replacement, so a bounded number of retries settles unless the index
-// entry churns pathologically, in which case the probe escalates to a
-// whole-table S as the always-correct fallback.
-func lockedLookup(tx *txn.Txn, s *source, col string, v types.Value, buf []*storage.Record) ([]*storage.Record, error) {
-	const maxAttempts = 3
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		recs, _ := s.tbl.AppendIndexLookup(buf[:0], col, v)
-		stale := false
-		for _, r := range recs {
-			if err := tx.LockRecordShared(s.name, r.ID()); err != nil {
-				return nil, err
+// fetchRecords is the one way a statement reaches a standard table's rows:
+// the records of s whose col equals key, through s's index on col, or every
+// record when col is "". They land in buf, which is emptied first.
+//
+// A reader (mode lock.Shared) in a transaction that reads from a snapshot
+// gets the versions visible there and takes no lock. Anything else gets the
+// live records under locks of mode, held to commit. A scan locks the whole
+// table rather than every row, which also shuts out record writers whose
+// intent lock would otherwise let rows change mid-scan. A probe locks
+// exactly the rows it returns. Acquiring a record lock can block behind a
+// writer that replaces or deletes the row before committing; a
+// copy-on-update replacement keeps the lock ID, so when a granted record
+// turns out stale the probe re-runs already holding the lock that covers
+// the replacement. A bounded number of retries settles unless the index
+// entry churns pathologically, in which case the probe escalates to the
+// table lock a scan takes, the always-correct fallback.
+func fetchRecords(tx *txn.Txn, s *source, mode lock.Mode, col string, key types.Value, buf []*storage.Record) ([]*storage.Record, error) {
+	buf = buf[:0]
+	if mode == lock.Shared {
+		if snap, me, ok := tx.SnapshotRead(); ok {
+			if col == "" {
+				tx.Manager().Query.SnapshotScans.Inc()
+				return s.tbl.AppendVisible(buf, snap, me), nil
 			}
-			if !r.Live() {
-				stale = true
-				break
+			tx.Manager().Query.SnapshotProbes.Inc()
+			recs, exact := s.tbl.LookupSnapshot(col, key, snap, me, buf)
+			if !exact {
+				// An update changed an indexed column's value on this
+				// table, so the index (which covers head versions only)
+				// could miss older versions that match. Fall back to a
+				// filtered snapshot scan.
+				ci := s.tbl.Schema().ColIndex(col)
+				s.tbl.ScanSnapshot(snap, me, func(r *storage.Record) bool {
+					if r.Value(ci).Equal(key) {
+						recs = append(recs, r)
+					}
+					return true
+				})
 			}
-		}
-		if !stale {
 			return recs, nil
 		}
-		buf = recs
 	}
-	if _, err := tx.ScanTable(s.name); err != nil {
+	write := mode == lock.Exclusive
+	if col != "" {
+		const maxAttempts = 3
+		for attempt := 0; attempt < maxAttempts; attempt++ {
+			recs, _ := s.tbl.AppendIndexLookup(buf, col, key)
+			stale := false
+			for _, r := range recs {
+				var err error
+				if write {
+					err = tx.LockRecordExclusive(s.name, r.ID())
+				} else {
+					err = tx.LockRecordShared(s.name, r.ID())
+				}
+				if err != nil {
+					return nil, err
+				}
+				if !r.Live() {
+					stale = true
+					break
+				}
+			}
+			if !stale {
+				return recs, nil
+			}
+			buf = recs[:0]
+		}
+	}
+	var err error
+	if write {
+		_, err = tx.WriteTable(s.name)
+	} else {
+		_, err = tx.ScanTable(s.name)
+	}
+	if err != nil {
 		return nil, err
 	}
-	recs, _ := s.tbl.AppendIndexLookup(buf[:0], col, v)
+	if col == "" {
+		return s.tbl.AppendLive(buf), nil
+	}
+	recs, _ := s.tbl.AppendIndexLookup(buf, col, key)
 	return recs, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -209,5 +210,112 @@ func TestScanSelectBlocksOnRecordWriter(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+func symbolsOf(recs []*storage.Record) []string {
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = r.Value(0).Str()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// fetchRecords returns the same records whichever way it reaches them: as a
+// reader or a writer, through the index or by scanning, at the
+// transaction's snapshot or under locks. Only a reader at a snapshot holds
+// no lock afterwards; a probe holds the table intent and its row, a scan the
+// whole table.
+func TestFetchRecords(t *testing.T) {
+	for _, mode := range []lock.Mode{lock.Shared, lock.Exclusive} {
+		for _, col := range []string{"symbol", ""} {
+			for _, snapshot := range []bool{false, true} {
+				mgr, lm := lockEnv(t)
+				tbl, _ := mgr.Store.Get("stocks")
+				src := &source{name: "stocks", schema: tbl.Schema(), tbl: tbl}
+				want, wantLocks := []string{"S1", "S2", "S3"}, 1
+				if col != "" {
+					want, wantLocks = []string{"S2"}, 2
+				}
+				tx := mgr.Begin()
+				if snapshot {
+					tx.EnableSnapshotReads()
+					if mode == lock.Shared {
+						wantLocks = 0
+					}
+				}
+				// A dirty buffer: the leaf empties it.
+				recs, err := fetchRecords(tx, src, mode, col, types.Str("S2"), make([]*storage.Record, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := symbolsOf(recs); !slices.Equal(got, want) {
+					t.Errorf("mode %v col %q snapshot %v: records %v, want %v", mode, col, snapshot, got, want)
+				}
+				if got := lm.ActiveLocks(); got != wantLocks {
+					t.Errorf("mode %v col %q snapshot %v: %d locks held, want %d", mode, col, snapshot, got, wantLocks)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// A probe that waits for its row's lock behind a writer has the version the
+// index held before the writer ran. Once granted it must notice that the
+// version is stale and probe again: it returns the writer's replacement, or
+// nothing when the writer deleted the row.
+func TestFetchRecordsRetriesStaleProbe(t *testing.T) {
+	for _, mode := range []lock.Mode{lock.Shared, lock.Exclusive} {
+		for _, del := range []bool{false, true} {
+			mgr, lm := lockEnv(t)
+			tbl, _ := mgr.Store.Get("stocks")
+			src := &source{name: "stocks", schema: tbl.Schema(), tbl: tbl}
+			old, _ := tbl.IndexLookup("symbol", types.Str("S1"))
+
+			writer := mgr.Begin()
+			if err := writer.LockRecordExclusive("stocks", old[0].ID()); err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				recs []*storage.Record
+				err  error
+			}
+			done := make(chan result, 1)
+			tx := mgr.Begin()
+			go func() {
+				recs, err := fetchRecords(tx, src, mode, "symbol", types.Str("S1"), nil)
+				done <- result{recs, err}
+			}()
+			waitForQueryWaiters(t, lm, 1)
+			var err error
+			if del {
+				err = writer.Delete("stocks", old[0])
+			} else {
+				_, err = writer.Update("stocks", old[0], []types.Value{types.Str("S1"), types.Float(31)})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			res := <-done
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			switch {
+			case del && len(res.recs) != 0:
+				t.Errorf("mode %v: probe returned %d records of a deleted row", mode, len(res.recs))
+			case !del && (len(res.recs) != 1 || !res.recs[0].Live() || res.recs[0].Value(1).Float() != 31):
+				t.Errorf("mode %v: probe returned %v, want the live replacement at 31", mode, res.recs)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

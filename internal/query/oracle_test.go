@@ -104,8 +104,8 @@ func oracleTables(rng *rand.Rand) []oracleTable {
 }
 
 // oracleEnv loads the fixture into a fresh manager (std tables) and a
-// temp-table resolver, with the requested planner mode.
-func oracleEnv(t *testing.T, tables []oracleTable, fixedOrder bool) (*txn.Manager, Resolver) {
+// temp-table resolver.
+func oracleEnv(t *testing.T, tables []oracleTable) (*txn.Manager, Resolver) {
 	t.Helper()
 	cat := catalog.New()
 	store := storage.NewStore()
@@ -138,7 +138,6 @@ func oracleEnv(t *testing.T, tables []oracleTable, fixedOrder bool) (*txn.Manage
 		}
 	}
 	mgr := txn.NewManager(cat, store, lock.New(), clock.NewVirtual(), cost.NewMeter(), cost.Default())
-	mgr.PlanFixedOrder = fixedOrder
 	tx := mgr.Begin()
 	for _, ot := range tables {
 		if ot.temp {
@@ -704,21 +703,8 @@ func TestOracleEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8080))
 	tables := oracleTables(rng)
 
-	type engineMode struct {
-		name  string
-		fixed bool
-	}
-	type engineEnv struct {
-		mgr *txn.Manager
-		res Resolver
-		// prepare is the environment's statement cache.
-		prepare func(sql string) (*Select, []types.Value, error)
-	}
-	envs := make(map[string]engineEnv)
-	for _, m := range []engineMode{{"fixed", true}, {"cost", false}} {
-		mgr, res := oracleEnv(t, tables, m.fixed)
-		envs[m.name] = engineEnv{mgr, res, sqlFrontEnd.newCache()}
-	}
+	mgr, res := oracleEnv(t, tables)
+	prepare := sqlFrontEnd.newCache() // the environment's statement cache
 	// Redrawn literals come from their own stream so the generator's stays
 	// what the coverage list below was tuned on.
 	litRng := rand.New(rand.NewSource(8081))
@@ -737,64 +723,61 @@ func TestOracleEquivalence(t *testing.T) {
 		if q.sqlable() {
 			viaSQL++
 		}
-		for _, planner := range []string{"fixed", "cost"} {
-			env := envs[planner]
-			for _, readMode := range []string{"locked", "snapshot"} {
-				label := fmt.Sprintf("query %d (%s/%s)", i, planner, readMode)
-				run := func(what string, q refQuery, want [][]types.Value, sel *Select, params []types.Value) {
-					t.Helper()
-					var tx *txn.Txn
-					if readMode == "snapshot" {
-						tx = env.mgr.BeginReadOnly()
-					} else {
-						tx = env.mgr.Begin()
-					}
-					out, err := sel.RunParams(tx, env.res, params)
-					if err != nil {
-						t.Fatalf("%s, %s: %v\nspec: %+v", label, what, err, q)
-					}
-					got := make([][]types.Value, out.Len())
-					for r := range got {
-						got[r] = out.Row(r)
-					}
-					out.Retire()
-					if err := tx.Commit(); err != nil {
-						t.Fatal(err)
-					}
-					checkOracle(t, q, label+", "+what, got, want)
+		for _, readMode := range []string{"locked", "snapshot"} {
+			label := fmt.Sprintf("query %d (%s)", i, readMode)
+			run := func(what string, q refQuery, want [][]types.Value, sel *Select, params []types.Value) {
+				t.Helper()
+				var tx *txn.Txn
+				if readMode == "snapshot" {
+					tx = mgr.BeginReadOnly()
+				} else {
+					tx = mgr.Begin()
 				}
-				run("built", q, want, q.toSelect(tables), nil)
-				if !q.sqlable() {
-					continue
-				}
-				// The same query as text: parsed afresh, then through the
-				// statement cache — first sight, repeat, and the repeat with
-				// other literals of the same kinds, which must reuse the
-				// first's template without parsing.
-				sql := q.toSQL(tables)
-				fresh, err := sqlFrontEnd.parse(sql)
+				out, err := sel.RunParams(tx, res, params)
 				if err != nil {
-					t.Fatalf("%s: parse %q: %v", label, sql, err)
+					t.Fatalf("%s, %s: %v\nspec: %+v", label, what, err, q)
 				}
-				run("parsed", q, want, fresh, nil)
-				var template *Select
-				for _, step := range []struct {
-					what string
-					q    refQuery
-					want [][]types.Value
-				}{{"cached, first sight", q, want}, {"cached, repeat", q, want}, {"cached, other literals", q2, want2}} {
-					before := sqlFrontEnd.parses()
-					sel, params, err := env.prepare(step.q.toSQL(tables))
-					if err != nil {
-						t.Fatalf("%s, %s: prepare %q: %v", label, step.what, sql, err)
-					}
-					if template == nil {
-						template = sel
-					} else if sel != template || sqlFrontEnd.parses() != before {
-						t.Fatalf("%s, %s: %q missed the statement cache", label, step.what, step.q.toSQL(tables))
-					}
-					run(step.what, step.q, step.want, sel, params)
+				got := make([][]types.Value, out.Len())
+				for r := range got {
+					got[r] = out.Row(r)
 				}
+				out.Retire()
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				checkOracle(t, q, label+", "+what, got, want)
+			}
+			run("built", q, want, q.toSelect(tables), nil)
+			if !q.sqlable() {
+				continue
+			}
+			// The same query as text: parsed afresh, then through the
+			// statement cache — first sight, repeat, and the repeat with
+			// other literals of the same kinds, which must reuse the
+			// first's template without parsing.
+			sql := q.toSQL(tables)
+			fresh, err := sqlFrontEnd.parse(sql)
+			if err != nil {
+				t.Fatalf("%s: parse %q: %v", label, sql, err)
+			}
+			run("parsed", q, want, fresh, nil)
+			var template *Select
+			for _, step := range []struct {
+				what string
+				q    refQuery
+				want [][]types.Value
+			}{{"cached, first sight", q, want}, {"cached, repeat", q, want}, {"cached, other literals", q2, want2}} {
+				before := sqlFrontEnd.parses()
+				sel, params, err := prepare(step.q.toSQL(tables))
+				if err != nil {
+					t.Fatalf("%s, %s: prepare %q: %v", label, step.what, sql, err)
+				}
+				if template == nil {
+					template = sel
+				} else if sel != template || sqlFrontEnd.parses() != before {
+					t.Fatalf("%s, %s: %q missed the statement cache", label, step.what, step.q.toSQL(tables))
+				}
+				run(step.what, step.q, step.want, sel, params)
 			}
 		}
 	}

@@ -10,20 +10,12 @@
 // levels back onto its own operators; this package never sees records,
 // locks, or expressions.
 //
-// Two modes:
-//
-//   - Cost-based (the default): a greedy ordering that at each level
-//     picks the unplaced source with the cheapest access path —
-//     preferring index probes whose key expression is fully bound by
-//     already-placed sources, and otherwise the smallest estimated
-//     scan — pricing paths with the same per-primitive virtual costs
-//     the executor charges (IndexProbe, ScanRow, JoinRow).
-//
-//   - Fixed-order: reproduces the seed interpreter's plan exactly
-//     (FROM order, each predicate applied at the level of its highest
-//     referenced source, first equality predicate per level wins the
-//     probe slot). This is the baseline for the -exp join benchmark
-//     and a debugging escape hatch.
+// The ordering is cost-based and greedy: at each level it picks the
+// unplaced source with the cheapest access path — preferring index
+// probes whose key expression is fully bound by already-placed sources,
+// and otherwise the smallest estimated scan — pricing paths with the
+// same per-primitive virtual costs the executor charges (IndexProbe,
+// ScanRow, JoinRow).
 package plan
 
 // Table describes one FROM source to the planner.
@@ -39,7 +31,7 @@ type Table struct {
 // Probe is one index-probe candidate of an equality predicate: probe
 // Src's index on Col using the value of the predicate's other side,
 // which references OtherSrcs. Candidates are listed in the caller's
-// preference order (left operand first, matching the seed).
+// preference order (left operand first).
 type Probe struct {
 	Src       int
 	Col       string
@@ -82,11 +74,10 @@ type Access struct {
 
 // Result is the chosen physical pipeline.
 type Result struct {
-	Levels     []Access
-	Consts     []int // constant predicate indexes
-	EstRows    float64
-	EstCost    float64
-	FixedOrder bool
+	Levels  []Access
+	Consts  []int // constant predicate indexes
+	EstRows float64
+	EstCost float64
 }
 
 // Costs are the per-primitive virtual costs used to price access paths;
@@ -95,12 +86,6 @@ type Costs struct {
 	IndexProbe float64
 	ScanRow    float64
 	JoinRow    float64
-}
-
-// Options configures Choose.
-type Options struct {
-	FixedOrder bool
-	Costs      Costs
 }
 
 // Default selectivities when no index statistic applies.
@@ -113,25 +98,20 @@ const (
 // Choose orders the given sources and assigns each predicate either to
 // an index-probe slot or to the residual list of the earliest level
 // where all its sources are bound.
-func Choose(tables []Table, preds []Pred, opt Options) Result {
-	res := Result{FixedOrder: opt.FixedOrder}
+func Choose(tables []Table, preds []Pred, c Costs) Result {
+	var res Result
 	for i, p := range preds {
 		if len(p.Srcs) == 0 {
 			res.Consts = append(res.Consts, i)
 		}
 	}
-	c := opt.Costs
 	if c.IndexProbe == 0 && c.ScanRow == 0 && c.JoinRow == 0 {
 		// A zero cost model (live engines run uncharged) would make
 		// every path free; price with the paper's default ratios so
 		// planning still discriminates.
 		c = Costs{IndexProbe: 25, ScanRow: 5, JoinRow: 20}
 	}
-	if opt.FixedOrder {
-		res.Levels = fixedOrder(tables, preds)
-	} else {
-		res.Levels = costOrder(tables, preds, c)
-	}
+	res.Levels = costOrder(tables, preds, c)
 	estimate(tables, preds, res.Levels, c)
 	if n := len(res.Levels); n > 0 {
 		res.EstRows = res.Levels[n-1].EstOut
@@ -140,50 +120,6 @@ func Choose(tables []Table, preds []Pred, opt Options) Result {
 		}
 	}
 	return res
-}
-
-// fixedOrder reproduces the seed interpreter's plan: sources stay in
-// FROM order, each predicate lands at the level of its highest source,
-// and the first equality predicate per level whose probe candidate is
-// indexed and bound below wins the probe slot.
-func fixedOrder(tables []Table, preds []Pred) []Access {
-	levels := make([]Access, len(tables))
-	for i := range levels {
-		levels[i] = Access{Src: i, ProbePred: -1, ProbeCand: -1}
-	}
-	for pi, p := range preds {
-		lvl := maxSrc(p.Srcs)
-		if lvl < 0 {
-			continue
-		}
-		if p.Class == Eq && levels[lvl].ProbePred < 0 {
-			if ci := probeCandAt(tables, p, lvl, lvl); ci >= 0 {
-				levels[lvl].ProbePred = pi
-				levels[lvl].ProbeCand = ci
-				continue
-			}
-		}
-		levels[lvl].Residuals = append(levels[lvl].Residuals, pi)
-	}
-	return levels
-}
-
-// probeCandAt returns the first candidate of p that probes src and
-// whose other side references only sources strictly below bound.
-func probeCandAt(tables []Table, p Pred, src, bound int) int {
-	for ci, cand := range p.Probes {
-		if cand.Src != src {
-			continue
-		}
-		if maxSrc(cand.OtherSrcs) >= bound {
-			continue
-		}
-		if _, ok := tables[src].IndexKeys[cand.Col]; !ok {
-			continue
-		}
-		return ci
-	}
-	return -1
 }
 
 // costOrder greedily builds the pipeline with one level of lookahead: at
@@ -301,17 +237,12 @@ func accessCost(tables []Table, preds []Pred, used, placed []bool, extra, s int,
 	return -1, -1, loops * rows * (c.ScanRow + joinRow), loops * rows
 }
 
-// bestProbe finds the most selective usable probe into s: an unused
+// bestProbeWith finds the most selective usable probe into s: an unused
 // equality predicate with an indexed candidate on s whose other side is
-// fully bound by the placed set. Returns the candidate with the most
+// fully bound by the placed set extended by source extra (extra < 0 for the
+// plain placed set; costOrder's lookahead prices the next level as if the
+// current candidate were committed). Returns the candidate with the most
 // distinct keys (fewest expected matches).
-func bestProbe(tables []Table, preds []Pred, used, placed []bool, s int) (pred, cand, keys int) {
-	return bestProbeWith(tables, preds, used, placed, -1, s)
-}
-
-// bestProbeWith is bestProbe with the placed set extended by source extra
-// (pass extra < 0 for the plain placed set); costOrder's lookahead uses it
-// to price the next level as if the current candidate were committed.
 func bestProbeWith(tables []Table, preds []Pred, used, placed []bool, extra, s int) (pred, cand, keys int) {
 	pred, cand, keys = -1, -1, 0
 	for pi, p := range preds {
@@ -427,16 +358,6 @@ func Covered(r Result, n int) bool {
 	return true
 }
 
-func maxSrc(srcs []int) int {
-	m := -1
-	for _, s := range srcs {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 func allPlaced(srcs []int, placed []bool) bool {
 	for _, s := range srcs {
 		if !placed[s] {
@@ -455,4 +376,3 @@ func boundWith(srcs []int, placed []bool, extra int) bool {
 	}
 	return true
 }
-

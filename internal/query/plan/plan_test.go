@@ -37,34 +37,8 @@ func tradingPreds() []Pred {
 	}
 }
 
-func TestFixedOrderMatchesSeedPlan(t *testing.T) {
-	res := Choose(tradingTables(), tradingPreds(), Options{FixedOrder: true, Costs: testCosts})
-	if got := res.Order(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("fixed order = %v, want FROM order", got)
-	}
-	// Seed behavior: pred 0 lands at level 1 (probe stocks.symbol? no —
-	// candidate 1 probes stocks.sector, unindexed, so residual); pred 1
-	// lands at level 2 probing trades.symbol (candidate 1); pred 2 is a
-	// level-2 residual because the probe slot is taken first-come.
-	if res.Levels[1].ProbePred != -1 || !reflect.DeepEqual(res.Levels[1].Residuals, []int{0}) {
-		t.Fatalf("level 1 = %+v, want residual pred 0 and no probe", res.Levels[1])
-	}
-	if res.Levels[2].ProbePred != 1 || res.Levels[2].ProbeCand != 1 {
-		t.Fatalf("level 2 probe = %d/%d, want pred 1 cand 1", res.Levels[2].ProbePred, res.Levels[2].ProbeCand)
-	}
-	if !reflect.DeepEqual(res.Levels[2].Residuals, []int{2}) {
-		t.Fatalf("level 2 residuals = %v, want [2]", res.Levels[2].Residuals)
-	}
-	if !Covered(res, 3) {
-		t.Fatalf("predicates not covered exactly once: %+v", res)
-	}
-	if !res.FixedOrder {
-		t.Fatalf("FixedOrder flag not set")
-	}
-}
-
 func TestCostOrderExploitsConstProbe(t *testing.T) {
-	res := Choose(tradingTables(), tradingPreds(), Options{Costs: testCosts})
+	res := Choose(tradingTables(), tradingPreds(), testCosts)
 	// The constant trade_id probe makes trades the cheapest start
 	// (1 probe vs a 20-row scan of sectors); stocks then probes on
 	// symbol; sectors last.
@@ -80,10 +54,6 @@ func TestCostOrderExploitsConstProbe(t *testing.T) {
 	if !Covered(res, 3) {
 		t.Fatalf("predicates not covered exactly once: %+v", res)
 	}
-	fixed := Choose(tradingTables(), tradingPreds(), Options{FixedOrder: true, Costs: testCosts})
-	if res.EstCost >= fixed.EstCost {
-		t.Fatalf("cost order estimate %.0f should beat fixed order %.0f", res.EstCost, fixed.EstCost)
-	}
 }
 
 func TestCostOrderPrefersSmallOuterWithoutIndexes(t *testing.T) {
@@ -92,7 +62,7 @@ func TestCostOrderPrefersSmallOuterWithoutIndexes(t *testing.T) {
 		{Name: "small", Rows: 10},
 	}
 	preds := []Pred{{Srcs: []int{0, 1}, Class: Eq}}
-	res := Choose(tables, preds, Options{Costs: testCosts})
+	res := Choose(tables, preds, testCosts)
 	if got := res.Order(); !reflect.DeepEqual(got, []int{1, 0}) {
 		t.Fatalf("order = %v, want small table first", got)
 	}
@@ -107,19 +77,17 @@ func TestConstPredicatesReported(t *testing.T) {
 		{Srcs: nil, Class: Eq},
 		{Srcs: []int{0}, Class: Range},
 	}
-	for _, fixed := range []bool{false, true} {
-		res := Choose(tables, preds, Options{FixedOrder: fixed, Costs: testCosts})
-		if !reflect.DeepEqual(res.Consts, []int{0}) {
-			t.Fatalf("fixed=%v consts = %v, want [0]", fixed, res.Consts)
-		}
-		if !Covered(res, 2) {
-			t.Fatalf("fixed=%v coverage broken: %+v", fixed, res)
-		}
+	res := Choose(tables, preds, testCosts)
+	if !reflect.DeepEqual(res.Consts, []int{0}) {
+		t.Fatalf("consts = %v, want [0]", res.Consts)
+	}
+	if !Covered(res, 2) {
+		t.Fatalf("coverage broken: %+v", res)
 	}
 }
 
 func TestEstimatesMonotoneAndPositive(t *testing.T) {
-	res := Choose(tradingTables(), tradingPreds(), Options{Costs: testCosts})
+	res := Choose(tradingTables(), tradingPreds(), testCosts)
 	for i, lv := range res.Levels {
 		if lv.EstCost <= 0 || lv.EstAccess < 0 || lv.EstOut < 0 {
 			t.Fatalf("level %d has degenerate estimates: %+v", i, lv)
@@ -133,7 +101,7 @@ func TestEstimatesMonotoneAndPositive(t *testing.T) {
 	}
 }
 
-// Randomized structural check: whatever the shape, both modes place
+// Randomized structural check: whatever the shape, the planner places
 // every source exactly once and every predicate exactly once.
 func TestRandomizedCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -166,21 +134,19 @@ func TestRandomizedCoverage(t *testing.T) {
 			}
 			preds = append(preds, p)
 		}
-		for _, fixed := range []bool{false, true} {
-			res := Choose(tables, preds, Options{FixedOrder: fixed, Costs: testCosts})
-			if len(res.Levels) != n {
-				t.Fatalf("iter %d fixed=%v: %d levels for %d tables", iter, fixed, len(res.Levels), n)
+		res := Choose(tables, preds, testCosts)
+		if len(res.Levels) != n {
+			t.Fatalf("iter %d: %d levels for %d tables", iter, len(res.Levels), n)
+		}
+		seen := make([]bool, n)
+		for _, lv := range res.Levels {
+			if seen[lv.Src] {
+				t.Fatalf("iter %d: source %d placed twice", iter, lv.Src)
 			}
-			seen := make([]bool, n)
-			for _, lv := range res.Levels {
-				if seen[lv.Src] {
-					t.Fatalf("iter %d fixed=%v: source %d placed twice", iter, fixed, lv.Src)
-				}
-				seen[lv.Src] = true
-			}
-			if !Covered(res, len(preds)) {
-				t.Fatalf("iter %d fixed=%v: predicate coverage broken: %+v", iter, fixed, res)
-			}
+			seen[lv.Src] = true
+		}
+		if !Covered(res, len(preds)) {
+			t.Fatalf("iter %d: predicate coverage broken: %+v", iter, res)
 		}
 	}
 }
@@ -200,7 +166,7 @@ func TestCostOrderLookaheadScansDeltaLeafFirst(t *testing.T) {
 			{Src: 0, Col: "jc", OtherSrcs: []int{1}},
 		}},
 	}
-	res := Choose(tables, preds, Options{Costs: testCosts})
+	res := Choose(tables, preds, testCosts)
 	if got := res.Order(); !reflect.DeepEqual(got, []int{1, 0}) {
 		t.Fatalf("order = %v, want leaf first", got)
 	}

@@ -171,17 +171,7 @@ func TestPlanCacheReuse(t *testing.T) {
 		t.Fatalf("plan builds after growth = %d, want 1", got)
 	}
 
-	// Flipping the planner mode replans too.
-	mgr.PlanFixedOrder = true
-	b2 := builds.Load()
-	run()
-	if got := builds.Load() - b2; got != 1 {
-		t.Fatalf("plan builds after mode flip = %d, want 1", got)
-	}
-	mgr.PlanFixedOrder = false
-
 	// A warm plan is shared by concurrent runs without rebuilding.
-	run() // rebuild once for the cost mode
 	b3 := builds.Load()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

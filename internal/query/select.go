@@ -183,13 +183,13 @@ func (q *Select) runQuery(tx *txn.Txn, res Resolver, params []types.Value, wantN
 			// would quote a placeholder where the text had a literal:
 			// compile once more with the values written back, on this
 			// error path only, for a fresh parse's message word for word.
-			if _, berr := compile(q.WithParams(params), tx, srcs, tx.Manager().PlanFixedOrder); berr != nil {
+			if _, berr := compile(q.WithParams(params), tx, srcs); berr != nil {
 				err = berr
 			}
 		}
 		return nil, nil, err
 	}
-	return c.execute(tx, srcs, params, nil, wantNode)
+	return c.execute(tx, srcs, params, wantNode)
 }
 
 // WithParams returns the query with every placeholder replaced by its value
@@ -207,23 +207,22 @@ func (q *Select) WithParams(params []types.Value) *Select {
 	return b
 }
 
-// execute runs a compiled plan against this run's resolved sources.
-// When shared is non-nil the plan's single table source streams those
-// pre-materialized records instead of scanning (the shared-scan path,
-// which charged the batch scan once for the whole group).
-func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, shared []*storage.Record, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+// execute runs a compiled plan against this run's resolved sources. The
+// output under construction pins the rows it points at, and the caller's
+// transaction may commit whatever this returns (a read-only one always
+// does), so every error return retires it.
+func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, wantNode bool) (*storage.TempTable, *PlanNode, error) {
 	if len(params) < c.nParams {
 		return nil, nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", c.nParams, len(params))
 	}
 	ex := &exec{
-		c:      c,
-		q:      c.q,
-		tx:     tx,
-		model:  tx.Model(),
-		prof:   tx.Profile(),
-		srcs:   srcs,
-		row:    newRow(srcs, params),
-		shared: shared,
+		c:     c,
+		q:     c.q,
+		tx:    tx,
+		model: tx.Model(),
+		prof:  tx.Profile(),
+		srcs:  srcs,
+		row:   newRow(srcs, params),
 	}
 	if err := ex.prepareOutput(); err != nil {
 		return nil, nil, err
@@ -232,34 +231,21 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, sh
 	// Evaluate constant predicates once; a false one proves the result
 	// empty.
 	pass, err := allHold(c.consts, &ex.row)
-	if err != nil {
-		if shared != nil {
-			ex.out.Retire()
-		}
-		return nil, nil, err
-	}
-	empty := !pass
-
 	root := ex.buildTree()
-	if !empty {
-		if err := ex.drive(root); err != nil {
-			// Shared batches isolate per-query errors, so release this
-			// query's pinned rows; the per-query path surfaces the error
-			// to the transaction, which is about to abort wholesale.
-			if shared != nil {
-				ex.out.Retire()
-			}
-			return nil, nil, err
-		}
+	if err == nil && pass {
+		err = ex.drive(root)
 	}
-	out, err := ex.finish()
+	var out *storage.TempTable
+	if err == nil {
+		out, err = ex.finish()
+	}
 	if err != nil {
+		ex.out.Retire()
 		return nil, nil, err
 	}
-	// Selectivity feedback: only full per-query runs report — a LIMIT may
-	// stop the drive early and shared-scan batches stream a subset, so
-	// either would undercount against the estimate.
-	if shared == nil && c.q.Limit == 0 {
+	// Selectivity feedback: only full runs report — a LIMIT may stop the
+	// drive early and would undercount against the estimate.
+	if c.q.Limit == 0 {
 		c.noteActual(ex.matched)
 	}
 	if len(c.q.OrderBy) > 0 {
@@ -320,9 +306,6 @@ type exec struct {
 	model cost.Model
 	srcs  []*source
 	row
-	// shared, when non-nil, replaces the single table source's scan with
-	// these pre-materialized records (RunShared).
-	shared []*storage.Record
 	// prof receives row accounting (rows visited/matched) when the
 	// transaction carries a cost profile; nil otherwise.
 	prof *txn.TxnProfile

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"github.com/stripdb/strip/internal/lock"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -118,10 +119,10 @@ func (s *DeleteStmt) RunParams(tx *txn.Txn, params []types.Value) (int, error) {
 // first run and reused until the table is replaced (DROP + CREATE) or gains
 // an index; it holds no run state, so concurrent runs share it.
 type dmlPlan struct {
-	tbl  *storage.Table
+	src  source
 	nIdx int
 
-	probeCol string  // probe tbl's index on this column with probeKey; "" scans
+	probeCol string  // probe the table's index on this column with probeKey; "" scans
 	probeKey lowered // a literal or a parameter
 	filter   []lowPred
 	set      []setPlan
@@ -139,9 +140,9 @@ type setPlan struct {
 // `indexedCol = literal` (the first such, in WHERE order).
 func bindDML(tbl *storage.Table, table string, where []Pred, set []SetClause) (*dmlPlan, error) {
 	schema := tbl.Schema()
-	srcs := []*source{{name: table, schema: schema, tbl: tbl}}
 	_, nIdx := tbl.PlanStats()
-	p := &dmlPlan{tbl: tbl, nIdx: nIdx}
+	p := &dmlPlan{src: source{name: table, schema: schema, tbl: tbl}, nIdx: nIdx}
+	srcs := []*source{&p.src}
 	var exprs []Expr
 	// The statement is shared, and resolving writes positions into column
 	// references: bind copies.
@@ -183,12 +184,14 @@ const inlineTargets = 4
 // collectTargets gathers the records matching the WHERE clause before any
 // mutation (a statement must not observe its own writes mid-scan), binding
 // the statement into cache first if it has no plan for the table as it now
-// is. Indexed probes take the table's IX intent plus X locks on just the
-// probed rows, so statements targeting different rows of one table run in
-// parallel; scan-driven statements escalate to a full table X up front.
+// is. The candidates come through fetchRecords in X mode: an indexed probe
+// takes the table's IX intent plus X locks on just the probed rows, so
+// statements targeting different rows of one table run in parallel; a
+// statement with no usable index reads the whole table to decide its
+// targets and takes the full table X up front.
 // r is the run's row — one cursor and the parameters — left positioned on
-// the table for evaluating SET clauses; an index probe's targets land in
-// buf.
+// the table for evaluating SET clauses; the targets land in buf while they
+// fit.
 func collectTargets(tx *txn.Txn, cache *atomic.Pointer[dmlPlan], table string, where []Pred, set []SetClause, r *row, buf []*storage.Record) (*dmlPlan, []*storage.Record, error) {
 	model := tx.Model()
 	tx.Charge(model.StmtSetup)
@@ -197,7 +200,7 @@ func collectTargets(tx *txn.Txn, cache *atomic.Pointer[dmlPlan], table string, w
 		return nil, nil, err
 	}
 	p := cache.Load()
-	if _, nIdx := tbl.PlanStats(); p == nil || p.tbl != tbl || p.nIdx != nIdx {
+	if _, nIdx := tbl.PlanStats(); p == nil || p.src.tbl != tbl || p.nIdx != nIdx {
 		if p, err = bindDML(tbl, table, where, set); err != nil {
 			return nil, nil, err
 		}
@@ -208,29 +211,21 @@ func collectTargets(tx *txn.Txn, cache *atomic.Pointer[dmlPlan], table string, w
 	}
 
 	tx.Charge(model.OpenCursor)
-	var recs []*storage.Record
+	var key types.Value
+	perRow := model.ScanRow
 	if p.probeCol != "" {
-		key, err := p.probeKey.eval(r)
-		if err != nil {
+		if key, err = p.probeKey.eval(r); err != nil {
 			return nil, nil, err
 		}
 		tx.Charge(model.IndexProbe)
-		if recs, err = lockedWriteLookup(tx, table, tbl, p.probeCol, key, buf); err != nil {
-			return nil, nil, err
-		}
-		for range recs {
-			tx.Charge(model.FetchCursor)
-		}
-	} else {
-		// No usable index: the statement reads the whole table to decide
-		// its targets, so take the full X (write-side escalation).
-		if _, err := tx.WriteTable(table); err != nil {
-			return nil, nil, err
-		}
-		recs = tbl.AppendLive(nil)
-		for range recs {
-			tx.Charge(model.ScanRow)
-		}
+		perRow = model.FetchCursor
+	}
+	recs, err := fetchRecords(tx, &p.src, lock.Exclusive, p.probeCol, key, buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	for range recs {
+		tx.Charge(perRow)
 	}
 	// Keep, in place, the candidates the residual predicates hold for.
 	keep := recs[:0]
@@ -246,36 +241,6 @@ func collectTargets(tx *txn.Txn, cache *atomic.Pointer[dmlPlan], table string, w
 	}
 	tx.Charge(model.CloseCursor)
 	return p, keep, nil
-}
-
-// lockedWriteLookup probes the index into buf and X-locks the rows it
-// returns, retrying when a row was replaced while the lock request waited
-// (the replacement keeps the lock ID, so the retry's re-probe is already
-// covered). Persistent churn escalates to a full table X.
-func lockedWriteLookup(tx *txn.Txn, name string, tbl *storage.Table, col string, v types.Value, buf []*storage.Record) ([]*storage.Record, error) {
-	const maxAttempts = 3
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		recs, _ := tbl.AppendIndexLookup(buf[:0], col, v)
-		stale := false
-		for _, r := range recs {
-			if err := tx.LockRecordExclusive(name, r.ID()); err != nil {
-				return nil, err
-			}
-			if !r.Live() {
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			return recs, nil
-		}
-		buf = recs
-	}
-	if _, err := tx.WriteTable(name); err != nil {
-		return nil, err
-	}
-	recs, _ := tbl.AppendIndexLookup(buf[:0], col, v)
-	return recs, nil
 }
 
 // constEq recognizes `col = literal` (either side), the literal written

@@ -1,8 +1,7 @@
 // Package server is stripd: the network serving subsystem. It speaks a
 // length-prefixed binary protocol over TCP, gives every connection a
-// session with its own interactive transaction, admission-controls work
-// before it reaches the engine, and batches compatible read-only queries
-// onto shared snapshot scans (package query's RunShared).
+// session with its own interactive transaction, and admission-controls
+// work before it reaches the engine.
 //
 // The wire format is deliberately minimal — four-byte big-endian length,
 // one type byte, then a type-specific payload of uvarint-framed fields —
@@ -42,7 +41,7 @@ const protoMagic = "STRP"
 // server-to-client frames have it set.
 const (
 	FrameHello  byte = 0x01 // magic, version, auth token, tenant
-	FrameQuery  byte = 0x02 // sql SELECT (auto-commit read, shared-scan eligible)
+	FrameQuery  byte = 0x02 // sql SELECT (auto-commit read)
 	FrameExec   byte = 0x03 // sql statement (auto-commit, or in-txn after BEGIN)
 	FrameBegin  byte = 0x04 // open the session's interactive transaction
 	FrameCommit byte = 0x05 // commit it

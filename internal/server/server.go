@@ -31,8 +31,6 @@ type Result struct {
 type Backend interface {
 	// Begin opens an interactive (locking) transaction.
 	Begin() *txn.Txn
-	// BeginReadOnly opens a lock-free snapshot transaction (shared scans).
-	BeginReadOnly() *txn.Txn
 	// Statements is the engine's statement cache. The session prepares
 	// every frame's text through it — which parses only a statement shape
 	// it has not seen — to classify the frame, and hands the backend the
@@ -42,7 +40,7 @@ type Backend interface {
 	Exec(stmt sqlparse.Stmt, params []types.Value) (*Result, error)
 	// ExecIn runs one prepared statement inside tx.
 	ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Value) (*Result, error)
-	// Obs is the engine's metrics registry (server.* and shared.* land here).
+	// Obs is the engine's metrics registry (server.* lands here).
 	Obs() *obs.Registry
 	// Now is engine time in microseconds, for metrics and trace events.
 	Now() int64
@@ -87,10 +85,6 @@ type Config struct {
 	IdleTxnTimeout time.Duration
 	// SessionLifetime bounds a session's total age; 0 = unbounded.
 	SessionLifetime time.Duration
-	// ShareWindow is the gather window for shared snapshot query execution:
-	// compatible QUERY frames arriving within one window batch onto a
-	// single snapshot scan. 0 disables sharing (every query runs alone).
-	ShareWindow time.Duration
 	// DrainTimeout bounds Close: sessions keep their connections long
 	// enough to COMMIT/ABORT in-flight transactions, then are cut.
 	// Default 5s.
@@ -121,38 +115,35 @@ func (c Config) withDefaults() Config {
 type metrics struct {
 	conns, busy, frames, badFrames, authFail, drainRejects *obs.Counter
 	txnBegins, txnsReaped, queries, execs, lagRejects      *obs.Counter
-	sharedFallbacks                                        *obs.Counter
 	active                                                 *obs.Gauge
 	queryMicros                                            *obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
-		conns:           reg.Counter(obs.MServerConns),
-		busy:            reg.Counter(obs.MServerBusy),
-		frames:          reg.Counter(obs.MServerFrames),
-		badFrames:       reg.Counter(obs.MServerBadFrames),
-		authFail:        reg.Counter(obs.MServerAuthFail),
-		drainRejects:    reg.Counter(obs.MServerDrainRejects),
-		txnBegins:       reg.Counter(obs.MServerTxnBegins),
-		txnsReaped:      reg.Counter(obs.MServerTxnsReaped),
-		queries:         reg.Counter(obs.MServerQueries),
-		execs:           reg.Counter(obs.MServerExecs),
-		lagRejects:      reg.Counter(obs.MReplLagRejects),
-		sharedFallbacks: reg.Counter(obs.MSharedFallbacks),
-		active:          reg.Gauge(obs.MServerActive),
-		queryMicros:     reg.Histogram(obs.MServerQueryMicros),
+		conns:        reg.Counter(obs.MServerConns),
+		busy:         reg.Counter(obs.MServerBusy),
+		frames:       reg.Counter(obs.MServerFrames),
+		badFrames:    reg.Counter(obs.MServerBadFrames),
+		authFail:     reg.Counter(obs.MServerAuthFail),
+		drainRejects: reg.Counter(obs.MServerDrainRejects),
+		txnBegins:    reg.Counter(obs.MServerTxnBegins),
+		txnsReaped:   reg.Counter(obs.MServerTxnsReaped),
+		queries:      reg.Counter(obs.MServerQueries),
+		execs:        reg.Counter(obs.MServerExecs),
+		lagRejects:   reg.Counter(obs.MReplLagRejects),
+		active:       reg.Gauge(obs.MServerActive),
+		queryMicros:  reg.Histogram(obs.MServerQueryMicros),
 	}
 }
 
 // Server is a running stripd listener.
 type Server struct {
-	cfg    Config
-	be     Backend
-	stmts  *sqlparse.Cache
-	m      metrics
-	ln     net.Listener
-	gather *gatherer
+	cfg   Config
+	be    Backend
+	stmts *sqlparse.Cache
+	m     metrics
+	ln    net.Listener
 
 	mu       sync.Mutex
 	sessions map[int64]*session
@@ -184,7 +175,6 @@ func Start(cfg Config, be Backend) (*Server, error) {
 		tenants:  make(map[string]int),
 		closedCh: make(chan struct{}),
 	}
-	s.gather = newGatherer(s)
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.reapLoop()

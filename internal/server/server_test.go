@@ -33,11 +33,10 @@ type testBackend struct {
 
 func (b *testBackend) Statements() *sqlparse.Cache { return b.stmts }
 
-func (b *testBackend) Begin() *txn.Txn         { return b.mgr.Begin() }
-func (b *testBackend) BeginReadOnly() *txn.Txn { return b.mgr.BeginReadOnly() }
-func (b *testBackend) Obs() *obs.Registry      { return b.mgr.Obs }
-func (b *testBackend) Now() int64              { return b.mgr.Clock.Now() }
-func (b *testBackend) Saturated() bool         { return b.saturated.Load() }
+func (b *testBackend) Begin() *txn.Txn    { return b.mgr.Begin() }
+func (b *testBackend) Obs() *obs.Registry { return b.mgr.Obs }
+func (b *testBackend) Now() int64         { return b.mgr.Clock.Now() }
+func (b *testBackend) Saturated() bool    { return b.saturated.Load() }
 
 func (b *testBackend) Repl() ReplStreamer { return nil }
 
@@ -68,7 +67,12 @@ func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Val
 		if err != nil {
 			return nil, err
 		}
-		return resultFromTemp(out), nil
+		defer out.Retire()
+		cols := make([]string, out.Schema().NumCols())
+		for i := range cols {
+			cols[i] = out.Schema().Col(i).Name
+		}
+		return &Result{Columns: cols, Rows: out.Rows()}, nil
 	case *sqlparse.InsertStmt:
 		n, err := s.Stmt.Run(tx)
 		return &Result{Affected: n}, err
@@ -478,7 +482,7 @@ func TestServerTenantInflightLimit(t *testing.T) {
 }
 
 func TestServerConcurrentSessions(t *testing.T) {
-	srv, _, lm := serverEnv(t, Config{ShareWindow: 2 * time.Millisecond})
+	srv, _, lm := serverEnv(t, Config{})
 	const sessions = 8
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
@@ -509,38 +513,6 @@ func TestServerConcurrentSessions(t *testing.T) {
 	}
 	wg.Wait()
 	waitNoLocks(t, lm)
-}
-
-// TestServerSharedScan: two out-of-transaction SELECTs over the same table
-// inside one gather window execute as one shared snapshot group.
-func TestServerSharedScan(t *testing.T) {
-	srv, be, _ := serverEnv(t, Config{ShareWindow: 25 * time.Millisecond})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn := dialHello(t, srv.Addr(), "", "")
-			defer conn.Close()
-			typ, p := roundTrip(t, conn, FrameQuery, EncodeSQL("select symbol from stocks where price > 35"))
-			if typ != FrameRows {
-				t.Errorf("shared query answered 0x%02x", typ)
-				return
-			}
-			_, rows, err := DecodeRows(p)
-			if err != nil || len(rows) != 2 {
-				t.Errorf("shared query rows=%v err=%v", rows, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if be.Obs().Counter(obs.MSharedGroups).Load() == 0 {
-		t.Error("no shared group formed")
-	}
-	if be.Obs().Counter(obs.MSharedQueries).Load() < 2 {
-		t.Error("queries did not share a scan")
-	}
 }
 
 func TestServerDrain(t *testing.T) {
@@ -611,51 +583,48 @@ func TestServerSessionsDebug(t *testing.T) {
 }
 
 // A served statement is parsed when its shape is first seen and never again,
-// whichever way it runs: auto-committed EXEC, QUERY on the shared-scan path
-// (a gather window) or falling back to per-query execution (none), and EXEC /
-// QUERY inside an interactive transaction. The session prepares the text
-// through the statement cache to classify the frame and the backend gets the
+// whichever way it runs: auto-committed EXEC or QUERY, and EXEC / QUERY
+// inside an interactive transaction. The session prepares the text through
+// the statement cache to classify the frame and the backend gets the
 // prepared statement, never the text; the same statement with other literals
 // of the same kinds is a cache hit. INSERT is not cached: it parses every
 // time, once.
 func TestServerParsesEachStatementOnce(t *testing.T) {
-	for _, window := range []time.Duration{0, time.Millisecond} {
-		srv, _, _ := serverEnv(t, Config{ShareWindow: window})
-		conn := dialHello(t, srv.Addr(), "", "acme")
-		send := func(typ byte, sql string, want int64) (byte, []byte) {
-			t.Helper()
-			before := sqlparse.ParseCalls()
-			rt, p := roundTrip(t, conn, typ, EncodeSQL(sql))
-			if rt == FrameErr {
-				code, msg, _ := DecodeErr(p)
-				t.Fatalf("%q answered %s: %s", sql, code, msg)
-			}
-			if got := sqlparse.ParseCalls() - before; got != want {
-				t.Errorf("share window %v: %q was parsed %d times, want %d", window, sql, got, want)
-			}
-			return rt, p
+	srv, _, _ := serverEnv(t, Config{})
+	conn := dialHello(t, srv.Addr(), "", "acme")
+	defer conn.Close()
+	send := func(typ byte, sql string, want int64) (byte, []byte) {
+		t.Helper()
+		before := sqlparse.ParseCalls()
+		rt, p := roundTrip(t, conn, typ, EncodeSQL(sql))
+		if rt == FrameErr {
+			code, msg, _ := DecodeErr(p)
+			t.Fatalf("%q answered %s: %s", sql, code, msg)
 		}
-		send(FrameExec, "insert into stocks values ('S4', 60)", 1)
-		send(FrameExec, "insert into stocks values ('S5', 70)", 1)
-		send(FrameExec, "update stocks set price = 61 where symbol = 'S4'", 1)
-		send(FrameExec, "update stocks set price = 71 where symbol = 'S5'", 0)
-		send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'", 1)
-		_, p := send(FrameQuery, "select symbol, price from stocks where symbol = 'S5'", 0)
-		if _, rows, err := DecodeRows(p); err != nil || len(rows) != 1 || rows[0][0].Str() != "S5" || rows[0][1].Float() != 71 {
-			t.Fatalf("share window %v: cache hit returned %v (%v), want [S5 71]", window, rows, err)
+		if got := sqlparse.ParseCalls() - before; got != want {
+			t.Errorf("%q was parsed %d times, want %d", sql, got, want)
 		}
-		send(FrameExec, "select symbol from stocks", 1)
-		send(FrameExec, "select symbol from stocks", 0)
-		if rt, _ := roundTrip(t, conn, FrameBegin, nil); rt != FrameOK {
-			t.Fatalf("BEGIN answered 0x%02x", rt)
-		}
-		send(FrameExec, "update stocks set price = 62 where symbol = 'S4'", 0)
-		send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'", 0)
-		send(FrameExec, "delete from stocks where symbol = 'S4'", 1)
-		send(FrameExec, "delete from stocks where symbol = 'S5'", 0)
-		if rt, _ := roundTrip(t, conn, FrameCommit, nil); rt != FrameOK {
-			t.Fatalf("COMMIT answered 0x%02x", rt)
-		}
-		conn.Close()
+		return rt, p
+	}
+	send(FrameExec, "insert into stocks values ('S4', 60)", 1)
+	send(FrameExec, "insert into stocks values ('S5', 70)", 1)
+	send(FrameExec, "update stocks set price = 61 where symbol = 'S4'", 1)
+	send(FrameExec, "update stocks set price = 71 where symbol = 'S5'", 0)
+	send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'", 1)
+	_, p := send(FrameQuery, "select symbol, price from stocks where symbol = 'S5'", 0)
+	if _, rows, err := DecodeRows(p); err != nil || len(rows) != 1 || rows[0][0].Str() != "S5" || rows[0][1].Float() != 71 {
+		t.Fatalf("cache hit returned %v (%v), want [S5 71]", rows, err)
+	}
+	send(FrameExec, "select symbol from stocks", 1)
+	send(FrameExec, "select symbol from stocks", 0)
+	if rt, _ := roundTrip(t, conn, FrameBegin, nil); rt != FrameOK {
+		t.Fatalf("BEGIN answered 0x%02x", rt)
+	}
+	send(FrameExec, "update stocks set price = 62 where symbol = 'S4'", 0)
+	send(FrameQuery, "select symbol, price from stocks where symbol = 'S4'", 0)
+	send(FrameExec, "delete from stocks where symbol = 'S4'", 1)
+	send(FrameExec, "delete from stocks where symbol = 'S5'", 0)
+	if rt, _ := roundTrip(t, conn, FrameCommit, nil); rt != FrameOK {
+		t.Fatalf("COMMIT answered 0x%02x", rt)
 	}
 }

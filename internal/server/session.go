@@ -271,8 +271,7 @@ func (s *session) handleTxnEnd(commit bool) bool {
 // handleSQL runs one QUERY (isQuery) or EXEC frame: decode, prepare (a
 // statement-cache lookup; a parse only for a statement shape not seen
 // before), admit, execute — inside the session transaction when one is
-// open, auto-committed otherwise. Out-of-transaction QUERY frames are the
-// shared-scan fast path.
+// open, auto-committed otherwise.
 func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 	sql, err := DecodeSQL(payload)
 	if err != nil {
@@ -287,7 +286,7 @@ func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 	if err != nil {
 		return s.sendErr(CodeBadRequest, err.Error())
 	}
-	sel, isSelect := stmt.(*sqlparse.SelectStmt)
+	_, isSelect := stmt.(*sqlparse.SelectStmt)
 	if isQuery && !isSelect {
 		return s.sendErr(CodeBadRequest, "QUERY frames carry SELECT only; use EXEC")
 	}
@@ -339,11 +338,7 @@ func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 		s.lastStmt = time.Now()
 		s.mu.Unlock()
 	} else {
-		if isSelect {
-			res, err = s.srv.gather.query(sel, params)
-		} else {
-			res, err = s.srv.be.Exec(stmt, params)
-		}
+		res, err = s.srv.be.Exec(stmt, params)
 	}
 	if isQuery {
 		s.srv.m.queries.Inc()

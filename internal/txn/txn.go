@@ -115,11 +115,6 @@ type Manager struct {
 	// DefaultEscalation. Set before transactions begin.
 	EscalateAt int
 
-	// PlanFixedOrder disables cost-based join ordering: queries join in
-	// FROM order with the seed interpreter's probe selection. A benchmark
-	// baseline and debugging escape hatch. Set before transactions begin.
-	PlanFixedOrder bool
-
 	nextID     atomic.Int64
 	commitHook atomic.Pointer[CommitHook]
 	wal        atomic.Pointer[DurableLog]
@@ -165,10 +160,6 @@ type QueryMetrics struct {
 	PlanFeedbackRebuilds *obs.Counter
 	SnapshotScans        *obs.Counter
 	SnapshotProbes       *obs.Counter
-	SharedScanRows       *obs.Counter
-	SharedGroups         *obs.Counter
-	SharedQueries        *obs.Counter
-	SharedGroupSize      *obs.Histogram
 }
 
 // NewManager wires a transaction manager over the given substrates with a
@@ -204,10 +195,6 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 		PlanFeedbackRebuilds: reg.Counter(obs.MQueryPlanFeedbackRebuilds),
 		SnapshotScans:        reg.Counter(obs.MMvccSnapshotScans),
 		SnapshotProbes:       reg.Counter(obs.MMvccSnapshotProbes),
-		SharedScanRows:       reg.Counter(obs.MSharedScanRows),
-		SharedGroups:         reg.Counter(obs.MSharedGroups),
-		SharedQueries:        reg.Counter(obs.MSharedQueries),
-		SharedGroupSize:      reg.Histogram(obs.MSharedGroupSize),
 	}
 }
 

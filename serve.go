@@ -31,10 +31,6 @@ type ServeOptions struct {
 	IdleTxnTimeout time.Duration
 	// SessionLifetime bounds a session's total age; 0 = unbounded.
 	SessionLifetime time.Duration
-	// ShareWindow is the gather window for shared snapshot query
-	// execution: compatible read-only queries arriving within one window
-	// run as a single snapshot scan at one LSN. 0 disables sharing.
-	ShareWindow time.Duration
 	// DrainTimeout bounds Close's session drain (default 5s).
 	DrainTimeout time.Duration
 }
@@ -42,10 +38,9 @@ type ServeOptions struct {
 // dbBackend adapts *DB to the server's Backend interface.
 type dbBackend struct{ db *DB }
 
-func (b dbBackend) Begin() *txn.Txn         { return b.db.Begin() }
-func (b dbBackend) BeginReadOnly() *txn.Txn { return b.db.BeginReadOnly() }
-func (b dbBackend) Obs() *obs.Registry      { return b.db.obs }
-func (b dbBackend) Now() int64              { return b.db.clk.Now() }
+func (b dbBackend) Begin() *txn.Txn    { return b.db.Begin() }
+func (b dbBackend) Obs() *obs.Registry { return b.db.obs }
+func (b dbBackend) Now() int64         { return b.db.clk.Now() }
 
 func (b dbBackend) Statements() *sqlparse.Cache { return b.db.stmts }
 
@@ -112,7 +107,6 @@ func (db *DB) startServer() error {
 		TenantInflight:  db.cfg.Serve.TenantInflight,
 		IdleTxnTimeout:  db.cfg.Serve.IdleTxnTimeout,
 		SessionLifetime: db.cfg.Serve.SessionLifetime,
-		ShareWindow:     db.cfg.Serve.ShareWindow,
 		DrainTimeout:    db.cfg.Serve.DrainTimeout,
 	}, dbBackend{db})
 	if err != nil {

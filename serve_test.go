@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/stripdb/strip/client"
-	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/sqlparse"
 )
 
@@ -44,10 +41,7 @@ func serveDial(t *testing.T, db *DB, opts client.Options) *client.Client {
 // transaction, and the stripmon surface (/metrics and /debug/sessions)
 // scraped while sessions are live.
 func TestServeSmoke(t *testing.T) {
-	db := serveOpen(t, Config{
-		MonitorAddr: "127.0.0.1:0",
-		Serve:       ServeOptions{ShareWindow: 2 * time.Millisecond},
-	})
+	db := serveOpen(t, Config{MonitorAddr: "127.0.0.1:0"})
 	c := serveDial(t, db, client.Options{})
 
 	if err := c.Ping(); err != nil {
@@ -131,91 +125,6 @@ func TestServeBusyShedOverWire(t *testing.T) {
 	}
 	if !IsRetryable(err) {
 		t.Fatalf("busy refusal %v not IsRetryable", err)
-	}
-}
-
-// Shared snapshot execution over the wire is transactionally consistent:
-// concurrent transfer writers preserve a constant total, and every remote
-// aggregate — demultiplexed from shared scans at a single LSN — sees it.
-func TestServeSharedSingleLSN(t *testing.T) {
-	db := serveOpen(t, Config{Serve: ServeOptions{ShareWindow: 3 * time.Millisecond}})
-	db.MustExec(`create table positions (sym text, value float)`)
-	const accounts, each = 8, 100.0
-	for i := 0; i < accounts; i++ {
-		db.MustExec(fmt.Sprintf(`insert into positions values ('P%d', %g)`, i, each))
-	}
-	const total = accounts * each
-
-	// Transfer writers: each transaction moves 5 between two accounts, so
-	// the sum is invariant at commit boundaries but torn mid-transaction.
-	stop := make(chan struct{})
-	var writers sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			a, b := fmt.Sprintf("P%d", w), fmt.Sprintf("P%d", w+4)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tx := db.Begin()
-				_, err1 := db.ExecIn(tx, `update positions set value = value + 5 where sym = '`+a+`'`)
-				_, err2 := db.ExecIn(tx, `update positions set value = value - 5 where sym = '`+b+`'`)
-				if err1 != nil || err2 != nil {
-					tx.Abort()
-					continue
-				}
-				tx.Commit() //nolint:errcheck // deadlock/retry noise is fine here
-			}
-		}(w)
-	}
-
-	// Remote readers: concurrent aggregates land in shared gather windows.
-	const readers, rounds = 6, 40
-	var torn atomic.Int64
-	var rg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		rg.Add(1)
-		go func() {
-			defer rg.Done()
-			c, err := client.Dial(db.ServerAddr(), client.Options{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close() //nolint:errcheck
-			for i := 0; i < rounds; i++ {
-				res, err := c.Query(`select sum(value) as s from positions`)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(res.Rows) != 1 {
-					t.Errorf("sum rows = %d", len(res.Rows))
-					return
-				}
-				if got := res.Rows[0][0].Float(); got != total {
-					torn.Add(1)
-					t.Errorf("torn remote read: sum = %g, want %g", got, total)
-				}
-			}
-		}()
-	}
-	rg.Wait()
-	close(stop)
-	writers.Wait()
-
-	if torn.Load() != 0 {
-		t.Fatalf("%d torn reads — shared scans are not at a single LSN", torn.Load())
-	}
-	if groups := db.Obs().Counter(obs.MSharedGroups).Load(); groups == 0 {
-		t.Fatal("no shared-scan groups formed; sharing did not engage")
-	}
-	if shared := db.Obs().Counter(obs.MSharedQueries).Load(); shared < 2 {
-		t.Fatalf("shared.queries = %d, want >= 2", shared)
 	}
 }
 

@@ -169,13 +169,6 @@ type Config struct {
 	// txn.DefaultEscalation). Lower values favor coarse locking; higher
 	// values favor row-level parallelism at more lock-manager work.
 	EscalationThreshold int
-	// LockWaitTimeout is how long a blocked lock request parks before the
-	// fallback deadlock detector runs (default lock.DefaultWaitTimeout,
-	// 100ms). Lower values detect cross-shard deadlock edges that appear
-	// after the on-conflict check sooner, at the price of more detector
-	// sweeps under contention. The effective value is reported by
-	// LockStats().WaitTimeout.
-	LockWaitTimeout time.Duration
 	// LockMaxWait caps how long one lock request may wait in total before
 	// its transaction aborts with ErrWaitTimeout (a transient, retryable
 	// abort). Zero (the default) waits indefinitely. Rule actions treat the
@@ -201,10 +194,6 @@ type Config struct {
 	// RetryBudget globally bounds transient-failure task retries with a
 	// token bucket (zero value = unlimited; see RetryBudget).
 	RetryBudget RetryBudget
-	// PlanFixedOrder disables the cost-based join planner: selects then
-	// join in FROM order with the seed interpreter's probe selection.
-	// Intended for planner-quality experiments (stripbench -exp join).
-	PlanFixedOrder bool
 	// MonitorAddr starts the stripmon HTTP listener on this address
 	// (host:port; ":0" picks a free port — see DB.MonitorAddr). It serves
 	// /metrics (Prometheus text exposition), /debug/trace (causal span
@@ -368,15 +357,11 @@ func Open(cfg Config) (*DB, error) {
 		db.locks = lock.New()
 	}
 	db.locks.Instrument(db.obs, db.clk.Now)
-	if cfg.LockWaitTimeout > 0 {
-		db.locks.SetWaitTimeout(cfg.LockWaitTimeout)
-	}
 	if cfg.LockMaxWait > 0 {
 		db.locks.SetMaxWait(cfg.LockMaxWait)
 	}
 	db.txns = txn.NewManager(catalog.New(), storage.NewStore(), db.locks, db.clk, db.meter, db.model)
 	db.txns.EscalateAt = cfg.EscalationThreshold
-	db.txns.PlanFixedOrder = cfg.PlanFixedOrder
 	db.txns.Instrument(db.obs)
 	db.sched = sched.New(db.clk, cfg.Policy, db.meter, db.model)
 	db.sched.Instrument(db.obs)

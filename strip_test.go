@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/stripdb/strip/internal/query"
+	"github.com/stripdb/strip/internal/storage"
 )
 
 // setupPTA builds the paper's small Figure 4 database through the SQL API.
@@ -270,5 +271,29 @@ func TestTable1SimpleUpdateCost(t *testing.T) {
 	want := model.BeginTxn + model.GetLock + model.UpdateCursor + model.CommitTxn + model.ReleaseLock
 	if charged != want {
 		t.Errorf("charged %g, want %g", charged, want)
+	}
+}
+
+// A SELECT that fails mid-run has already pinned the rows it emitted; its
+// read-only transaction still commits, so the failed run itself must let
+// them go, or the versions a later update retires are held forever.
+func TestFailedSelectReleasesRowPins(t *testing.T) {
+	db := MustOpen(Config{})
+	defer db.Close()
+	db.MustExec(`create table t (k text, v int)`)
+	db.MustExec(`insert into t values ('a', 1), ('b', 2), ('c', 0)`)
+	if _, err := db.Exec(`select k, 10 / v as q from t`); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("select = %v, want a division by zero", err)
+	}
+	tbl, _ := db.Txns().Store.Get("t")
+	tbl.Scan(func(r *storage.Record) bool {
+		if r.Refs() != 0 {
+			t.Errorf("row %v still holds %d pin(s) after the failed select", r.Value(0), r.Refs())
+		}
+		return true
+	})
+	db.MustExec(`update t set v = 5 where k = 'a'`)
+	if got := tbl.Stats().RetiredHeld; got != 0 {
+		t.Errorf("RetiredHeld = %d after updating a row the failed select emitted, want 0", got)
 	}
 }
