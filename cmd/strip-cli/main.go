@@ -173,6 +173,8 @@ func main() {
 				fmt.Printf("  group commit  batch p50=%d p95=%d max=%d; fsync p50=%dµs p95=%dµs\n",
 					info.GroupBatch.P50, info.GroupBatch.P95, info.GroupBatch.Max,
 					info.FsyncMicros.P50, info.FsyncMicros.P95)
+				fmt.Printf("                %d linger(s), %d futile, p50=%dµs max=%dµs; next batch expected to hold %d\n",
+					info.Lingers, info.LingersFutile, info.LingerMicros.P50, info.LingerMicros.Max, info.ExpectedCohort)
 			}
 			r := info.Recovery
 			fmt.Printf("  last recovery snapshot lsn=%d (%d tables, %d rows), %d txn(s)/%d op(s) replayed, torn_tail=%v, %d µs\n",

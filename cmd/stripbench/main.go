@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, comps, options, fig9..fig14, table1, sched, locality, taper, wal, contention, mvcc, overload, delta, repl")
+	exp := flag.String("exp", "all", "experiment: all, comps, options, fig9..fig14, table1, sched, locality, taper, contention, mvcc, overload, delta, repl")
 	scale := flag.String("scale", "paper", "workload scale: paper or small")
 	includeOptSym := flag.Bool("include-option-symbol", false,
 		"also run the unique-on-option_symbol configuration (the paper found it unmanageable)")
@@ -55,8 +55,6 @@ func main() {
 	switch *exp {
 	case "table1":
 		printTable1()
-	case "wal":
-		runWalBench(*metricsPath, progress)
 	case "contention":
 		// The lock-scaling sweep gets its own artifact so it never
 		// clobbers the figure metrics from other experiments.

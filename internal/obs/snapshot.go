@@ -85,6 +85,10 @@ const (
 	MWalFsyncMicros      = "wal.fsync_micros"
 	MWalGroupBatch       = "wal.group_batch"
 	MWalCommitStall      = "wal.commit_stall_micros"
+	MWalLingers          = "wal.lingers"
+	MWalLingersFutile    = "wal.lingers_futile"
+	MWalLingerMicros     = "wal.linger_micros"
+	MWalExpectedCohort   = "wal.expected_cohort"
 	MWalCheckpoints      = "wal.checkpoints"
 	MWalCheckpointMicros = "wal.checkpoint_micros"
 	MWalRecoveredTxns    = "wal.recovered_txns"

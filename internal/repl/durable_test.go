@@ -536,7 +536,7 @@ func TestInjectedSyncFailureIsRetried(t *testing.T) {
 // through applyBatch — the whole per-batch path of a standby: filter, log
 // write, redo, publish, instruments, sync cadence.
 func BenchmarkFollowerApply(b *testing.B) {
-	p := openEnvOpts(b, b.TempDir(), wal.Options{Sync: wal.SyncPolicy{Disabled: true}})
+	p := openEnvOpts(b, b.TempDir(), wal.Options{NoSync: true})
 	defer p.wal.Close()
 	p.createTable(b, "t")
 	for i := 0; i < b.N; i++ {

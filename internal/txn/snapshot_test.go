@@ -143,9 +143,7 @@ func TestSnapshotHorizonTracking(t *testing.T) {
 // rows equal — a snapshot can never split a commit, or observe commit N+1
 // from a group-commit batch without commit N.
 func TestNoTornSnapshots(t *testing.T) {
-	e := openWalEnv(t, t.TempDir(), wal.Options{
-		Sync: wal.SyncPolicy{Every: 8, Interval: 200 * time.Microsecond},
-	})
+	e := openWalEnv(t, t.TempDir(), wal.Options{})
 	defer e.wal.Close()
 	e.createTable(t, "t")
 

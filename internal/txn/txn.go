@@ -118,6 +118,9 @@ type Manager struct {
 	nextID     atomic.Int64
 	commitHook atomic.Pointer[CommitHook]
 	wal        atomic.Pointer[DurableLog]
+	// openWriters counts transactions that have written and have neither
+	// reached the durable log nor finished (see OpenWriters).
+	openWriters atomic.Int64
 
 	// MVCC commit-stamp authority. lastVisible is the newest commit LSN
 	// whose version stamps are fully applied; snapshots read it. stampMu
@@ -220,6 +223,11 @@ func (m *Manager) SetWAL(w DurableLog) {
 	}
 	m.wal.Store(&w)
 }
+
+// OpenWriters reports how many transactions have written something and not
+// yet handed it to the durable log (Txn.ReachedLog) or finished. The group
+// committer reads it as evidence that another commit is on its way.
+func (m *Manager) OpenWriters() int { return int(m.openWriters.Load()) }
 
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
@@ -332,6 +340,8 @@ type Txn struct {
 	status Status
 	log    []LogRec
 	seq    int64
+	// writing is set while this transaction counts in Manager.openWriters.
+	writing bool
 	// access tracks per-table lock state (single-goroutine; a Txn is not
 	// shared across goroutines while active).
 	access map[string]*tableAccess
@@ -494,8 +504,31 @@ func (t *Txn) Wait() { <-t.done }
 // the transaction itself (its write log, its lock tables) alive meanwhile.
 func (t *Txn) Done() <-chan struct{} { return t.done }
 
+// record appends one change to the write log; the first one makes the
+// transaction an open writer.
+func (t *Txn) record(lr LogRec) {
+	if !t.writing {
+		t.writing = true
+		t.mgr.openWriters.Add(1)
+	}
+	t.seq++
+	lr.Seq = t.seq
+	t.log = append(t.log, lr)
+}
+
+// ReachedLog ends this transaction's time as an open writer. A DurableLog
+// calls it on entry to LogCommit — from there the commit is the log's to
+// count — and finish calls it for transactions that never get that far.
+func (t *Txn) ReachedLog() {
+	if t.writing {
+		t.writing = false
+		t.mgr.openWriters.Add(-1)
+	}
+}
+
 // finish publishes completion to waiters.
 func (t *Txn) finish() {
+	t.ReachedLog()
 	if t.done != nil {
 		close(t.done)
 	}
@@ -702,8 +735,7 @@ func (t *Txn) Insert(table string, vals []types.Value) (*storage.Record, error) 
 	if t.profile != nil {
 		t.profile.RowsWritten++
 	}
-	t.seq++
-	t.log = append(t.log, LogRec{Op: OpInsert, Table: table, New: rec, Seq: t.seq})
+	t.record(LogRec{Op: OpInsert, Table: table, New: rec})
 	return rec, nil
 }
 
@@ -727,8 +759,7 @@ func (t *Txn) Delete(table string, rec *storage.Record) error {
 	if t.profile != nil {
 		t.profile.RowsWritten++
 	}
-	t.seq++
-	t.log = append(t.log, LogRec{Op: OpDelete, Table: table, Old: rec, Seq: t.seq})
+	t.record(LogRec{Op: OpDelete, Table: table, Old: rec})
 	return nil
 }
 
@@ -752,8 +783,7 @@ func (t *Txn) Update(table string, rec *storage.Record, vals []types.Value) (*st
 	if t.profile != nil {
 		t.profile.RowsWritten++
 	}
-	t.seq++
-	t.log = append(t.log, LogRec{Op: OpUpdate, Table: table, Old: rec, New: nr, Seq: t.seq})
+	t.record(LogRec{Op: OpUpdate, Table: table, Old: rec, New: nr})
 	return nr, nil
 }
 

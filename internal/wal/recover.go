@@ -53,7 +53,7 @@ func Open(dir string, opts Options, cat *catalog.Catalog, store *storage.Store) 
 	l := &Log{
 		dir:        dir,
 		path:       filepath.Join(dir, LogName),
-		sync:       opts.Sync,
+		noSync:     opts.NoSync,
 		openFile:   openFile,
 		reqCh:      make(chan *commitReq, 1024),
 		stopCh:     make(chan struct{}),
@@ -94,7 +94,7 @@ func Open(dir string, opts Options, cat *catalog.Catalog, store *storage.Store) 
 			return nil, fmt.Errorf("wal: trim torn tail: %w", err)
 		}
 	}
-	if !opts.Sync.Disabled {
+	if !opts.NoSync {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: sync recovered log: %w", err)

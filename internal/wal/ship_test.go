@@ -355,14 +355,15 @@ func TestSyncFramesInjectedFailureKeepsFrames(t *testing.T) {
 	}
 }
 
-// benchGroupCommit drives closed-loop committers through LogCommit and
-// reports how many fsyncs a commit costs: 1.0 means no two committers ever
-// shared one.
-func benchGroupCommit(b *testing.B, committers int) {
+// benchGroupCommit drives closed-loop committers through LogCommit, each
+// pausing think between an ack and its next commit, and reports what a
+// commit costs: fsyncs/op (1.0 means no two committers ever shared one),
+// the mean LogCommit stall, and lingers/op.
+func benchGroupCommit(b *testing.B, committers int, think time.Duration) {
 	e := newEnv(b, b.TempDir(), Options{})
 	defer e.wal.Close()
 	e.createTable(b, "t", intCol("worker"), intCol("seq"))
-	fsyncs := e.wal.fsyncs.Load()
+	fsyncs, lingers, stall := e.wal.fsyncs.Load(), e.wal.lingers.Load(), e.wal.stallHist.Sum()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	b.ReportAllocs()
@@ -380,14 +381,24 @@ func benchGroupCommit(b *testing.B, committers int) {
 					b.Error(err)
 					return
 				}
+				pause(think)
 			}
 		}(w)
 	}
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(e.wal.fsyncs.Load()-fsyncs)/float64(b.N), "fsyncs/op")
+	b.ReportMetric(float64(e.wal.stallHist.Sum()-stall)/float64(b.N), "stall-µs/op")
+	b.ReportMetric(float64(e.wal.lingers.Load()-lingers)/float64(b.N), "lingers/op")
 }
 
-func BenchmarkGroupCommit1Committers(b *testing.B) { benchGroupCommit(b, 1) }
-func BenchmarkGroupCommit2Committers(b *testing.B) { benchGroupCommit(b, 2) }
-func BenchmarkGroupCommit8Committers(b *testing.B) { benchGroupCommit(b, 8) }
+func BenchmarkGroupCommit1Committers(b *testing.B) { benchGroupCommit(b, 1, 0) }
+func BenchmarkGroupCommit2Committers(b *testing.B) { benchGroupCommit(b, 2, 0) }
+func BenchmarkGroupCommit8Committers(b *testing.B) { benchGroupCommit(b, 8, 0) }
+
+// BenchmarkGroupCommit2CommittersThink is the regime the end-to-end run
+// sees: the client round trip between an ack and the next commit is what
+// made the two cohorts miss each other.
+func BenchmarkGroupCommit2CommittersThink(b *testing.B) {
+	benchGroupCommit(b, 2, 100*time.Microsecond)
+}

@@ -29,8 +29,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/stripdb/strip/internal/catalog"
@@ -55,32 +57,42 @@ var (
 // ErrClosed is returned for appends to a closed log.
 var ErrClosed = fmt.Errorf("wal: log is closed")
 
-// SyncPolicy tunes group commit. The zero value is a sane default: flush as
-// soon as the committer queue drains, batching whatever accumulated while
-// the previous fsync was in flight, up to 64 commits per flush.
-type SyncPolicy struct {
-	// Every caps the number of commits batched into one fsync (default 64).
-	Every int
-	// Interval, when positive, is how long the group committer waits for
-	// more committers to arrive before flushing a non-full batch. Zero
-	// flushes as soon as the queue momentarily drains (lowest latency).
-	Interval time.Duration
-	// Disabled skips fsync entirely (benchmarks; durability is then only as
-	// good as the OS page cache).
-	Disabled bool
+// maxBatch caps the commits one fsync may cover.
+const maxBatch = 64
+
+// minLinger is the shortest measured sync time worth lingering for: below
+// it (syncing off, tmpfs) a timer costs more than the fsync it could save.
+const minLinger = 20 * time.Microsecond
+
+// cohortWindow remembers the cohorts of the last few rounds — a round's
+// cohort is its batch plus whoever had queued behind it when its fsync
+// returned — and expects the next batch to hold the smallest of them. A size
+// must be seen four times running before the flusher waits for it, and is
+// forgotten the first time it is not: waiting for a commit that does not
+// come costs a sync time, flushing without one that does costs it a place in
+// the next batch.
+type cohortWindow struct {
+	sizes [4]int
+	n     int
 }
 
-func (p SyncPolicy) every() int {
-	if p.Every <= 0 {
-		return 64
-	}
-	return p.Every
+func (w *cohortWindow) record(size int) {
+	w.sizes[w.n%len(w.sizes)] = size
+	w.n++
 }
+
+func (w *cohortWindow) expect() int { return slices.Min(w.sizes[:]) }
+
+// maxLingerSkip bounds the backoff after futile lingers, so that a log which
+// spent hours with a lone committer still notices a second one within about
+// a thousand flushes.
+const maxLingerSkip = 1024
 
 // Options configures Open.
 type Options struct {
-	// Sync is the group-commit policy.
-	Sync SyncPolicy
+	// NoSync skips fsync entirely (benchmarks; durability is then only as
+	// good as the OS page cache).
+	NoSync bool
 	// OpenFile overrides how the log file is opened (fault injection).
 	OpenFile OpenFileFunc
 	// Registry receives the log's instruments; nil uses a private registry.
@@ -91,13 +103,16 @@ type Options struct {
 type commitReq struct {
 	body []byte
 	done chan error
+	// mgr is the committer's transaction manager, whose open-writer count the
+	// flusher reads while it decides whether to linger.
+	mgr *txn.Manager
 }
 
 // Log is an open write-ahead log bound to a data directory.
 type Log struct {
 	dir      string
 	path     string
-	sync     SyncPolicy
+	noSync   bool
 	openFile OpenFileFunc
 
 	// mu guards the file, LSN counter, and sizes; it serializes appends from
@@ -126,6 +141,15 @@ type Log struct {
 	pending  []byte
 	taps     []*Tap
 
+	// Group-commit policy state (see collect). syncNanos is the EWMA of the
+	// measured Sync time and the longest a linger may last; the rest belongs
+	// to the flusher goroutine alone.
+	syncNanos atomic.Int64
+	cohorts   [2]cohortWindow // recent cohorts of rounds begun idle [0] and begun from the queue [1]
+	kind      int             // which of the two the round being collected is
+	skip      int             // linger opportunities still to pass up after futile lingers
+	backoff   int             // what skip restarts from after the next futile linger
+
 	reqCh      chan *commitReq
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -148,6 +172,10 @@ type Log struct {
 	stallHist     *obs.Histogram
 	ckptHist      *obs.Histogram
 	recoveryGauge *obs.Gauge
+	lingers       *obs.Counter
+	lingersFutile *obs.Counter
+	lingerHist    *obs.Histogram
+	expectGauge   *obs.Gauge
 }
 
 // instrument binds the log's instruments to reg.
@@ -164,6 +192,10 @@ func (l *Log) instrument(reg *obs.Registry) {
 	l.stallHist = reg.Histogram(obs.MWalCommitStall)
 	l.ckptHist = reg.Histogram(obs.MWalCheckpointMicros)
 	l.recoveryGauge = reg.Gauge(obs.MWalRecoveryMicros)
+	l.lingers = reg.Counter(obs.MWalLingers)
+	l.lingersFutile = reg.Counter(obs.MWalLingersFutile)
+	l.lingerHist = reg.Histogram(obs.MWalLingerMicros)
+	l.expectGauge = reg.Gauge(obs.MWalExpectedCohort)
 }
 
 // Dir returns the data directory.
@@ -187,9 +219,10 @@ func (l *Log) NextLSN() uint64 {
 func (l *Log) LastRecovery() RecoveryStats { return l.recovery }
 
 // LogCommit makes a committing transaction's write log durable, blocking
-// until its redo record is on disk (or the group-commit policy says it is).
-// It implements txn.DurableLog. Transactions with empty write logs are free.
+// until the fsync that covers its redo record has returned. It implements
+// txn.DurableLog. Transactions with empty write logs are free.
 func (l *Log) LogCommit(t *txn.Txn) error {
+	t.ReachedLog()
 	recs := t.Log()
 	if len(recs) == 0 {
 		return nil
@@ -213,7 +246,7 @@ func (l *Log) LogCommit(t *txn.Txn) error {
 		}
 		ops[i] = op
 	}
-	req := &commitReq{body: encodeCommit(t.ID(), t.CommitTime(), ops), done: make(chan error, 1)}
+	req := &commitReq{body: encodeCommit(t.ID(), t.CommitTime(), ops), done: make(chan error, 1), mgr: t.Manager()}
 	start := time.Now()
 	select {
 	case l.reqCh <- req:
@@ -222,8 +255,9 @@ func (l *Log) LogCommit(t *txn.Txn) error {
 	}
 	// reqCh is buffered, so the send can succeed concurrently with Close: the
 	// syncer may exit with this request still queued and never answer done.
-	// syncerDone closing after drainPending means every handled request already
-	// has its result buffered in done — an empty done then means unhandled.
+	// syncerDone closes after the flusher's last drain, so every handled
+	// request already has its result buffered in done — an empty done then
+	// means unhandled.
 	var err error
 	select {
 	case err = <-req.done:
@@ -242,39 +276,31 @@ func (l *Log) LogCommit(t *txn.Txn) error {
 // a batch, appends their records, issues one fsync, and wakes them all.
 func (l *Log) run() {
 	defer close(l.syncerDone)
+	batch := make([]*commitReq, 0, maxBatch)
 	for {
-		var first *commitReq
 		select {
-		case first = <-l.reqCh:
+		case first := <-l.reqCh:
+			batch = l.collect(append(batch[:0], first))
 		case <-l.stopCh:
-			l.drainPending()
+			// Flush the committers that were already queued when Close began.
+			for batch = l.takeQueued(batch[:0]); len(batch) > 0; batch = l.takeQueued(batch[:0]) {
+				l.flush(batch)
+			}
 			return
 		}
-		batch := append(make([]*commitReq, 0, 8), first)
-		batch = l.collect(batch)
-		l.flush(batch)
+		queued := l.flush(batch)
+		l.cohorts[l.kind].record(len(batch) + queued)
+		l.kind = 0
+		if queued > 0 {
+			l.kind = 1
+		}
+		l.expectGauge.Set(int64(l.cohorts[l.kind].expect()))
 	}
 }
 
-// collect grows the batch per the sync policy.
-func (l *Log) collect(batch []*commitReq) []*commitReq {
-	every := l.sync.every()
-	if l.sync.Interval > 0 {
-		timer := time.NewTimer(l.sync.Interval)
-		defer timer.Stop()
-		for len(batch) < every {
-			select {
-			case r := <-l.reqCh:
-				batch = append(batch, r)
-			case <-timer.C:
-				return batch
-			case <-l.stopCh:
-				return batch
-			}
-		}
-		return batch
-	}
-	for len(batch) < every {
+// takeQueued appends the commits queued right now, without waiting.
+func (l *Log) takeQueued(batch []*commitReq) []*commitReq {
+	for len(batch) < maxBatch {
 		select {
 		case r := <-l.reqCh:
 			batch = append(batch, r)
@@ -285,29 +311,83 @@ func (l *Log) collect(batch []*commitReq) []*commitReq {
 	return batch
 }
 
-// drainPending flushes committers that were already queued when Close began.
-func (l *Log) drainPending() {
-	for {
-		var batch []*commitReq
-		for len(batch) < l.sync.every() {
-			select {
-			case r := <-l.reqCh:
-				batch = append(batch, r)
-			default:
-				goto collected
-			}
-		}
-	collected:
-		if len(batch) == 0 {
-			return
-		}
-		l.flush(batch)
+// collect grows a batch that holds its first commit. Whatever is queued
+// joins at once. Beyond that the flusher lingers only on evidence that
+// another commit is coming:
+//
+//   - Committers that came together before will again. Closed-loop ones
+//     return together, one think time after their ack — this is what sees a
+//     sibling whose ack is still on the wire — and clients that send on one
+//     schedule arrive together. Either way the last rounds' cohorts say how
+//     many to expect (cohortWindow). A round that begins with the flusher
+//     idle and one that begins from the queue are different regimes — two
+//     committers taking turns fill the second kind with cohorts of two, two
+//     that arrive together and then pause fill the first — so each kind keeps
+//     its own window.
+//   - A transaction that has written and not yet reached LogCommit is
+//     expected too.
+//
+// The flusher flushes the moment the batch holds everyone expected, and never
+// asks to wait longer than a sync has been measured to take (the runtime may
+// deliver a sub-millisecond wake-up late when the process is otherwise idle;
+// wal.linger_micros records the time actually waited). A commit that lingers
+// and is joined pays no more than it paid queued behind another cohort's
+// fsync, and the pair pays for one fsync where it paid for two. A linger
+// that gathers nobody — a lone committer beside a transaction left open, a
+// sibling blocked on this batch's row locks, open-loop arrivals — doubles
+// the number of opportunities passed up before the next try; one that
+// gathers anybody resets it. A lone committer's cohorts are all one, so it
+// never lingers. l.mu is not held here, so DDL, checkpoints and subscribers
+// proceed while the flusher waits.
+func (l *Log) collect(batch []*commitReq) []*commitReq {
+	batch = l.takeQueued(batch)
+	limit := time.Duration(l.syncNanos.Load())
+	if limit < minLinger {
+		return batch
 	}
+	writers := batch[0].mgr
+	expect := l.cohorts[l.kind].expect()
+	short := func() bool {
+		return len(batch) < min(max(expect, len(batch)+writers.OpenWriters()), maxBatch)
+	}
+	if !short() {
+		return batch
+	}
+	if l.skip > 0 {
+		l.skip--
+		return batch
+	}
+	start, had := time.Now(), len(batch)
+	timer := time.NewTimer(limit)
+linger:
+	for short() {
+		select {
+		case r := <-l.reqCh:
+			batch = append(batch, r)
+		case <-timer.C:
+			break linger
+		case <-l.stopCh:
+			break linger
+		}
+	}
+	timer.Stop()
+	l.lingers.Inc()
+	l.lingerHist.Record(time.Since(start).Microseconds())
+	if len(batch) == had {
+		l.lingersFutile.Inc()
+		l.backoff = min(max(2*l.backoff, 1), maxLingerSkip)
+		l.skip = l.backoff
+	} else {
+		l.backoff = 0
+	}
+	return batch
 }
 
 // flush encodes a batch of commit records into one buffer, writes it with one
-// Write, fsyncs once, and wakes the committers.
-func (l *Log) flush(batch []*commitReq) {
+// Write, fsyncs once, and wakes the committers. It returns how many commits
+// had queued behind the batch when its fsync returned (before any committer
+// it wakes can have come back).
+func (l *Log) flush(batch []*commitReq) (queued int) {
 	total := 0
 	for _, r := range batch {
 		total += frameOverhead + len(r.body)
@@ -321,10 +401,12 @@ func (l *Log) flush(batch []*commitReq) {
 	}
 	err := l.appendDurableLocked(buf, len(batch))
 	l.mu.Unlock()
+	queued = len(l.reqCh)
 	l.batchHist.Record(int64(len(batch)))
 	for _, r := range batch {
 		r.done <- err
 	}
+	return queued
 }
 
 // appendDurableLocked writes buf — n complete frames stamped from l.nextLSN
@@ -369,7 +451,7 @@ func (l *Log) appendRecordLocked(kind byte, body []byte) error {
 // is durable, so frames a replica wrote ahead of this sync (pending) go to
 // the taps. Call with l.mu held.
 func (l *Log) syncLocked() error {
-	if !l.sync.Disabled {
+	if !l.noSync {
 		if fault.Armed() {
 			if err := fault.ErrorAt(fault.WalSyncFail); err != nil {
 				// Injected fsync failures are transient by design: a committer
@@ -385,8 +467,15 @@ func (l *Log) syncLocked() error {
 			l.failed = fmt.Errorf("wal: fsync: %w", err)
 			return l.failed
 		}
+		took := time.Since(start)
 		l.fsyncs.Inc()
-		l.fsyncHist.Record(time.Since(start).Microseconds())
+		l.fsyncHist.Record(took.Microseconds())
+		// EWMA over about the last eight syncs; the first sample seeds it.
+		if prev := l.syncNanos.Load(); prev == 0 {
+			l.syncNanos.Store(int64(took))
+		} else {
+			l.syncNanos.Store(prev + (int64(took)-prev)/8)
+		}
 	}
 	l.synced = l.size
 	if len(l.pending) > 0 {

@@ -289,7 +289,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	e := newEnv(t, dir, Options{Sync: SyncPolicy{Every: 16}})
+	e := newEnv(t, dir, Options{})
 	e.createTable(t, "t", intCol("worker"), intCol("seq"))
 
 	const workers, perWorker = 8, 25

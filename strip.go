@@ -79,8 +79,6 @@ type (
 	ActionStats = core.ActionStats
 	// RuleHealth is a user function's circuit-breaker view (see DB.RuleHealth).
 	RuleHealth = core.RuleHealth
-	// SyncPolicy tunes the write-ahead log's group-commit fsync batching.
-	SyncPolicy = wal.SyncPolicy
 	// RecoveryStats summarizes what Open restored from a DataDir.
 	RecoveryStats = wal.RecoveryStats
 )
@@ -157,8 +155,6 @@ type Config struct {
 	// database there, and Open recovers whatever state the directory holds.
 	// Empty keeps the engine purely in-memory (the default).
 	DataDir string
-	// Sync tunes group-commit fsync batching (DataDir engines only).
-	Sync SyncPolicy
 	// LockShards partitions the lock table into this many hash shards
 	// (rounded up to a power of two; default lock.DefaultShards). More
 	// shards reduce mutex contention between transactions locking
@@ -385,7 +381,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.DataDir != "" {
 		// Recovery runs before any worker starts and before any rule can be
 		// registered, so replay never fires rules.
-		w, err := wal.Open(cfg.DataDir, wal.Options{Sync: cfg.Sync, Registry: db.obs}, db.txns.Catalog, db.txns.Store)
+		w, err := wal.Open(cfg.DataDir, wal.Options{Registry: db.obs}, db.txns.Catalog, db.txns.Store)
 		if err != nil {
 			return nil, err
 		}
@@ -691,6 +687,14 @@ type WalInfo struct {
 	Checkpoints int64
 	// GroupBatch summarizes group-commit batch sizes (commits per fsync).
 	GroupBatch HistogramSnapshot
+	// Lingers counts the times the group committer held a batch open for a
+	// commit it expected, LingersFutile those that gathered nobody;
+	// LingerMicros summarizes how long they lasted, and ExpectedCohort is
+	// how many commits it expects the next batch to hold.
+	Lingers        int64
+	LingersFutile  int64
+	LingerMicros   HistogramSnapshot
+	ExpectedCohort int64
 	// FsyncMicros summarizes fsync latency.
 	FsyncMicros HistogramSnapshot
 	// Recovery describes what Open restored from the directory.
@@ -704,15 +708,19 @@ func (db *DB) WalInfo() (info WalInfo, ok bool) {
 		return WalInfo{}, false
 	}
 	return WalInfo{
-		Dir:         db.wal.Dir(),
-		LogBytes:    db.wal.Size(),
-		NextLSN:     db.wal.NextLSN(),
-		Appends:     db.obs.Counter(obs.MWalAppends).Load(),
-		Fsyncs:      db.obs.Counter(obs.MWalFsyncs).Load(),
-		Checkpoints: db.obs.Counter(obs.MWalCheckpoints).Load(),
-		GroupBatch:  db.obs.Histogram(obs.MWalGroupBatch).Snapshot(),
-		FsyncMicros: db.obs.Histogram(obs.MWalFsyncMicros).Snapshot(),
-		Recovery:    db.wal.LastRecovery(),
+		Dir:            db.wal.Dir(),
+		LogBytes:       db.wal.Size(),
+		NextLSN:        db.wal.NextLSN(),
+		Appends:        db.obs.Counter(obs.MWalAppends).Load(),
+		Fsyncs:         db.obs.Counter(obs.MWalFsyncs).Load(),
+		Checkpoints:    db.obs.Counter(obs.MWalCheckpoints).Load(),
+		GroupBatch:     db.obs.Histogram(obs.MWalGroupBatch).Snapshot(),
+		Lingers:        db.obs.Counter(obs.MWalLingers).Load(),
+		LingersFutile:  db.obs.Counter(obs.MWalLingersFutile).Load(),
+		LingerMicros:   db.obs.Histogram(obs.MWalLingerMicros).Snapshot(),
+		ExpectedCohort: db.obs.Gauge(obs.MWalExpectedCohort).Load(),
+		FsyncMicros:    db.obs.Histogram(obs.MWalFsyncMicros).Snapshot(),
+		Recovery:       db.wal.LastRecovery(),
 	}, true
 }
 
