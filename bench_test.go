@@ -1,14 +1,13 @@
-// Benchmarks regenerating the paper's evaluation artifacts.
+// Go-level benchmarks of the engine's primitives.
 //
 // Table 1 benches measure this implementation's real Go-level costs of the
 // same primitives the paper times (begin/commit transaction, cursor-style
-// one-tuple update, lock acquisition). Figure benches replay the
-// tiny-scale PTA workload per configuration and report the paper's metrics
-// (CPU utilization in virtual µs, N_r, recompute transaction length) via
-// b.ReportMetric; run `cmd/stripbench -scale paper` for the full-scale
-// sweep. Ablation benches cover design choices DESIGN.md calls out (the
-// §6.1 pointer-based temporary tables, rule processing cost, unique-merge
-// cost).
+// one-tuple update, lock acquisition); EXPERIMENTS.md quotes them. Ablation
+// benches cover design choices DESIGN.md calls out (the §6.1 pointer-based
+// temporary tables, rule processing cost, unique-merge cost), and the firing
+// benches walk a rule firing layer by layer down to the view delta action.
+// The paper's figures are not here: `cmd/stripbench` prints them from the
+// virtual-clock replay, and internal/ptabench's tests assert their shapes.
 package strip_test
 
 import (
@@ -18,9 +17,6 @@ import (
 	strip "github.com/stripdb/strip"
 
 	"github.com/stripdb/strip/internal/catalog"
-	"github.com/stripdb/strip/internal/feed"
-	"github.com/stripdb/strip/internal/ptabench"
-	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -102,43 +98,6 @@ func BenchmarkTable1_IndexLookup(b *testing.B) {
 		}
 	}
 }
-
-// --- Figures 9–14: PTA experiment points ----------------------------------
-
-// figureBench replays the tiny-scale trace for one (variant, delay) and
-// reports the paper's metrics. Each b.N iteration is one full replay.
-func figureBench(b *testing.B, v ptabench.Variant, delay float64) {
-	cfg := ptabench.TinyScale()
-	tr, err := feed.Generate(cfg.Feed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var last ptabench.RunResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last, err = ptabench.Run(cfg, tr, v, delay)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(last.CPUUtil*100, "util%")
-	b.ReportMetric(float64(last.Nr), "N_r")
-	b.ReportMetric(last.MeanRecomputeMicros/1000, "txn_ms")
-}
-
-// Figures 9–11 (comp_prices maintenance).
-func BenchmarkFig9_CompNonUnique(b *testing.B)       { figureBench(b, ptabench.CompNonUnique, 0) }
-func BenchmarkFig9_CompUnique_1s(b *testing.B)       { figureBench(b, ptabench.CompUnique, 1) }
-func BenchmarkFig9_CompUnique_3s(b *testing.B)       { figureBench(b, ptabench.CompUnique, 3) }
-func BenchmarkFig9_CompUniqueSymbol_3s(b *testing.B) { figureBench(b, ptabench.CompUniqueSymbol, 3) }
-func BenchmarkFig9_CompUniqueComp_05s(b *testing.B)  { figureBench(b, ptabench.CompUniqueComp, 0.5) }
-func BenchmarkFig9_CompUniqueComp_3s(b *testing.B)   { figureBench(b, ptabench.CompUniqueComp, 3) }
-
-// Figures 12–14 (option_prices maintenance).
-func BenchmarkFig12_OptNonUnique(b *testing.B)       { figureBench(b, ptabench.OptNonUnique, 0) }
-func BenchmarkFig12_OptUnique_3s(b *testing.B)       { figureBench(b, ptabench.OptUnique, 3) }
-func BenchmarkFig12_OptUniqueSymbol_1s(b *testing.B) { figureBench(b, ptabench.OptUniqueSymbol, 1) }
-func BenchmarkFig12_OptUniqueSymbol_3s(b *testing.B) { figureBench(b, ptabench.OptUniqueSymbol, 3) }
 
 // --- Ablations -------------------------------------------------------------
 
@@ -376,31 +335,3 @@ func benchViewDeltaApply(b *testing.B, rows int) {
 
 func BenchmarkViewDeltaApply1Rows(b *testing.B)  { benchViewDeltaApply(b, 1) }
 func BenchmarkViewDeltaApply16Rows(b *testing.B) { benchViewDeltaApply(b, 16) }
-
-// BenchmarkQueryIndexJoin measures the Figure 3 condition-query shape.
-func BenchmarkQueryIndexJoin(b *testing.B) {
-	db := benchDB(b)
-	db.MustExec(`create table memberships (comp text, symbol text, weight float)`)
-	db.MustExec(`create index on memberships (symbol)`)
-	for i := 0; i < 1000; i++ {
-		db.MustExec(fmt.Sprintf(`insert into memberships values ('C%02d', 'S%04d', 0.1)`, i%50, i))
-	}
-	q := &strip.Select{
-		Items: []query.SelectItem{
-			query.Item(query.QCol("memberships", "comp"), ""),
-			query.Item(query.QCol("stocks", "price"), ""),
-		},
-		From:  []string{"stocks", "memberships"},
-		Where: []query.Pred{query.Eq(query.QCol("memberships", "symbol"), query.QCol("stocks", "symbol"))},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, _, err := db.Query(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 1000 {
-			b.Fatalf("join rows = %d", len(rows))
-		}
-	}
-}

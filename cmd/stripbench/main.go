@@ -1,164 +1,140 @@
 // Command stripbench regenerates the paper's evaluation (Figures 9–14 and
-// the Table 1 timings) on the virtual-clock engine.
+// the Table 1 timings) on the virtual-clock engine. It writes nothing but
+// stdout (the tables) and stderr (per-run progress).
 //
 // Usage:
 //
-//	stripbench -exp all                 # everything, paper scale
+//	stripbench -exp all                 # Table 1 and Figures 9–14, paper scale
 //	stripbench -exp fig9 -scale small   # one figure, reduced scale
 //	stripbench -exp table1
 //	stripbench -exp sched               # scheduler-policy ablation
 //	stripbench -exp locality            # burstiness sweep ablation
+//	stripbench -exp taper               # delay sweep past 3 s (diminishing returns)
 //	stripbench -exp fig13 -include-option-symbol
-//	stripbench -exp contention -workers 1,2,4,8   # lock-scaling sweep
-//	stripbench -exp mvcc                # snapshot-read scan-vs-writer sweep
-//	stripbench -exp overload            # feed-rate ramp vs shedding policy
-//	stripbench -exp delta               # delta vs full view maintenance sweep
-//	stripbench -exp repl                # read scale-out across WAL-shipping replicas
 //
-// Paper-scale runs replay ≈60,000 updates per (variant, delay) point and
-// take a few minutes in total; -scale small completes in seconds.
+// -exp all leaves the three ablations (sched, locality, taper) out: they are
+// not in the paper. Paper-scale runs replay ≈60,000 updates per (variant,
+// delay) point and take a few minutes in total; -scale small completes in
+// seconds.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"github.com/stripdb/strip/internal/cost"
 	"github.com/stripdb/strip/internal/ptabench"
 )
 
+// settings are the flags an experiment runs under.
+type settings struct {
+	wcfg          ptabench.WorkloadConfig
+	includeOptSym bool
+	progress      func(string)
+}
+
+// The two sweeps of the paper's evaluation (§5.1, §5.2).
+var (
+	compFigs   = figures(true, "fig9", "fig10", "fig11")
+	optionFigs = figures(false, "fig12", "fig13", "fig14")
+)
+
+// experiments is the one list of -exp names, in the order the help text and
+// the unknown-name message print them.
+var experiments = []struct {
+	name string
+	run  func(settings) error
+}{
+	{"all", func(o settings) error {
+		printTable1()
+		if err := compFigs(o); err != nil {
+			return err
+		}
+		return optionFigs(o)
+	}},
+	{"table1", func(settings) error { printTable1(); return nil }},
+	{"comps", compFigs},
+	{"options", optionFigs},
+	{"fig9", figures(true, "fig9")},
+	{"fig10", figures(true, "fig10")},
+	{"fig11", figures(true, "fig11")},
+	{"fig12", figures(false, "fig12")},
+	{"fig13", figures(false, "fig13")},
+	{"fig14", figures(false, "fig14")},
+	{"sched", ablation(ptabench.RunSchedAblation)},
+	{"locality", ablation(ptabench.RunLocalityAblation)},
+	{"taper", ablation(ptabench.RunTaperAblation)},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, comps, options, fig9..fig14, table1, sched, locality, taper, contention, mvcc, overload, delta, repl")
+	exp := flag.String("exp", "all", "experiment: "+experimentNames())
 	scale := flag.String("scale", "paper", "workload scale: paper or small")
 	includeOptSym := flag.Bool("include-option-symbol", false,
 		"also run the unique-on-option_symbol configuration (the paper found it unmanageable)")
 	quiet := flag.Bool("q", false, "suppress per-run progress")
-	metricsPath := flag.String("metrics", "BENCH_metrics.json",
-		"write a per-run metrics artifact (throughput, p95/p99 action latency, max staleness) to this file; empty disables")
-	workers := flag.String("workers", "1,2,4,8",
-		"comma-separated worker-pool sizes for -exp contention")
 	flag.Parse()
 
-	wcfg := ptabench.PaperScale()
+	o := settings{wcfg: ptabench.PaperScale(), includeOptSym: *includeOptSym}
 	if *scale == "small" {
-		wcfg = ptabench.SmallScale()
+		o.wcfg = ptabench.SmallScale()
 	} else if *scale != "paper" {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	progress := func(s string) { fmt.Fprintln(os.Stderr, s) }
-	if *quiet {
-		progress = nil
+	if !*quiet {
+		o.progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 
-	switch *exp {
-	case "table1":
-		printTable1()
-	case "contention":
-		// The lock-scaling sweep gets its own artifact so it never
-		// clobbers the figure metrics from other experiments.
-		path := *metricsPath
-		if path == "BENCH_metrics.json" {
-			path = "BENCH_contention.json"
+	for _, e := range experiments {
+		if e.name == *exp {
+			if err := e.run(o); err != nil {
+				fmt.Fprintln(os.Stderr, "stripbench:", err)
+				os.Exit(1)
+			}
+			return
 		}
-		runContention(path, *scale, *workers, progress)
-	case "mvcc":
-		path := *metricsPath
-		if path == "BENCH_metrics.json" {
-			path = "BENCH_mvcc.json"
-		}
-		runMvcc(path, *scale, progress)
-	case "overload":
-		path := *metricsPath
-		if path == "BENCH_metrics.json" {
-			path = "BENCH_overload.json"
-		}
-		runOverload(path, *scale, progress)
-	case "delta":
-		path := *metricsPath
-		if path == "BENCH_metrics.json" {
-			path = "BENCH_delta.json"
-		}
-		runDeltaBench(path, *scale, progress)
-	case "repl":
-		path := *metricsPath
-		if path == "BENCH_metrics.json" {
-			path = "BENCH_repl.json"
-		}
-		runReplBench(path, *scale, progress)
-	case "sched":
-		if err := ptabench.RunSchedAblation(os.Stdout, wcfg, progress); err != nil {
-			fail(err)
-		}
-	case "locality":
-		if err := ptabench.RunLocalityAblation(os.Stdout, wcfg, progress); err != nil {
-			fail(err)
-		}
-	case "taper":
-		if err := ptabench.RunTaperAblation(os.Stdout, wcfg, progress); err != nil {
-			fail(err)
-		}
-	case "all":
-		printTable1()
-		er1 := runFigures(wcfg, []string{"fig9", "fig10", "fig11"}, *includeOptSym, progress)
-		er2 := runFigures(wcfg, []string{"fig12", "fig13", "fig14"}, *includeOptSym, progress)
-		er1.Runs = append(er1.Runs, er2.Runs...)
-		writeMetrics(*metricsPath, er1)
-	case "comps", "fig9", "fig10", "fig11":
-		ids := []string{"fig9", "fig10", "fig11"}
-		if *exp != "comps" {
-			ids = []string{*exp}
-		}
-		writeMetrics(*metricsPath, runFigures(wcfg, ids, *includeOptSym, progress))
-	case "options", "fig12", "fig13", "fig14":
-		ids := []string{"fig12", "fig13", "fig14"}
-		if *exp != "options" {
-			ids = []string{*exp}
-		}
-		writeMetrics(*metricsPath, runFigures(wcfg, ids, *includeOptSym, progress))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
 	}
+	fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", *exp, experimentNames())
+	os.Exit(2)
 }
 
-func runFigures(wcfg ptabench.WorkloadConfig, ids []string, includeOptSym bool, progress func(string)) *ptabench.ExperimentResult {
-	comp := ids[0] == "fig9" || ids[0] == "fig10" || ids[0] == "fig11"
-	variants := ptabench.CompVariants()
-	if !comp {
-		variants = ptabench.OptionVariants(includeOptSym)
-	}
-	er, err := ptabench.RunExperiment(wcfg, variants, ptabench.DefaultDelays(), progress)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println()
-	er.WriteSummary(os.Stdout)
-	for _, id := range ids {
+// figures runs the comp_prices (comp) or option_prices sweep once and prints
+// its summary and the named figures.
+func figures(comp bool, ids ...string) func(settings) error {
+	return func(o settings) error {
+		variants := ptabench.CompVariants()
+		if !comp {
+			variants = ptabench.OptionVariants(o.includeOptSym)
+		}
+		er, err := ptabench.RunExperiment(o.wcfg, variants, ptabench.DefaultDelays(), o.progress)
+		if err != nil {
+			return err
+		}
 		fmt.Println()
-		if err := er.WriteFigure(os.Stdout, id); err != nil {
-			fail(err)
+		er.WriteSummary(os.Stdout)
+		for _, id := range ids {
+			fmt.Println()
+			if err := er.WriteFigure(os.Stdout, id); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return er
 }
 
-// writeMetrics dumps the experiment's per-run metrics artifact so future
-// changes have a perf trajectory to compare against.
-func writeMetrics(path string, er *ptabench.ExperimentResult) {
-	if path == "" || er == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	if err := er.WriteMetricsJSON(f); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote metrics artifact: %s (%d runs)\n", path, len(er.Runs))
+func ablation(run func(io.Writer, ptabench.WorkloadConfig, func(string)) error) func(settings) error {
+	return func(o settings) error { return run(os.Stdout, o.wcfg, o.progress) }
 }
 
 func printTable1() {
@@ -186,9 +162,4 @@ func printTable1() {
 		m.SimpleUpdateCost(), 1e6/m.SimpleUpdateCost())
 	fmt.Println("  (run `go test -bench Table1 .` for measured Go-level timings)")
 	fmt.Println()
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "stripbench:", err)
-	os.Exit(1)
 }

@@ -35,9 +35,6 @@ type RunResult struct {
 	MeanRecomputeMicros float64
 	// MeanQueueMicros is the mean wait between release and start.
 	MeanQueueMicros float64
-	// UpdatesPerSec is the base-update throughput over the (virtual) trace
-	// duration.
-	UpdatesPerSec float64
 	// P50/P95/P99ActionMicros summarize the end-to-end action latency span
 	// (trigger commit → recompute commit, virtual time): the delay window
 	// plus queueing.
@@ -53,10 +50,6 @@ type RunResult struct {
 	RealSeconds float64
 	Errors      int64
 	Restarts    int64
-	// Profiles are the per-rule cost profiles at the end of the run, so
-	// artifacts capture rule-level cost (evaluate time, rows, lock wait),
-	// not just aggregate throughput.
-	Profiles []strip.RuleProfile
 }
 
 // String renders one row for reports.
@@ -109,9 +102,6 @@ func Run(wcfg WorkloadConfig, tr *feed.Trace, v Variant, delaySec float64) (RunR
 		res.MeanRecomputeMicros = st.WorkMicros / float64(st.TasksRun)
 		res.MeanQueueMicros = float64(st.QueueMicros) / float64(st.TasksRun)
 	}
-	if durSec := clock.Seconds(tr.Config.Duration); durSec > 0 {
-		res.UpdatesPerSec = float64(updates) / durSec
-	}
 	snap := db.Metrics()
 	if h, ok := snap.Histograms[obs.ForFunc(obs.MActionLatencyMicros, fname)]; ok {
 		res.P50ActionMicros = h.P50
@@ -122,7 +112,6 @@ func Run(wcfg WorkloadConfig, tr *feed.Trace, v Variant, delaySec float64) (RunR
 		res.MaxStalenessMicros = st.Max
 		res.P95StalenessMicros = st.P95
 	}
-	res.Profiles = db.RuleProfiles()
 	return res, nil
 }
 

@@ -1,13 +1,11 @@
 package ptabench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 
-	strip "github.com/stripdb/strip"
 	"github.com/stripdb/strip/internal/feed"
 )
 
@@ -201,82 +199,6 @@ func formatMetric(x float64) string {
 	default:
 		return fmt.Sprintf("%.3f", x)
 	}
-}
-
-// RunMetrics is the per-run record of a metrics artifact: the numbers
-// future PRs compare against for a perf trajectory.
-type RunMetrics struct {
-	Variant            string  `json:"variant"`
-	DelaySec           float64 `json:"delay_sec"`
-	Updates            int     `json:"updates"`
-	UpdatesPerSec      float64 `json:"updates_per_sec"`
-	Nr                 int64   `json:"recompute_txns"`
-	TasksMerged        int64   `json:"tasks_merged"`
-	CPUUtil            float64 `json:"cpu_util"`
-	MeanRecomputeUs    float64 `json:"mean_recompute_micros"`
-	P50ActionMicros    int64   `json:"p50_action_micros"`
-	P95ActionMicros    int64   `json:"p95_action_micros"`
-	P99ActionMicros    int64   `json:"p99_action_micros"`
-	MaxStalenessMicros int64   `json:"max_staleness_micros"`
-	P95StalenessMicros int64   `json:"p95_staleness_micros"`
-	RealSeconds        float64 `json:"real_seconds"`
-	Errors             int64   `json:"errors"`
-	Restarts           int64   `json:"restarts"`
-	// Profiles carries each rule function's cost profile so the perf
-	// trajectory records rule-level cost, not just aggregate tps.
-	Profiles []strip.RuleProfile `json:"rule_profiles,omitempty"`
-}
-
-// MetricsRecords flattens the experiment's runs into artifact records.
-func (er *ExperimentResult) MetricsRecords() []RunMetrics {
-	out := make([]RunMetrics, 0, len(er.Runs))
-	for _, r := range er.Runs {
-		out = append(out, RunMetrics{
-			Variant:            r.Variant.String(),
-			DelaySec:           r.DelaySec,
-			Updates:            r.Updates,
-			UpdatesPerSec:      r.UpdatesPerSec,
-			Nr:                 r.Nr,
-			TasksMerged:        r.TasksMerged,
-			CPUUtil:            r.CPUUtil,
-			MeanRecomputeUs:    r.MeanRecomputeMicros,
-			P50ActionMicros:    r.P50ActionMicros,
-			P95ActionMicros:    r.P95ActionMicros,
-			P99ActionMicros:    r.P99ActionMicros,
-			MaxStalenessMicros: r.MaxStalenessMicros,
-			P95StalenessMicros: r.P95StalenessMicros,
-			RealSeconds:        r.RealSeconds,
-			Errors:             r.Errors,
-			Restarts:           r.Restarts,
-			Profiles:           r.Profiles,
-		})
-	}
-	return out
-}
-
-// WriteMetricsJSON writes the experiment's metrics artifact: workload
-// shape plus one record per (variant, delay) run.
-func (er *ExperimentResult) WriteMetricsJSON(w io.Writer) error {
-	artifact := struct {
-		Workload struct {
-			Stocks     int     `json:"stocks"`
-			Composites int     `json:"composites"`
-			CompSize   int     `json:"comp_size"`
-			Options    int     `json:"options"`
-			Updates    int     `json:"updates"`
-			MeanRate   float64 `json:"mean_rate"`
-		} `json:"workload"`
-		Runs []RunMetrics `json:"runs"`
-	}{Runs: er.MetricsRecords()}
-	artifact.Workload.Stocks = er.Workload.Feed.NumStocks
-	artifact.Workload.Composites = er.Workload.NumComposites
-	artifact.Workload.CompSize = er.Workload.CompSize
-	artifact.Workload.Options = er.Workload.NumOptions
-	artifact.Workload.Updates = er.TraceStats.Updates
-	artifact.Workload.MeanRate = er.TraceStats.MeanRate
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(artifact)
 }
 
 // WriteSummary renders every run.

@@ -2,7 +2,6 @@ package ptabench
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -331,51 +330,6 @@ func TestStalenessGrowsWithDelay(t *testing.T) {
 	// Action latency percentiles ride along in the run result.
 	if short.P95ActionMicros <= 0 || long.P99ActionMicros < long.P95ActionMicros {
 		t.Errorf("action latency percentiles inconsistent: %+v vs %+v", short, long)
-	}
-}
-
-func TestMetricsArtifact(t *testing.T) {
-	cfg := tinyConfig()
-	er, err := RunExperiment(cfg, []Variant{CompNonUnique, CompUniqueComp}, []float64{1.0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := er.WriteMetricsJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var artifact struct {
-		Workload struct {
-			Updates int `json:"updates"`
-		} `json:"workload"`
-		Runs []RunMetrics `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &artifact); err != nil {
-		t.Fatalf("artifact does not parse: %v", err)
-	}
-	if artifact.Workload.Updates != er.TraceStats.Updates {
-		t.Errorf("workload updates = %d, want %d", artifact.Workload.Updates, er.TraceStats.Updates)
-	}
-	if len(artifact.Runs) != len(er.Runs) {
-		t.Fatalf("artifact has %d runs, want %d", len(artifact.Runs), len(er.Runs))
-	}
-	for _, r := range artifact.Runs {
-		if r.Variant == "" || r.Updates == 0 || r.UpdatesPerSec <= 0 {
-			t.Errorf("run record incomplete: %+v", r)
-		}
-	}
-	// The unique variant's record carries staleness and latency percentiles.
-	var uniq *RunMetrics
-	for i := range artifact.Runs {
-		if artifact.Runs[i].Variant == CompUniqueComp.String() {
-			uniq = &artifact.Runs[i]
-		}
-	}
-	if uniq == nil {
-		t.Fatal("unique-on-comp run missing from artifact")
-	}
-	if uniq.MaxStalenessMicros <= 0 || uniq.P95ActionMicros <= 0 {
-		t.Errorf("unique run lacks staleness/latency: %+v", uniq)
 	}
 }
 

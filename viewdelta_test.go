@@ -24,15 +24,17 @@ var viewDefs = map[string]string{
 	  where stocks.symbol = opts.symbol`,
 }
 
-// viewDB builds one engine with the oracle's schema, seed data, and a
-// materialized view of the requested shape and maintenance mode.
-func viewDB(t *testing.T, shape string, mode ViewMode) *DB {
+// viewDB builds one engine with the oracle's schema, seed data over `base`
+// stocks rows, and a materialized view of the requested shape and
+// maintenance mode. The agg shape's dimension grows with the base (two rows
+// a symbol, in four groups); the perrow shape's is fixed.
+func viewDB(t *testing.T, shape string, mode ViewMode, base int) *DB {
 	t.Helper()
 	db := MustOpen(Config{Virtual: true})
 	t.Cleanup(func() { db.Close() })
 	db.MustExec(`create table stocks (symbol text, price float)`)
 	db.MustExec(`create index on stocks (symbol)`)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < base; i++ {
 		db.MustExec(fmt.Sprintf(`insert into stocks values ('S%d', %d)`, i, 10+i))
 	}
 	var def *Select
@@ -42,7 +44,7 @@ func viewDB(t *testing.T, shape string, mode ViewMode) *DB {
 		// Each composite references a spread of symbols, including some
 		// that do not exist yet (inserts later join them in).
 		for c := 0; c < 4; c++ {
-			for s := c; s < 12; s += 2 {
+			for s := c; s < base+4; s += 2 {
 				db.MustExec(fmt.Sprintf(`insert into comps_list values ('C%d', 'S%d', 0.%d5)`, c, s, c+1))
 			}
 		}
@@ -111,8 +113,8 @@ func TestDeltaFullEquivalenceOracle(t *testing.T) {
 	for _, shape := range []string{"agg", "perrow"} {
 		t.Run(shape, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
-			delta := viewDB(t, shape, ViewModeDelta)
-			full := viewDB(t, shape, ViewModeFull)
+			delta := viewDB(t, shape, ViewModeDelta, 8)
+			full := viewDB(t, shape, ViewModeFull, 8)
 
 			// The dimension writer.
 			dimRow, dimDel := `insert into comps_list values ('CZ', 'Z9', 1.0)`, `delete from comps_list where symbol = 'Z9'`
@@ -273,7 +275,7 @@ func sortStrings(ss []string) {
 // update) and checks the consistency check trips, the counter records the
 // fallback, and the full rebuild inside the same action repairs the view.
 func TestDeltaFallbackRepairsView(t *testing.T) {
-	db := viewDB(t, "agg", ViewModeDelta)
+	db := viewDB(t, "agg", ViewModeDelta, 8)
 	db.WaitIdle()
 
 	out := db.MustExec(`select comp, price from v where comp = 'C0'`)
@@ -313,6 +315,63 @@ func TestDeltaFallbackRepairsView(t *testing.T) {
 	}
 }
 
+// TestDeltaCostFlatAcrossBaseSize pins what the delta path is for: keeping a
+// view costs O(|delta|), not O(|base|). The same 8 batches of 8 price updates
+// run over 500 and over 5,000 stocks rows (the dimension grows with them). On
+// the virtual clock the delta action costs the same per firing, to the
+// microsecond, at both sizes; the full rebuild's cost follows the base; and
+// both modes leave the same view behind.
+func TestDeltaCostFlatAcrossBaseSize(t *testing.T) {
+	const small, large = 500, 5000
+	// perFiring runs the workload and returns the maintenance function's
+	// virtual cost per task, and the view it leaves.
+	perFiring := func(mode ViewMode, base int) (float64, map[string]float64) {
+		db := viewDB(t, "agg", mode, base)
+		db.WaitIdle()
+		before := db.Stats("maintain_v_fn")
+		for b := 0; b < 8; b++ {
+			for u := 0; u < 8; u++ {
+				// At most S483: the same symbols at both sizes.
+				db.MustExec(fmt.Sprintf(`update stocks set price = %d where symbol = 'S%d'`,
+					10+(b*8+u)%90, b*56+u*13))
+			}
+			db.WaitIdle()
+		}
+		after := db.Stats("maintain_v_fn")
+		tasks := after.TasksRun - before.TasksRun
+		if fallbacks := db.Metrics().Counters[obs.MDeltaFallbacks]; tasks == 0 || after.TaskErrors != 0 || fallbacks != 0 {
+			t.Fatalf("%d rows, full=%t: %d maintenance tasks, %d task errors, %d delta fallbacks",
+				base, mode == ViewModeFull, tasks, after.TaskErrors, fallbacks)
+		}
+		return (after.WorkMicros - before.WorkMicros) / float64(tasks), viewContents(t, db, "agg")
+	}
+
+	var delta, full [2]float64
+	for i, base := range []int{small, large} {
+		var deltaView, fullView map[string]float64
+		delta[i], deltaView = perFiring(ViewModeDelta, base)
+		full[i], fullView = perFiring(ViewModeFull, base)
+		if len(deltaView) != len(fullView) {
+			t.Fatalf("%d rows: delta view has %d groups, full has %d", base, len(deltaView), len(fullView))
+		}
+		for k, f := range fullView {
+			if d, ok := deltaView[k]; !ok || math.Abs(d-f) > 1e-6*(1+math.Abs(f)) {
+				t.Errorf("%d rows, group %s: delta=%v full=%v", base, k, d, f)
+			}
+		}
+	}
+	t.Logf("µs per firing at %d and %d rows: delta %.0f and %.0f, full %.0f and %.0f (%.2fx)",
+		small, large, delta[0], delta[1], full[0], full[1], full[1]/full[0])
+	if delta[0] != delta[1] {
+		t.Errorf("delta maintenance costs %.0f µs per firing over %d rows and %.0f over %d: it follows the base",
+			delta[0], small, delta[1], large)
+	}
+	if full[1] < 5*full[0] {
+		t.Errorf("full rebuild costs %.0f µs over %d rows and %.0f over %d: under 5x for a 10x base",
+			full[0], small, full[1], large)
+	}
+}
+
 // The generated delta action for a one-row update that touches two groups
 // — begin, two index probes, two held updates, commit — stays under its
 // allocation ceiling (165 allocations when each leaf was a planned GROUP BY
@@ -321,7 +380,7 @@ func TestViewDeltaActionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	db := viewDB(t, "agg", ViewModeDelta)
+	db := viewDB(t, "agg", ViewModeDelta, 8)
 	price := 100
 	run := func() float64 {
 		price++
