@@ -4,14 +4,17 @@
 // two-level hierarchy: table-level intention modes (IS/IX) cover
 // record-level S/X locks, so transactions touching disjoint rows of the same
 // table proceed in parallel while whole-table readers and writers (S/X)
-// still exclude conflicting row work. Lock names are comparable values
-// supplied by the transaction layer — table names are strings, records use
-// RecordID.
+// still exclude conflicting row work. The transaction layer names a
+// lockable through AcquireTable or AcquireRecord; both become a comparable
+// value key, so an acquire boxes nothing. Acquire takes the same names as
+// values: a table name string or a RecordID.
 //
 // The lock table is hash-partitioned into power-of-two shards, each with its
 // own mutex and FIFO wait queues, so uncontended acquires on different
 // resources never serialize on a global mutex. Incompatible requests park
-// the requesting task in the shard's blocked queue until granted.
+// the requesting task in the shard's blocked queue until granted. Each
+// transaction's granted locks are listed in one footprint, so ReleaseAll
+// visits only the shards that hold them.
 //
 // Deadlocks are broken by aborting the requester with ErrDeadlock. Because
 // a single shard no longer sees the whole wait-for graph, detection takes a
@@ -26,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/stripdb/strip/internal/fault"
@@ -113,11 +115,35 @@ type RecordID struct {
 // String formats the record lockable for traces and errors.
 func (r RecordID) String() string { return fmt.Sprintf("%s#%d", r.Table, r.ID) }
 
+// key is a lockable as the lock table indexes it: a whole table, or one
+// record of it.
+type key struct {
+	table  string
+	id     uint64
+	record bool
+}
+
+// keyOf converts a name Acquire or Holds accepts.
+func keyOf(name any) key {
+	switch n := name.(type) {
+	case string:
+		return key{table: n}
+	case RecordID:
+		return key{table: n.Table, id: n.ID, record: true}
+	}
+	panic(fmt.Sprintf("lock: a %T names no lockable; use a table name or a RecordID", name))
+}
+
+// String formats the lockable as the name it was acquired by.
+func (k key) String() string {
+	if k.record {
+		return RecordID{k.table, k.id}.String()
+	}
+	return k.table
+}
+
 // ErrDeadlock is returned to the transaction chosen as deadlock victim.
 var ErrDeadlock = errors.New("lock: deadlock detected")
-
-// ErrAborted is returned to waiters cancelled via Cancel.
-var ErrAborted = errors.New("lock: wait aborted")
 
 // ErrWaitTimeout is returned when a wait exceeds the manager's max-wait cap
 // (SetMaxWait). Like a deadlock abort it is transient — the rule engine
@@ -147,28 +173,69 @@ type waiter struct {
 	txn       int64
 	mode      Mode // effective mode: Sup(currently held, requested)
 	upgrading bool // txn already holds the resource in a weaker mode
-	ready     chan error
+	ready     chan struct{}
 }
 
+type holder struct {
+	txn  int64
+	mode Mode
+}
+
+// entry is one lockable's state. One holder is the common case, so holders
+// are a slice searched linearly; a recycled entry keeps its capacity.
 type entry struct {
-	holders map[int64]Mode
+	holders []holder
 	queue   []*waiter
 }
+
+// holder returns the index of txn among e's holders, or -1.
+func (e *entry) holder(txn int64) int {
+	for i := range e.holders {
+		if e.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// maxFree bounds each free list: released entries kept per shard, and
+// footprints kept per registry partition. maxFootprint bounds the capacity
+// a recycled footprint may keep.
+const (
+	maxFree      = 64
+	maxFootprint = 256
+)
 
 // shard is one hash partition of the lock table.
 type shard struct {
 	mu    sync.Mutex
-	locks map[any]*entry
-	// held tracks every lock a transaction holds in this shard, for
-	// ReleaseAll.
-	held map[int64]map[any]Mode
+	locks map[key]*entry
 	// waitsOn maps a blocked transaction to the resource (owned by this
 	// shard) it waits for, feeding the cross-shard wait-for graph.
-	waitsOn map[int64]any
-	// load counts acquires routed to this shard (contention diagnostics).
-	load atomic.Int64
+	waitsOn map[int64]key
+	free    []*entry
 
-	_ [24]byte // pad to reduce false sharing between adjacent shards
+	_ [16]byte // pad to a cache line: no false sharing between shards
+}
+
+// held is one footprint item: a granted lockable and the shard holding it.
+type held struct {
+	s *shard
+	k key
+}
+
+// footprint lists the lockables one transaction has been granted, each
+// once, in grant order.
+type footprint struct{ held []held }
+
+// txnShard is one partition of the transaction → footprint registry,
+// hashed by transaction id.
+type txnShard struct {
+	mu   sync.Mutex
+	fps  map[int64]*footprint
+	free []*footprint
+
+	_ [24]byte // pad to a cache line
 }
 
 // DefaultShards is the lock-table partition count used by New.
@@ -183,6 +250,7 @@ const DefaultWaitTimeout = 100 * time.Millisecond
 // NewSharded.
 type Manager struct {
 	shards []*shard
+	txns   []*txnShard
 	mask   uint64
 
 	// waitTimeout bounds each park before the fallback detector runs.
@@ -228,16 +296,14 @@ func NewSharded(n int) *Manager {
 	}
 	m := &Manager{
 		shards:           make([]*shard, size),
+		txns:             make([]*txnShard, size),
 		mask:             uint64(size - 1),
 		waitTimeout:      DefaultWaitTimeout,
 		detectOnConflict: true,
 	}
 	for i := range m.shards {
-		m.shards[i] = &shard{
-			locks:   make(map[any]*entry),
-			held:    make(map[int64]map[any]Mode),
-			waitsOn: make(map[int64]any),
-		}
+		m.shards[i] = &shard{locks: make(map[key]*entry), waitsOn: make(map[int64]key)}
+		m.txns[i] = &txnShard{fps: make(map[int64]*footprint)}
 	}
 	m.Instrument(obs.NewRegistry(), nil)
 	return m
@@ -245,15 +311,6 @@ func NewSharded(n int) *Manager {
 
 // Shards returns the partition count.
 func (m *Manager) Shards() int { return len(m.shards) }
-
-// ShardLoads returns per-shard acquire counts, for contention diagnostics.
-func (m *Manager) ShardLoads() []int64 {
-	out := make([]int64, len(m.shards))
-	for i, s := range m.shards {
-		out[i] = s.load.Load()
-	}
-	return out
-}
 
 // SetWaitTimeout changes the park duration before the fallback detector
 // runs. Call before the manager sees concurrent use.
@@ -291,45 +348,54 @@ func (m *Manager) Instrument(reg *obs.Registry, now func() int64) {
 	reg.Gauge(obs.MLockShards).Set(int64(len(m.shards)))
 }
 
-// shardFor routes a lock name to its partition by FNV-1a hash.
-func (m *Manager) shardFor(name any) *shard {
+// shardFor routes a lockable to its partition by FNV-1a hash of the table
+// name and, for a record, its id.
+func (m *Manager) shardFor(k key) *shard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	var h uint64 = offset64
-	hashString := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
+	for i := 0; i < len(k.table); i++ {
+		h ^= uint64(k.table[i])
+		h *= prime64
 	}
-	switch n := name.(type) {
-	case string:
-		hashString(n)
-	case RecordID:
-		hashString(n.Table)
-		v := n.ID
+	if k.record {
+		v := k.id
 		for i := 0; i < 8; i++ {
 			h ^= v & 0xff
 			h *= prime64
 			v >>= 8
 		}
-	default:
-		hashString(fmt.Sprint(name))
 	}
 	return m.shards[h&m.mask]
 }
 
-// Acquire obtains the lock `name` in `mode` for transaction txn, blocking
-// until granted. Re-acquiring a covered lock is a no-op; acquiring a
-// stronger or incomparable mode while holding a weaker one upgrades to the
-// join of the two (S + IX = SIX, anything + X = X). Returns ErrDeadlock if
-// granting would deadlock (the requester is the victim) or ErrAborted if
-// cancelled.
+// Acquire obtains the lock `name` — a table name string or a RecordID — in
+// `mode` for transaction txn, as AcquireTable or AcquireRecord does.
 func (m *Manager) Acquire(txn int64, name any, mode Mode) error {
+	return m.acquire(txn, keyOf(name), mode)
+}
+
+// AcquireTable obtains a table-level lock for txn, blocking until granted.
+// Re-acquiring a covered lock is a no-op; acquiring a stronger or
+// incomparable mode while holding a weaker one upgrades to the join of the
+// two (S + IX = SIX, anything + X = X). Returns ErrDeadlock if granting
+// would deadlock (the requester is the victim) or ErrWaitTimeout past the
+// max-wait cap.
+func (m *Manager) AcquireTable(txn int64, table string, mode Mode) error {
+	return m.acquire(txn, key{table: table}, mode)
+}
+
+// AcquireRecord obtains the lock on record id of table for txn, as
+// AcquireTable does for a table.
+func (m *Manager) AcquireRecord(txn int64, table string, id uint64, mode Mode) error {
+	return m.acquire(txn, key{table: table, id: id, record: true}, mode)
+}
+
+func (m *Manager) acquire(txn int64, k key, mode Mode) error {
 	m.acquires.Inc()
-	if _, isRec := name.(RecordID); isRec {
+	if k.record {
 		m.recordAcquires.Inc()
 	}
 	if fault.Armed() {
@@ -338,42 +404,60 @@ func (m *Manager) Acquire(txn int64, name any, mode Mode) error {
 		fault.Stall(fault.LockAcquireDelay)
 		if injected := fault.ErrorAt(fault.LockForceDeadlock); injected != nil {
 			m.deadlocks.Inc()
-			return fmt.Errorf("%w (txn %d on %v, injected)", ErrDeadlock, txn, name)
+			return fmt.Errorf("%w (txn %d on %v, injected)", ErrDeadlock, txn, k)
 		}
 	}
-	s := m.shardFor(name)
-	s.load.Add(1)
+	s := m.shardFor(k)
 	s.mu.Lock()
-	e := s.locks[name]
+	e := s.locks[k]
 	if e == nil {
-		e = &entry{holders: make(map[int64]Mode)}
-		s.locks[name] = e
+		if n := len(s.free); n > 0 {
+			e, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			e = &entry{}
+		}
+		s.locks[k] = e
 	}
 	eff := mode
-	cur, holding := e.holders[txn]
+	i := e.holder(txn)
+	holding := i >= 0
 	if holding {
-		if Covers(cur, mode) {
+		if Covers(e.holders[i].mode, mode) {
 			s.mu.Unlock()
 			return nil // already sufficient
 		}
-		eff = Sup(cur, mode)
+		eff = Sup(e.holders[i].mode, mode)
 	}
-	if grantable(e, txn, eff) {
-		s.grant(e, txn, name, eff)
+	// FIFO fairness: a request may not jump earlier waiters, except an
+	// upgrade, which would otherwise queue behind requests its own hold
+	// blocks.
+	if (holding || len(e.queue) == 0) && compatibleWithHolders(e, txn, eff) {
+		e.grant(txn, eff)
 		s.mu.Unlock()
-		return nil
+	} else {
+		w := &waiter{txn: txn, mode: eff, upgrading: holding, ready: make(chan struct{})}
+		e.queue = append(e.queue, w)
+		s.waitsOn[txn] = k
+		s.mu.Unlock()
+		if err := m.wait(txn, k, w); err != nil {
+			return err
+		}
 	}
-	w := &waiter{txn: txn, mode: eff, upgrading: holding, ready: make(chan error, 1)}
-	e.queue = append(e.queue, w)
-	s.waitsOn[txn] = name
-	s.mu.Unlock()
-	m.waits.Inc()
+	if !holding {
+		m.hold(txn, s, k)
+	}
+	return nil
+}
 
+// wait parks txn's queued request w on k until it is granted (nil), chosen
+// as a deadlock victim, or past the max-wait cap.
+func (m *Manager) wait(txn int64, k key, w *waiter) error {
+	m.waits.Inc()
 	// On-conflict deadlock check: snapshot the cross-shard wait-for graph
 	// now that our edge is published. If we were granted in the window
 	// between unlock and snapshot, detect sees no wait and reports false.
 	if m.detectOnConflict && m.detect(txn) {
-		return m.victim(txn, name)
+		return m.victim(txn, k)
 	}
 
 	waitFrom := m.clockNow()
@@ -382,65 +466,78 @@ func (m *Manager) Acquire(txn int64, name any, mode Mode) error {
 	defer timer.Stop()
 	for {
 		select {
-		case err := <-w.ready:
+		case <-w.ready:
 			waited := m.clockNow() - waitFrom
 			m.waitHist.Record(waited)
 			if m.tracer.Enabled() {
-				m.tracer.Emit(waitFrom+waited, obs.KindLockWait, fmt.Sprint(name), waited)
+				m.tracer.Emit(waitFrom+waited, obs.KindLockWait, k.String(), waited)
 			}
-			return err
+			return nil
 		case <-timer.C:
 			// Timeout fallback: an edge may have formed after the
 			// on-conflict snapshot (or on-conflict detection is off).
 			m.timeouts.Inc()
 			if m.detect(txn) {
-				return m.victim(txn, name)
+				return m.victim(txn, k)
 			}
 			if m.maxWait > 0 && time.Since(waitStart) >= m.maxWait {
-				if m.abandonWait(txn, name, w) {
+				if m.abandonWait(txn, k) {
 					m.timeoutAborts.Inc()
-					return fmt.Errorf("%w (txn %d on %v after %v)", ErrWaitTimeout, txn, name, m.maxWait)
+					return fmt.Errorf("%w (txn %d on %v after %v)", ErrWaitTimeout, txn, k, m.maxWait)
 				}
-				// Granted (or cancelled) while we were deciding to give up:
-				// the grant is in the buffered channel — honor it.
-				err := <-w.ready
-				waited := m.clockNow() - waitFrom
-				m.waitHist.Record(waited)
-				return err
+				// Granted while we were deciding to give up: honor it.
+				m.waitHist.Record(m.clockNow() - waitFrom)
+				return nil
 			}
 			timer.Reset(m.waitTimeout)
 		}
 	}
 }
 
+// hold adds a newly granted lockable to txn's footprint.
+func (m *Manager) hold(txn int64, s *shard, k key) {
+	r := m.txns[uint64(txn)&m.mask]
+	r.mu.Lock()
+	fp := r.fps[txn]
+	if fp == nil {
+		if n := len(r.free); n > 0 {
+			fp, r.free = r.free[n-1], r.free[:n-1]
+		} else {
+			fp = &footprint{}
+		}
+		r.fps[txn] = fp
+	}
+	fp.held = append(fp.held, held{s, k})
+	r.mu.Unlock()
+}
+
 // abandonWait withdraws txn's parked request after a max-wait timeout. It
-// reports false when the request was granted or cancelled first — the
-// outcome is already in w.ready and the caller must consume it instead.
-func (m *Manager) abandonWait(txn int64, name any, w *waiter) bool {
-	s := m.shardFor(name)
+// reports false when the request was granted first — the caller then holds
+// the lock.
+func (m *Manager) abandonWait(txn int64, k key) bool {
+	s := m.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, waiting := s.waitsOn[txn]; !waiting {
 		return false
 	}
-	e := s.locks[name]
-	if e == nil {
-		delete(s.waitsOn, txn)
-		return true
-	}
-	for i, q := range e.queue {
-		if q == w {
+	s.withdraw(txn, k)
+	return true
+}
+
+// withdraw removes txn's parked request on k. Its departure can unblock
+// requests queued behind it, so the queue is promoted.
+func (s *shard) withdraw(txn int64, k key) {
+	e := s.locks[k]
+	for i, w := range e.queue {
+		if w.txn == txn {
 			e.queue = append(e.queue[:i:i], e.queue[i+1:]...)
 			break
 		}
 	}
 	delete(s.waitsOn, txn)
-	// Our departure can unblock requests queued behind us.
-	s.promote(e, name)
-	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(s.locks, name)
-	}
-	return true
+	s.promote(e)
+	s.retire(k, e)
 }
 
 // ActiveLocks counts locks currently held across all shards (sum over
@@ -451,8 +548,8 @@ func (m *Manager) ActiveLocks() int {
 	total := 0
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for _, locks := range s.held {
-			total += len(locks)
+		for _, e := range s.locks {
+			total += len(e.holders)
 		}
 		s.mu.Unlock()
 	}
@@ -461,12 +558,12 @@ func (m *Manager) ActiveLocks() int {
 
 // victim finalizes a deadlock abort for the requester: detect has already
 // removed its waiter and promoted the queue under the shard locks.
-func (m *Manager) victim(txn int64, name any) error {
+func (m *Manager) victim(txn int64, k key) error {
 	m.deadlocks.Inc()
 	if m.tracer.Enabled() {
-		m.tracer.Emit(m.clockNow(), obs.KindLockDeadlock, fmt.Sprint(name), txn)
+		m.tracer.Emit(m.clockNow(), obs.KindLockDeadlock, k.String(), txn)
 	}
-	return fmt.Errorf("%w (txn %d on %v)", ErrDeadlock, txn, name)
+	return fmt.Errorf("%w (txn %d on %v)", ErrDeadlock, txn, k)
 }
 
 // clockNow reads the engine clock, or 0 when uninstrumented.
@@ -477,45 +574,34 @@ func (m *Manager) clockNow() int64 {
 	return m.now()
 }
 
-// grantable reports whether txn's request is compatible with the current
-// holders and does not jump ahead of waiting requests (except upgrades,
-// which must bypass the queue to avoid self-blocking).
-func grantable(e *entry, txn int64, mode Mode) bool {
-	_, upgrading := e.holders[txn]
-	if len(e.queue) > 0 && !upgrading {
-		return false // FIFO fairness: don't starve earlier waiters
-	}
-	return compatibleWithHolders(e, txn, mode)
-}
-
 // compatibleWithHolders checks mode against every holder other than txn.
 func compatibleWithHolders(e *entry, txn int64, mode Mode) bool {
-	for holder, hm := range e.holders {
-		if holder == txn {
-			continue
-		}
-		if !Compatible(mode, hm) {
+	for _, h := range e.holders {
+		if h.txn != txn && !Compatible(mode, h.mode) {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *shard) grant(e *entry, txn int64, name any, mode Mode) {
-	if cur, ok := e.holders[txn]; !ok {
-		e.holders[txn] = mode
-	} else if !Covers(cur, mode) {
-		e.holders[txn] = Sup(cur, mode)
+func (e *entry) grant(txn int64, mode Mode) {
+	if i := e.holder(txn); i < 0 {
+		e.holders = append(e.holders, holder{txn, mode})
+	} else {
+		e.holders[i].mode = Sup(e.holders[i].mode, mode)
 	}
-	locks := s.held[txn]
-	if locks == nil {
-		locks = make(map[any]Mode)
-		s.held[txn] = locks
+}
+
+// retire drops k's entry once nothing holds or waits for it, keeping it for
+// reuse while the shard's free list has room.
+func (s *shard) retire(k key, e *entry) {
+	if len(e.holders) > 0 || len(e.queue) > 0 {
+		return
 	}
-	if cur, ok := locks[name]; !ok {
-		locks[name] = mode
-	} else if !Covers(cur, mode) {
-		locks[name] = Sup(cur, mode)
+	delete(s.locks, k)
+	if len(s.free) < maxFree {
+		e.queue = nil // drop the parked waiters its backing array still points to
+		s.free = append(s.free, e)
 	}
 }
 
@@ -547,13 +633,13 @@ func (m *Manager) detect(txn int64) bool {
 	m.lockAll()
 	defer m.unlockAll()
 
-	// Locate txn's wait; if it was granted (or cancelled) before the
-	// snapshot, there is nothing to detect.
+	// Locate txn's wait; if it was granted before the snapshot, there is
+	// nothing to detect.
 	var ws *shard
-	var waitName any
+	var waitKey key
 	for _, s := range m.shards {
-		if n, ok := s.waitsOn[txn]; ok {
-			ws, waitName = s, n
+		if k, ok := s.waitsOn[txn]; ok {
+			ws, waitKey = s, k
 			break
 		}
 	}
@@ -563,8 +649,8 @@ func (m *Manager) detect(txn int64) bool {
 
 	edges := make(map[int64][]int64)
 	for _, s := range m.shards {
-		for wTxn, n := range s.waitsOn {
-			e := s.locks[n]
+		for wTxn, k := range s.waitsOn {
+			e := s.locks[k]
 			if e == nil {
 				continue
 			}
@@ -579,9 +665,9 @@ func (m *Manager) detect(txn int64) bool {
 			if w == nil {
 				continue
 			}
-			for h := range e.holders {
-				if h != wTxn {
-					edges[wTxn] = append(edges[wTxn], h)
+			for _, h := range e.holders {
+				if h.txn != wTxn {
+					edges[wTxn] = append(edges[wTxn], h.txn)
 				}
 			}
 			if !w.upgrading {
@@ -615,48 +701,10 @@ func (m *Manager) detect(txn int64) bool {
 		return false
 	}
 
-	// Victimize the requester: unpark it by removing its queue entry. The
-	// removal can unblock requests queued behind it, so promote.
+	// Victimize the requester: unpark it by removing its queue entry.
 	m.detectorCycles.Inc()
-	e := ws.locks[waitName]
-	for i, w := range e.queue {
-		if w.txn == txn {
-			e.queue = append(e.queue[:i:i], e.queue[i+1:]...)
-			break
-		}
-	}
-	delete(ws.waitsOn, txn)
-	ws.promote(e, waitName)
-	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(ws.locks, waitName)
-	}
+	ws.withdraw(txn, waitKey)
 	return true
-}
-
-// Release drops one lock held by txn and wakes compatible waiters.
-func (m *Manager) Release(txn int64, name any) {
-	s := m.shardFor(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.releaseLocked(txn, name)
-}
-
-func (s *shard) releaseLocked(txn int64, name any) {
-	e := s.locks[name]
-	if e == nil {
-		return
-	}
-	delete(e.holders, txn)
-	if locks := s.held[txn]; locks != nil {
-		delete(locks, name)
-		if len(locks) == 0 {
-			delete(s.held, txn)
-		}
-	}
-	s.promote(e, name)
-	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(s.locks, name)
-	}
 }
 
 // promote re-examines the wait queue after the holder set shrinks (or a
@@ -669,20 +717,20 @@ func (s *shard) releaseLocked(txn int64, name any) {
 // cheap insurance) and freshly unblocked heads are all observed; the audit
 // for the old single-pass version found a compatible waiter could stay
 // parked forever behind a granted upgrade.
-func (s *shard) promote(e *entry, name any) {
+func (s *shard) promote(e *entry) {
 	for {
 		granted := false
 		// Pass 1: upgraders anywhere in the queue.
 		for i := 0; i < len(e.queue); i++ {
 			w := e.queue[i]
-			if _, isHolder := e.holders[w.txn]; !isHolder {
+			if e.holder(w.txn) < 0 {
 				continue
 			}
 			if compatibleWithHolders(e, w.txn, w.mode) {
 				e.queue = append(e.queue[:i:i], e.queue[i+1:]...)
 				delete(s.waitsOn, w.txn)
-				s.grant(e, w.txn, name, w.mode)
-				w.ready <- nil
+				e.grant(w.txn, w.mode)
+				close(w.ready)
 				granted = true
 				i--
 			}
@@ -695,8 +743,8 @@ func (s *shard) promote(e *entry, name any) {
 			}
 			e.queue = e.queue[1:]
 			delete(s.waitsOn, w.txn)
-			s.grant(e, w.txn, name, w.mode)
-			w.ready <- nil
+			e.grant(w.txn, w.mode)
+			close(w.ready)
 			granted = true
 		}
 		if !granted {
@@ -705,65 +753,53 @@ func (s *shard) promote(e *entry, name any) {
 	}
 }
 
-// ReleaseAll drops every lock txn holds (commit or abort).
+// ReleaseAll drops every lock txn holds (commit or abort), visiting only
+// the shards its footprint names.
 func (m *Manager) ReleaseAll(txn int64) {
-	for _, s := range m.shards {
-		s.mu.Lock()
-		locks := s.held[txn]
-		if len(locks) > 0 {
-			names := make([]any, 0, len(locks))
-			for name := range locks {
-				names = append(names, name)
-			}
-			for _, name := range names {
-				s.releaseLocked(txn, name)
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// Cancel aborts txn's pending wait, if any, delivering ErrAborted. Removing
-// the waiter can unblock requests queued behind it, so the queue is
-// re-promoted.
-func (m *Manager) Cancel(txn int64) {
-	for _, s := range m.shards {
-		s.mu.Lock()
-		name, waiting := s.waitsOn[txn]
-		if !waiting {
-			s.mu.Unlock()
-			continue
-		}
-		if e := s.locks[name]; e != nil {
-			for i, w := range e.queue {
-				if w.txn == txn {
-					e.queue = append(e.queue[:i:i], e.queue[i+1:]...)
-					w.ready <- ErrAborted
-					break
-				}
-			}
-			s.promote(e, name)
-			if len(e.holders) == 0 && len(e.queue) == 0 {
-				delete(s.locks, name)
-			}
-		}
-		delete(s.waitsOn, txn)
-		s.mu.Unlock()
+	r := m.txns[uint64(txn)&m.mask]
+	r.mu.Lock()
+	fp := r.fps[txn]
+	delete(r.fps, txn)
+	r.mu.Unlock()
+	if fp == nil {
 		return
 	}
+	for _, h := range fp.held {
+		h.s.mu.Lock()
+		if e := h.s.locks[h.k]; e != nil {
+			if i := e.holder(txn); i >= 0 {
+				last := len(e.holders) - 1
+				e.holders[i] = e.holders[last]
+				e.holders = e.holders[:last]
+			}
+			h.s.promote(e)
+			h.s.retire(h.k, e)
+		}
+		h.s.mu.Unlock()
+	}
+	if cap(fp.held) > maxFootprint {
+		return
+	}
+	fp.held = fp.held[:0]
+	r.mu.Lock()
+	if len(r.free) < maxFree {
+		r.free = append(r.free, fp)
+	}
+	r.mu.Unlock()
 }
 
 // Holds reports the mode txn holds on name, if any.
 func (m *Manager) Holds(txn int64, name any) (Mode, bool) {
-	s := m.shardFor(name)
+	k := keyOf(name)
+	s := m.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.locks[name]
-	if e == nil {
-		return 0, false
+	if e := s.locks[k]; e != nil {
+		if i := e.holder(txn); i >= 0 {
+			return e.holders[i].mode, true
+		}
 	}
-	mode, ok := e.holders[txn]
-	return mode, ok
+	return 0, false
 }
 
 // Stats returns a snapshot of counters. The counters are atomics, so the

@@ -156,22 +156,6 @@ func TestUpgradeDeadlock(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	m := New()
-	if err := m.Acquire(1, "t", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, "t", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	m.Cancel(2)
-	if err := <-done; !errors.Is(err, ErrAborted) {
-		t.Fatalf("expected ErrAborted, got %v", err)
-	}
-	m.Cancel(2) // cancelling a non-waiter is a no-op
-	m.ReleaseAll(1)
-}
-
 func TestFIFONoStarvation(t *testing.T) {
 	m := New()
 	if err := m.Acquire(1, "t", Shared); err != nil {

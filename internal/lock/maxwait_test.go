@@ -41,6 +41,39 @@ func TestMaxWaitAborts(t *testing.T) {
 	}
 }
 
+// A waiter that gives up at the max-wait cap must re-promote the queue: a
+// reader parked behind the abandoned writer is granted when the writer
+// leaves, well before its own cap.
+func TestAbandonedWaitPromotesQueue(t *testing.T) {
+	m := New()
+	m.SetWaitTimeout(2 * time.Millisecond)
+	m.SetMaxWait(20 * time.Millisecond)
+	if err := m.Acquire(1, "t", Shared); err != nil {
+		t.Fatal(err)
+	}
+	bDone := make(chan error, 1)
+	go func() { bDone <- m.Acquire(2, "t", Exclusive) }()
+	waitForWaiters(t, m, 1)
+	time.Sleep(8 * time.Millisecond) // the reader's cap falls well after the writer's
+	cDone := make(chan error, 1)
+	go func() { cDone <- m.Acquire(3, "t", Shared) }()
+	waitForWaiters(t, m, 2)
+	if err := <-bDone; !errors.Is(err, ErrWaitTimeout) {
+		t.Fatalf("expected ErrWaitTimeout, got %v", err)
+	}
+	if err := <-cDone; err != nil {
+		t.Fatalf("reader behind the abandoned writer: %v", err)
+	}
+	if st := m.Stats(); st.TimeoutAborts != 1 {
+		t.Fatalf("TimeoutAborts = %d, want 1 (the reader must not time out)", st.TimeoutAborts)
+	}
+	m.ReleaseAll(1)
+	m.ReleaseAll(3)
+	if n := m.ActiveLocks(); n != 0 {
+		t.Fatalf("ActiveLocks = %d after all releases", n)
+	}
+}
+
 // With no cap configured a waiter parks through many fallback-detector
 // rounds and is eventually granted, not aborted.
 func TestNoMaxWaitStillBlocks(t *testing.T) {

@@ -48,7 +48,7 @@ func TestStatsRace(t *testing.T) {
 	var txnID atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(res any) {
+		go func(res string) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				txn := txnID.Add(1)
@@ -58,7 +58,7 @@ func TestStatsRace(t *testing.T) {
 				m.Acquire(txn, "shared-res", Shared) //nolint:errcheck
 				m.ReleaseAll(txn)
 			}
-		}(w % 2) // two hot resources
+		}([]string{"hot-0", "hot-1"}[w%2])
 	}
 
 	wg.Wait()

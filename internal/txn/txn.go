@@ -321,16 +321,50 @@ func (m *Manager) Aborted() int64 { return m.aborted.Load() }
 // tableAccess tracks a transaction's lock footprint on one table: the cost
 // accounting level (Table 1 charges one get-lock per table per access-level
 // transition: none->read, none->write, read->write), the strongest
-// table-level mode held, and how many record locks have been taken (for
-// escalation).
+// table-level mode held, and the mode held per record, so repeated probes
+// of the same row are free and the distinct records (recs.n) count toward
+// escalation.
 type tableAccess struct {
 	chargeLevel int       // 0 none, 1 read, 2 write
 	tblMode     lock.Mode // sup of table-level modes acquired
 	hasTbl      bool
-	recLocks    int
-	// recModes remembers the mode held per record so repeated probes of the
-	// same row are free and don't inflate the escalation count.
-	recModes map[uint64]lock.Mode
+	recs        inlineMap[uint64, lock.Mode]
+}
+
+// inlineMap is a map whose first few entries live inline, so a transaction
+// touching a few tables and records allocates nothing to track them. n
+// counts every entry; past len(keys) they spill to the map.
+type inlineMap[K comparable, V any] struct {
+	n     int
+	keys  [4]K
+	vals  [4]V
+	spill map[K]*V
+}
+
+// find returns k's value, or nil if k was never added.
+func (m *inlineMap[K, V]) find(k K) *V {
+	for i := range m.keys[:min(m.n, len(m.keys))] {
+		if m.keys[i] == k {
+			return &m.vals[i]
+		}
+	}
+	return m.spill[k]
+}
+
+// add inserts k, which must be absent, with a zero value and returns it.
+func (m *inlineMap[K, V]) add(k K) *V {
+	var v *V
+	if m.n < len(m.keys) {
+		m.keys[m.n], v = k, &m.vals[m.n]
+	} else {
+		if m.spill == nil {
+			m.spill = make(map[K]*V)
+		}
+		v = new(V)
+		m.spill[k] = v
+	}
+	m.n++
+	return v
 }
 
 // Txn is an in-flight transaction.
@@ -344,7 +378,7 @@ type Txn struct {
 	writing bool
 	// access tracks per-table lock state (single-goroutine; a Txn is not
 	// shared across goroutines while active).
-	access map[string]*tableAccess
+	access inlineMap[string, tableAccess]
 	// startAt is the engine time Begin was called (latency measurement).
 	startAt clock.Micros
 	// commitAt is the engine time at which the transaction committed
@@ -540,16 +574,24 @@ func (t *Txn) Charge(micros float64) { t.mgr.Meter.Charge(micros) }
 // Model returns the engine's cost model.
 func (t *Txn) Model() cost.Model { return t.mgr.Model }
 
-// acquire forwards to the lock manager, clocking the wait into the
-// transaction's profile when one is attached (rule-action transactions);
-// unprofiled transactions pay a single nil check.
-func (t *Txn) acquire(name any, mode lock.Mode) error {
-	if t.profile == nil {
-		return t.mgr.Locks.Acquire(t.id, name, mode)
+// acquire forwards a table lock, or with record set the lock on record id,
+// to the lock manager, clocking the wait into the transaction's profile when
+// one is attached (rule-action transactions); unprofiled transactions pay a
+// nil check.
+func (t *Txn) acquire(table string, id uint64, record bool, mode lock.Mode) error {
+	var start clock.Micros
+	if t.profile != nil {
+		start = t.mgr.Clock.Now()
 	}
-	start := t.mgr.Clock.Now()
-	err := t.mgr.Locks.Acquire(t.id, name, mode)
-	t.profile.LockWaitMicros += int64(t.mgr.Clock.Now() - start)
+	var err error
+	if record {
+		err = t.mgr.Locks.AcquireRecord(t.id, table, id, mode)
+	} else {
+		err = t.mgr.Locks.AcquireTable(t.id, table, mode)
+	}
+	if t.profile != nil {
+		t.profile.LockWaitMicros += int64(t.mgr.Clock.Now() - start)
+	}
 	return err
 }
 
@@ -563,15 +605,10 @@ func (t *Txn) table(name string) (*storage.Table, error) {
 
 // tableAccessFor returns (creating if needed) the access state for a table.
 func (t *Txn) tableAccessFor(name string) *tableAccess {
-	if t.access == nil {
-		t.access = make(map[string]*tableAccess)
+	if a := t.access.find(name); a != nil {
+		return a
 	}
-	a := t.access[name]
-	if a == nil {
-		a = &tableAccess{}
-		t.access[name] = a
-	}
-	return a
+	return t.access.add(name)
 }
 
 // lockTable acquires a table-level lock. write selects the cost accounting
@@ -579,7 +616,7 @@ func (t *Txn) tableAccessFor(name string) *tableAccess {
 // (none->read, none->write, read->write); strengthening within a level and
 // record locks are free, matching the paper's one-get-lock-per-resource
 // accounting.
-func (t *Txn) lockTable(name string, mode lock.Mode, write bool) error {
+func (t *Txn) lockTable(name string, mode lock.Mode, write bool) (*tableAccess, error) {
 	a := t.tableAccessFor(name)
 	level := 1
 	if write {
@@ -590,17 +627,17 @@ func (t *Txn) lockTable(name string, mode lock.Mode, write bool) error {
 		a.chargeLevel = level
 	}
 	if a.hasTbl && lock.Covers(a.tblMode, mode) {
-		return nil
+		return a, nil
 	}
-	if err := t.acquire(name, mode); err != nil {
-		return err
+	if err := t.acquire(name, 0, false, mode); err != nil {
+		return nil, err
 	}
 	if a.hasTbl {
 		a.tblMode = lock.Sup(a.tblMode, mode)
 	} else {
 		a.tblMode, a.hasTbl = mode, true
 	}
-	return nil
+	return a, nil
 }
 
 // lockTableAPI is the shared body of the four table-level lock entry points.
@@ -621,7 +658,7 @@ func (t *Txn) lockTableAPI(name string, mode lock.Mode, write bool) (*storage.Ta
 	if write && t.readOnly {
 		return nil, ErrReadOnly
 	}
-	if err := t.lockTable(name, mode, write); err != nil {
+	if _, err := t.lockTable(name, mode, write); err != nil {
 		return nil, err
 	}
 	return tbl, nil
@@ -666,36 +703,32 @@ func (t *Txn) lockRecord(name string, id uint64, mode lock.Mode, write bool) err
 	if write {
 		intent = lock.IntentExclusive
 	}
-	if err := t.lockTable(name, intent, write); err != nil {
+	a, err := t.lockTable(name, intent, write)
+	if err != nil {
 		return err
 	}
-	a := t.access[name]
 	if lock.Covers(a.tblMode, mode) {
 		return nil // table-level lock already covers the record
 	}
-	have, seen := a.recModes[id]
-	if seen && lock.Covers(have, mode) {
+	held := a.recs.find(id)
+	if held != nil && lock.Covers(*held, mode) {
 		return nil
 	}
-	if !seen && a.recLocks >= t.mgr.escalateAt() {
+	if held == nil && a.recs.n >= t.mgr.escalateAt() {
 		t.mgr.escalations.Inc()
-		if err := t.acquire(name, mode); err != nil {
+		if err := t.acquire(name, 0, false, mode); err != nil {
 			return err
 		}
 		a.tblMode = lock.Sup(a.tblMode, mode)
 		return nil
 	}
-	if err := t.acquire(lock.RecordID{Table: name, ID: id}, mode); err != nil {
+	if err := t.acquire(name, id, true, mode); err != nil {
 		return err
 	}
-	if a.recModes == nil {
-		a.recModes = make(map[uint64]lock.Mode)
-	}
-	if seen {
-		a.recModes[id] = lock.Sup(have, mode)
+	if held == nil {
+		*a.recs.add(id) = mode
 	} else {
-		a.recModes[id] = mode
-		a.recLocks++
+		*held = lock.Sup(*held, mode)
 	}
 	return nil
 }

@@ -180,7 +180,7 @@ func TestLiveRecordLockStress(t *testing.T) {
 	if snap.Counters[obs.MLockEscalations] == 0 {
 		t.Error("batch writer never escalated to a table lock")
 	}
-	if n := len(db.LockShardLoads()); n != 8 {
-		t.Errorf("LockShardLoads returned %d shards, want 8", n)
+	if n := snap.Gauges[obs.MLockShards]; n != 8 {
+		t.Errorf("the lock table has %d shards, want 8", n)
 	}
 }

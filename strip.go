@@ -212,7 +212,7 @@ type Config struct {
 	// ListenAddr starts the stripd network server on this address
 	// (host:port; ":0" picks a free port — see DB.ServerAddr). Clients
 	// speak the binary wire protocol (package client); Serve tunes auth,
-	// admission control, session lifecycle, and shared query execution.
+	// admission control and session lifecycle.
 	// Empty (the default) disables serving.
 	ListenAddr string
 	// Serve tunes the network server when ListenAddr is set.
@@ -847,10 +847,6 @@ func (db *DB) SchedStats() sched.Stats { return db.sched.Stats() }
 // LockStats returns lock-manager counters (waits, deadlocks, detector runs,
 // record-granularity acquires).
 func (db *DB) LockStats() lock.Stats { return db.locks.Stats() }
-
-// LockShardLoads returns per-shard acquire counts of the lock table, for
-// contention diagnostics.
-func (db *DB) LockShardLoads() []int64 { return db.locks.ShardLoads() }
 
 // MvccStats is a point-in-time view of the MVCC snapshot-read subsystem.
 type MvccStats struct {
