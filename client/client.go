@@ -7,8 +7,8 @@
 // errors.Is(err, strip.ErrDeadlock) and strip.IsRetryable(err) behave
 // identically for remote and embedded callers. Busy-shed requests (the
 // server's admission control returning a retryable busy code) are retried
-// transparently, paced by a token bucket so a thundering herd of shed
-// clients cannot re-stampede a saturated server.
+// transparently under a jittered backoff, so a herd of shed clients spreads
+// out instead of re-stampeding a saturated server.
 package client
 
 import (
@@ -19,7 +19,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/stripdb/strip/internal/ratelimit"
+	"github.com/stripdb/strip/internal/retry"
 	"github.com/stripdb/strip/internal/server"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -46,14 +46,9 @@ type Options struct {
 	// CallTimeout bounds one request/response round trip. Default 30s.
 	CallTimeout time.Duration
 	// BusyRetries is how many times a busy-shed statement is retried before
-	// the busy error surfaces. Default 4; negative disables retry.
+	// the busy error surfaces. Default 4; negative disables retry. Retry n
+	// waits a jittered 25–50 ms doubled n-1 times.
 	BusyRetries int
-	// RetryInterval paces busy retries: a token bucket mints one retry
-	// token per interval, so shed clients back off instead of hammering.
-	// The bucket is shared by every Client this process dials to the same
-	// address — the first Dial's interval wins for that address. Default
-	// 50ms.
-	RetryInterval time.Duration
 	// MaxLag bounds replica staleness: when connecting to a replica, reads
 	// are refused with a retryable ErrLagging while the replica's
 	// replication lag exceeds this. Zero accepts any lag. Ignored by
@@ -74,9 +69,6 @@ func (o Options) withDefaults() Options {
 	if o.BusyRetries < 0 {
 		o.BusyRetries = 0
 	}
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = 50 * time.Millisecond
-	}
 	return o
 }
 
@@ -90,31 +82,8 @@ type Client struct {
 	conn net.Conn
 	// br buffers conn's reads: a reply's length header and body arrive in
 	// one read(2), not two.
-	br    *bufio.Reader
-	retry *ratelimit.Bucket // paces busy retries on wall-time micros
-}
-
-// Busy-retry pacing is shared per server address, not per Client: when one
-// saturated server sheds a fleet of sessions from this process, they must
-// trickle back as a group — per-Client buckets would multiply the retry
-// rate by the session count and re-stampede the server.
-var (
-	retryMu      sync.Mutex
-	retryBuckets = make(map[string]*ratelimit.Bucket)
-)
-
-// retryBucket returns the process-wide retry bucket for addr, creating it
-// with interval on first use (later intervals for the same address are
-// ignored).
-func retryBucket(addr string, interval time.Duration) *ratelimit.Bucket {
-	retryMu.Lock()
-	defer retryMu.Unlock()
-	b, ok := retryBuckets[addr]
-	if !ok {
-		b = ratelimit.New(1, interval.Microseconds())
-		retryBuckets[addr] = b
-	}
-	return b
+	br   *bufio.Reader
+	busy retry.Policy // paces busy-shed retries
 }
 
 // Dial connects to a stripd server and completes the handshake.
@@ -124,12 +93,12 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	return handshake(conn, addr, opts)
+	return handshake(conn, opts)
 }
 
-// handshake completes HELLO/WELCOME on a fresh connection to addr and wraps
-// it in a Client; on failure the connection is closed.
-func handshake(conn net.Conn, addr string, opts Options) (*Client, error) {
+// handshake completes HELLO/WELCOME on a fresh connection and wraps it in a
+// Client; on failure the connection is closed.
+func handshake(conn net.Conn, opts Options) (*Client, error) {
 	hello := server.EncodeHello(opts.Token, opts.Tenant)
 	if opts.MaxLag > 0 {
 		hello = server.EncodeHelloLag(opts.Token, opts.Tenant, uint64(opts.MaxLag.Microseconds()))
@@ -168,7 +137,7 @@ func handshake(conn net.Conn, addr string, opts Options) (*Client, error) {
 		sessionID: sid,
 		conn:      conn,
 		br:        br,
-		retry:     retryBucket(addr, opts.RetryInterval),
+		busy:      retry.Policy{Base: 50 * time.Millisecond, Max: time.Second, Retries: opts.BusyRetries},
 	}, nil
 }
 
@@ -187,7 +156,7 @@ func (c *Client) Close() error {
 	return err
 }
 
-// do runs one round trip. The caller owns retry policy.
+// do runs one round trip, decoding an ERR reply into its typed error.
 func (c *Client) do(typ byte, payload []byte) (byte, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,43 +168,26 @@ func (c *Client) do(typ byte, payload []byte) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	rt, rp, err := server.ReadFrame(c.br)
+	if err != nil || rt != server.FrameErr {
+		return rt, rp, err
+	}
+	code, msg, err := server.DecodeErr(rp)
+	if err != nil {
+		return 0, nil, err
+	}
+	return 0, nil, server.DecodeError(code, msg)
+}
+
+// call runs one round trip, retrying busy sheds under c.busy.
+func (c *Client) call(typ byte, payload []byte) (rt byte, rp []byte, err error) {
+	err = c.busy.Do(isBusy, func() (err error) {
+		rt, rp, err = c.do(typ, payload)
+		return err
+	})
 	return rt, rp, err
 }
 
-// call runs one round trip, decoding ERR frames into typed errors and
-// retrying busy sheds under the pacing bucket.
-func (c *Client) call(typ byte, payload []byte) (byte, []byte, error) {
-	for attempt := 0; ; attempt++ {
-		rt, rp, err := c.do(typ, payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if rt != server.FrameErr {
-			return rt, rp, nil
-		}
-		code, msg, derr := server.DecodeErr(rp)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		werr := server.DecodeError(code, msg)
-		if !errors.Is(werr, server.ErrBusy) || attempt >= c.opts.BusyRetries {
-			return 0, nil, werr
-		}
-		// Busy shed: wait for a retry token (wall-clock micros) so a fleet
-		// of shed clients trickles back instead of stampeding.
-		for {
-			now := time.Now().UnixMicro()
-			if c.retry.TryTake(now) {
-				break
-			}
-			wait := c.retry.NextToken(now)
-			if wait < 0 {
-				return 0, nil, werr
-			}
-			time.Sleep(time.Duration(wait) * time.Microsecond)
-		}
-	}
-}
+func isBusy(err error) bool { return errors.Is(err, server.ErrBusy) }
 
 // statement runs one SQL frame and decodes its result.
 func (c *Client) statement(typ byte, sql string) (*Result, error) {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -39,7 +40,7 @@ func TestReplyCostsOneRead(t *testing.T) {
 		}
 	}()
 	conn := &countingConn{Conn: near}
-	c, err := handshake(conn, "pipe", Options{}.withDefaults())
+	c, err := handshake(conn, Options{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +55,53 @@ func TestReplyCostsOneRead(t *testing.T) {
 		}
 		if got := conn.reads.Load() - before; got != 1 {
 			t.Fatalf("ping %d: reply took %d reads of the connection, want 1", i, got)
+		}
+	}
+}
+
+// A busy-shed request is sent again until it is served or BusyRetries runs
+// out; the last busy error then surfaces.
+func TestBusyRetry(t *testing.T) {
+	for _, tc := range []struct {
+		retries, busy, wantSends int
+		wantBusy                 bool
+	}{
+		{retries: 0, busy: 2, wantSends: 3},
+		{retries: 1, busy: 2, wantSends: 2, wantBusy: true},
+		{retries: -1, busy: 1, wantSends: 1, wantBusy: true},
+	} {
+		near, far := net.Pipe()
+		var sends atomic.Int64
+		go func() { // a stripd that sheds the first tc.busy requests
+			if _, _, err := server.ReadFrame(far); err != nil {
+				return
+			}
+			if err := server.WriteFrame(far, server.FrameWelcome, server.EncodeWelcome(1)); err != nil {
+				return
+			}
+			for {
+				if _, _, err := server.ReadFrame(far); err != nil {
+					return
+				}
+				reply, payload := byte(server.FramePong), []byte(nil)
+				if sends.Add(1) <= int64(tc.busy) {
+					reply, payload = server.FrameErr, server.EncodeErr(server.CodeBusy, "busy")
+				}
+				if err := server.WriteFrame(far, reply, payload); err != nil {
+					return
+				}
+			}
+		}()
+		c, err := handshake(near, Options{BusyRetries: tc.retries}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Ping()
+		c.Close() //nolint:errcheck
+		far.Close()
+		if got := sends.Load(); got != int64(tc.wantSends) || errors.Is(err, server.ErrBusy) != tc.wantBusy {
+			t.Errorf("BusyRetries %d, %d sheds: %d sends, err %v; want %d sends, busy %v",
+				tc.retries, tc.busy, got, err, tc.wantSends, tc.wantBusy)
 		}
 	}
 }

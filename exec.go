@@ -2,9 +2,9 @@ package strip
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/stripdb/strip/internal/query"
+	"github.com/stripdb/strip/internal/retry"
 	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/storage"
 )
@@ -150,10 +150,11 @@ func (db *DB) explainQuery(sel *Select, params []Value) (*query.PlanNode, error)
 	return node, nil
 }
 
-// runDML runs one DML statement in its own transaction. When
-// Config.ExecRetry is set, transient concurrency aborts (deadlock victim,
-// lock-wait timeout) are retried with capped exponential backoff; any other
-// error, and exhaustion of the attempts, surface to the caller.
+// runDML runs one DML statement in its own transaction. The statement is
+// the whole transaction, so a transient concurrency abort (deadlock victim,
+// lock-wait timeout) is retried under the engine's one retry policy, as a
+// rule action's is; any other error, an exhausted policy, or Close starting
+// surfaces to the caller.
 func (db *DB) runDML(run func(*Txn) (int, error)) (*Result, error) {
 	if db.closing.Load() {
 		return nil, fmt.Errorf("strip: exec: %w", ErrShuttingDown)
@@ -161,33 +162,15 @@ func (db *DB) runDML(run func(*Txn) (int, error)) (*Result, error) {
 	if err := db.writable("exec"); err != nil {
 		return nil, err
 	}
-	attempts := db.cfg.ExecRetry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	var n int
+	err := retry.Default.Do(func(err error) bool { return IsRetryable(err) && !db.closing.Load() }, func() (err error) {
+		n, err = db.tryDML(run)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	backoff := db.cfg.ExecRetry.BaseBackoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
-	maxBackoff := db.cfg.ExecRetry.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 64 * time.Millisecond
-	}
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		n, err := db.tryDML(run)
-		if err == nil {
-			return &Result{Affected: n}, nil
-		}
-		lastErr = err
-		if !IsRetryable(err) || attempt >= attempts || db.closing.Load() {
-			return nil, lastErr
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
+	return &Result{Affected: n}, nil
 }
 
 func (db *DB) tryDML(run func(*Txn) (int, error)) (int, error) {

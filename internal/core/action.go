@@ -10,6 +10,7 @@ import (
 	"github.com/stripdb/strip/internal/fault"
 	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/query"
+	"github.com/stripdb/strip/internal/retry"
 	"github.com/stripdb/strip/internal/sched"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
@@ -353,7 +354,8 @@ func callAction(fn ActionFunc, ctx *ActionContext) (err error) {
 }
 
 // run executes the action: new transaction, user function, commit;
-// deadlock victims are resubmitted (restart) up to maxActionRestarts times.
+// deadlock victims are resubmitted (restart) up to retry.Default.Retries
+// times.
 // Bound tables are reclaimed when the task finishes for good (paper §6.3).
 func (f *firing) run(task *sched.Task) error {
 	p, stats := f.prog, f.prog.stats
@@ -400,8 +402,8 @@ func (f *firing) run(task *sched.Task) error {
 	stats.prof.AddRows(f.prof.RowsScanned, f.prof.RowsMatched, f.prof.RowsWritten)
 	stats.prof.AddLockWait(f.prof.LockWaitMicros)
 
-	if err != nil && IsRetryable(err) && f.restarts < maxActionRestarts && e.Sched.AllowRetry() {
-		// Restart with capped exponential backoff and deterministic jitter
+	if err != nil && IsRetryable(err) && f.restarts < retry.Default.Retries {
+		// Restart under the one retry policy, jittered by the task id
 		// (paper §3: real-time transactions may be restarted). The staleness
 		// token stays open — the derived data is still stale. The retry is
 		// a task of its own: the scheduler is not done with this one yet.
@@ -410,7 +412,7 @@ func (f *firing) run(task *sched.Task) error {
 		stats.work.Add(work)
 		stats.queueMicros.Add(queued)
 		now := e.clk.Now()
-		release := now + retryBackoff(f.restarts, task.ID)
+		release := now + clock.FromDuration(retry.Default.Delay(f.restarts, uint64(task.ID)))
 		retry := &sched.Task{
 			Name:     task.Name,
 			Trace:    task.Trace,

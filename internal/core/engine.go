@@ -21,35 +21,6 @@ import (
 	"github.com/stripdb/strip/internal/types"
 )
 
-// maxActionRestarts bounds transient-abort retries (deadlock victims,
-// wait timeouts) of rule action tasks (paper §3: in a real-time system
-// transactions may be restarted).
-const maxActionRestarts = 5
-
-// Retry backoff bounds: attempt n waits base<<(n-1), capped, with
-// deterministic jitter (see retryBackoff).
-const (
-	retryBackoffBase clock.Micros = 2_000
-	retryBackoffMax  clock.Micros = 128_000
-)
-
-// retryBackoff computes the capped exponential backoff for restart attempt
-// (1-based), jittered into [d/2, d]. The jitter hashes the task id and
-// attempt instead of drawing from a PRNG so virtual-clock runs stay
-// replayable and concurrent retries still decorrelate.
-func retryBackoff(attempt int, id int64) clock.Micros {
-	d := retryBackoffBase << uint(attempt-1)
-	if d <= 0 || d > retryBackoffMax {
-		d = retryBackoffMax
-	}
-	h := uint64(id)*0x9E3779B97F4A7C15 + uint64(attempt)*0xBF58476D1CE4E5B9
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 33
-	half := uint64(d / 2)
-	return clock.Micros(half + h%(half+1))
-}
-
 // ActionStats summarizes one user function's rule activity. N_r in the
 // paper's figures is TasksRun; WorkMicros/TasksRun is the mean recompute
 // transaction length excluding queueing (Figures 11 and 14). It is a view

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/stripdb/strip/internal/clock"
+	"github.com/stripdb/strip/internal/retry"
 	"github.com/stripdb/strip/internal/sched"
 	"github.com/stripdb/strip/internal/txn"
 )
@@ -138,7 +139,7 @@ func (pt *periodicTask) run(task *sched.Task) error {
 			err = fmt.Errorf("%w; abort failed: %v", err, abortErr)
 		}
 	}
-	if err != nil && IsRetryable(err) && pt.attempt < maxActionRestarts && e.Sched.AllowRetry() {
+	if err != nil && IsRetryable(err) && pt.attempt < retry.Default.Retries {
 		// Transient concurrency abort: retry this run with backoff instead
 		// of waiting out a whole interval, and don't count it as a failure.
 		pt.attempt++
@@ -146,7 +147,7 @@ func (pt *periodicTask) run(task *sched.Task) error {
 		pt.restarts++
 		pt.mu.Unlock()
 		e.Sched.NoteRetried()
-		pt.submitAfter(retryBackoff(pt.attempt, task.ID))
+		pt.submitAfter(clock.FromDuration(retry.Default.Delay(pt.attempt, uint64(task.ID))))
 		return nil
 	}
 	pt.attempt = 0

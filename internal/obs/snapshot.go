@@ -74,10 +74,6 @@ const (
 	MDeltaApplied   = "delta.applied"
 	MDeltaRows      = "delta.rows"
 	MDeltaFallbacks = "delta.fallbacks"
-	// MSchedRetryBudgetExhausted counts transient-failure retries denied
-	// by the global retry budget (the task fails permanently instead of
-	// resubmitting, damping retry storms).
-	MSchedRetryBudgetExhausted = "sched.retry_budget_exhausted"
 
 	MWalAppends          = "wal.appends"
 	MWalBytes            = "wal.bytes"

@@ -1,9 +1,7 @@
-// Package ratelimit implements a small token bucket over caller-supplied
-// microsecond clocks. Two consumers share it: the rule-engine circuit
-// breaker paces half-open recovery probes with it (engine time, virtual or
-// real), and the network client paces busy-rejected retries with it (wall
-// time). Keeping the clock out of the bucket lets both reuse one
-// implementation and keeps it testable without sleeping.
+// Package ratelimit implements a small token bucket over a caller-supplied
+// microsecond clock. The rule-engine circuit breaker paces half-open
+// recovery probes with it on engine time, virtual or real; keeping the
+// clock out of the bucket keeps it testable without sleeping.
 package ratelimit
 
 import "sync"

@@ -213,7 +213,7 @@ func (s *primarySrv) close() {
 // startFollower runs a follower of srv over e with the given heartbeat.
 func startFollower(t testing.TB, e *env, srv *primarySrv, heartbeat time.Duration) *Follower {
 	t.Helper()
-	f := NewFollower(Config{Primary: srv.addr(), Heartbeat: heartbeat, MaxBackoff: 20 * time.Millisecond},
+	f := NewFollower(Config{Primary: srv.addr(), Heartbeat: heartbeat},
 		e.wal, e.cat, e.store, e.mgr, nil)
 	f.Start()
 	return f

@@ -13,6 +13,7 @@ import (
 	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/fault"
 	"github.com/stripdb/strip/internal/obs"
+	"github.com/stripdb/strip/internal/retry"
 	"github.com/stripdb/strip/internal/server"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
@@ -38,8 +39,6 @@ type Config struct {
 	// (and trigger reconnect) after ~10 missed heartbeats. Default
 	// DefaultHeartbeat.
 	Heartbeat time.Duration
-	// MaxBackoff caps the reconnect backoff. Default DefaultMaxBackoff.
-	MaxBackoff time.Duration
 	// DialTimeout bounds one connection attempt. Default 2s.
 	DialTimeout time.Duration
 }
@@ -47,9 +46,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = DefaultHeartbeat
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = DefaultMaxBackoff
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
@@ -263,12 +259,18 @@ func (f *Follower) wallNow() int64 {
 	return now
 }
 
+// reconnect paces the follower's reconnect attempts. The loop never gives
+// up, so Retries is unused.
+var reconnect = retry.Policy{Base: 50 * time.Millisecond, Max: 3 * time.Second}
+
 // run is the reconnect loop: stream until the connection dies, back off
-// (capped, doubling), repeat. A fencing refusal is sticky and ends the
-// loop — serving divergent data silently would be worse than stopping.
+// under reconnect, repeat. A fencing refusal is sticky and ends the loop —
+// serving divergent data silently would be worse than stopping.
 func (f *Follower) run() {
 	defer close(f.done)
-	backoff := 50 * time.Millisecond
+	key := uint64(time.Now().UnixNano())
+	var n int
+	var backoff time.Duration
 	for {
 		select {
 		case <-f.stop:
@@ -301,16 +303,14 @@ func (f *Follower) run() {
 		f.reg.Counter(obs.MReplReconnects).Inc()
 		// A stream that survived a while earned a fresh backoff.
 		if time.Since(start) > 10*backoff {
-			backoff = 50 * time.Millisecond
+			n = 0
 		}
+		n++
+		backoff = reconnect.Delay(n, key)
 		select {
 		case <-f.stop:
 			return
 		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > f.cfg.MaxBackoff {
-			backoff = f.cfg.MaxBackoff
 		}
 	}
 }

@@ -20,7 +20,7 @@
 //     and resumes streaming from its own recovered LSN — after an
 //     operating-system crash, at most one heartbeat behind what it had
 //     served; the primary's log is the upstream backup for the difference.
-//   - Primary disconnect: capped-backoff reconnect. The stream request
+//   - Primary disconnect: reconnect under a capped, jittered backoff. The stream request
 //     carries the follower's LSN; replay is idempotent because frames at or
 //     below it are filtered out.
 //   - Gap: a primary checkpoint may truncate the log past the follower's
@@ -40,8 +40,6 @@ const (
 	// shipper emits an empty REPL_BATCH so followers keep a fresh lag
 	// measurement and detect dead primaries.
 	DefaultHeartbeat = 100 * time.Millisecond
-	// DefaultMaxBackoff caps the follower's reconnect backoff.
-	DefaultMaxBackoff = 3 * time.Second
 	// batchTarget caps raw WAL bytes per REPL_BATCH frame, comfortably
 	// under the wire frame limit.
 	batchTarget = 1 << 20

@@ -13,7 +13,6 @@ import (
 	"github.com/stripdb/strip/internal/cost"
 	"github.com/stripdb/strip/internal/fault"
 	"github.com/stripdb/strip/internal/obs"
-	"github.com/stripdb/strip/internal/ratelimit"
 )
 
 // ErrStopped is returned by Submit once the scheduler is stopping: the task
@@ -92,10 +91,6 @@ type Scheduler struct {
 	// supersession shedding. Guarded by mu.
 	keyCounts map[any]int
 
-	// retryBudget, when non-nil, globally bounds transient-failure retries
-	// (see SetRetryBudget). Atomic so AllowRetry never takes mu.
-	retryBudget atomic.Pointer[ratelimit.Bucket]
-
 	// starts[startsHead:] holds start times within the trailing second,
 	// modeling scheduling cost that grows with task rate (the paper's
 	// "critical region", §5.1). Virtual-cost only: never touched when the
@@ -110,7 +105,6 @@ type Scheduler struct {
 	shed         *obs.Counter
 	abandoned    *obs.Counter
 	retried      *obs.Counter
-	retryDenied  *obs.Counter
 	panics       *obs.Counter
 	qReady       *obs.Gauge
 	qDelayed     *obs.Gauge
@@ -151,7 +145,6 @@ func (s *Scheduler) Instrument(reg *obs.Registry) {
 	s.shed = reg.Counter(obs.MSchedShed)
 	s.abandoned = reg.Counter(obs.MSchedAbandoned)
 	s.retried = reg.Counter(obs.MSchedRetried)
-	s.retryDenied = reg.Counter(obs.MSchedRetryBudgetExhausted)
 	s.panics = reg.Counter(obs.MSchedPanics)
 	s.qReady = reg.Gauge(obs.MSchedQueueReady)
 	s.qDelayed = reg.Gauge(obs.MSchedQueueDelayed)
@@ -488,35 +481,6 @@ func (s *Scheduler) WidenDelay(d clock.Micros) clock.Micros {
 // wait-timeout abort rescheduled with backoff by the rule engine), keeping
 // retried work distinguishable from failures in Metrics().
 func (s *Scheduler) NoteRetried() { s.retried.Inc() }
-
-// SetRetryBudget installs a global token bucket bounding transient-failure
-// retries engine-wide: capacity tokens, one returning every
-// refillEveryMicros. Each retry spends a token; with the bucket empty the
-// retry is denied (counted by sched.retry_budget_exhausted) and the task
-// fails permanently instead of resubmitting — damping retry storms that
-// would otherwise amplify overload. capacity <= 0 removes the budget.
-func (s *Scheduler) SetRetryBudget(capacity int, refillEveryMicros int64) {
-	if capacity <= 0 {
-		s.retryBudget.Store(nil)
-		return
-	}
-	s.retryBudget.Store(ratelimit.New(capacity, refillEveryMicros))
-}
-
-// AllowRetry spends one retry-budget token, reporting whether a
-// transient-failure retry may proceed. Without a budget every retry is
-// allowed.
-func (s *Scheduler) AllowRetry() bool {
-	b := s.retryBudget.Load()
-	if b == nil {
-		return true
-	}
-	if b.TryTake(s.clk.Now()) {
-		return true
-	}
-	s.retryDenied.Inc()
-	return false
-}
 
 // chargeStartLocked charges per-start scheduling cost proportional to the
 // number of task starts in the trailing second. Start times arrive in clock

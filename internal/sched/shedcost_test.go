@@ -3,8 +3,6 @@ package sched
 import (
 	"sync/atomic"
 	"testing"
-
-	"github.com/stripdb/strip/internal/obs"
 )
 
 // Under overload, shed-eligible tasks carrying a cost profile are dropped
@@ -98,7 +96,7 @@ func TestCostShedIgnoresUncostedTasks(t *testing.T) {
 	}
 	s.Submit(mk(0))
 	s.Submit(mk(0))
-	s.Submit(mk(7)) // the only sweep-eligible task
+	s.Submit(mk(7))     // the only sweep-eligible task
 	vc.AdvanceTo(5_000) // depth 3 >= 3: sweep sheds the costed task
 	s.Drain()
 	// Sweep drops the costed task (depth 3 -> 2, below the trigger); the
@@ -109,44 +107,5 @@ func TestCostShedIgnoresUncostedTasks(t *testing.T) {
 	}
 	if got := ran.Load(); got != 2 {
 		t.Errorf("ran = %d, want 2", got)
-	}
-}
-
-// Without a budget every retry is allowed; an installed budget grants its
-// capacity, denies when empty (counting the denial), and refills with
-// engine time.
-func TestRetryBudget(t *testing.T) {
-	s, vc, _ := newVirtualSched(FIFO)
-	reg := obs.NewRegistry()
-	s.Instrument(reg)
-	denied := reg.Counter(obs.MSchedRetryBudgetExhausted)
-
-	for i := 0; i < 100; i++ {
-		if !s.AllowRetry() {
-			t.Fatal("AllowRetry denied without a budget")
-		}
-	}
-
-	s.SetRetryBudget(2, 1_000)
-	if !s.AllowRetry() || !s.AllowRetry() {
-		t.Fatal("budget denied within capacity")
-	}
-	if s.AllowRetry() {
-		t.Fatal("budget granted past capacity")
-	}
-	if got := denied.Load(); got != 1 {
-		t.Fatalf("retry_budget_exhausted = %d, want 1", got)
-	}
-	vc.AdvanceTo(vc.Now() + 1_000) // one token refills
-	if !s.AllowRetry() {
-		t.Fatal("budget did not refill with engine time")
-	}
-	if s.AllowRetry() {
-		t.Fatal("refill granted more than one token")
-	}
-
-	s.SetRetryBudget(0, 0) // removes the budget
-	if !s.AllowRetry() {
-		t.Fatal("AllowRetry denied after budget removal")
 	}
 }

@@ -41,9 +41,6 @@ type ReplOptions struct {
 	// cadence on which a replica fsyncs its own log: at most one interval of
 	// applied frames is not yet durable locally. Default 100ms.
 	Heartbeat time.Duration
-	// MaxBackoff caps the reconnect backoff after a lost primary
-	// connection. Default 3s.
-	MaxBackoff time.Duration
 	// DialTimeout bounds one connection attempt to the primary. Default 2s.
 	DialTimeout time.Duration
 }

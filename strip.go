@@ -184,12 +184,6 @@ type Config struct {
 	// CloseTimeout bounds how long Close waits for queued ready tasks to
 	// drain before stopping the workers (default 30s).
 	CloseTimeout time.Duration
-	// ExecRetry retries Exec DML transparently on transient concurrency
-	// aborts (zero value = no retries; see RetryPolicy).
-	ExecRetry RetryPolicy
-	// RetryBudget globally bounds transient-failure task retries with a
-	// token bucket (zero value = unlimited; see RetryBudget).
-	RetryBudget RetryBudget
 	// MonitorAddr starts the stripmon HTTP listener on this address
 	// (host:port; ":0" picks a free port — see DB.MonitorAddr). It serves
 	// /metrics (Prometheus text exposition), /debug/trace (causal span
@@ -244,34 +238,6 @@ type OverloadPolicy struct {
 	// WidenBase is the window given to zero-delay unique rules when
 	// widening engages (they have no delay to scale).
 	WidenBase time.Duration
-}
-
-// RetryPolicy configures transparent DML retries on transient aborts
-// (deadlock victim, lock-wait timeout) for db.Exec and friends. Retries
-// sleep in real time between attempts; intended for live-mode engines
-// (virtual-clock experiments drive retries through the scheduler instead).
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (1 = no retry; 0 disables
-	// the policy entirely).
-	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry; it doubles per
-	// attempt up to MaxBackoff. Defaults: 1ms base, 64ms cap.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-}
-
-// RetryBudget is a global token bucket for scheduler task retries: each
-// transient-failure resubmission (deadlock victim, lock-wait timeout)
-// spends one token, and with the bucket empty the task fails permanently
-// instead of resubmitting — damping retry storms that would otherwise
-// amplify overload. Denials are counted by sched.retry_budget_exhausted.
-type RetryBudget struct {
-	// Capacity is the bucket size — the maximum retry burst. Zero disables
-	// the budget (unlimited retries, the default).
-	Capacity int
-	// RefillEvery is the interval at which one token returns (default
-	// 100ms of engine time when Capacity is set).
-	RefillEvery time.Duration
 }
 
 // DB is an open STRIP engine.
@@ -361,13 +327,6 @@ func Open(cfg Config) (*DB, error) {
 	db.txns.Instrument(db.obs)
 	db.sched = sched.New(db.clk, cfg.Policy, db.meter, db.model)
 	db.sched.Instrument(db.obs)
-	if cfg.RetryBudget.Capacity > 0 {
-		refill := cfg.RetryBudget.RefillEvery
-		if refill <= 0 {
-			refill = 100 * time.Millisecond
-		}
-		db.sched.SetRetryBudget(cfg.RetryBudget.Capacity, refill.Microseconds())
-	}
 	db.sched.SetOverload(sched.Overload{
 		ShedDepth: cfg.Overload.ShedDepth,
 		ShedLag:   cfg.Overload.ShedLag.Microseconds(),
@@ -402,7 +361,6 @@ func Open(cfg Config) (*DB, error) {
 			Token:       cfg.Repl.AuthToken,
 			Tenant:      cfg.Repl.Tenant,
 			Heartbeat:   cfg.Repl.Heartbeat,
-			MaxBackoff:  cfg.Repl.MaxBackoff,
 			DialTimeout: cfg.Repl.DialTimeout,
 		}, db.wal, db.txns.Catalog, db.txns.Store, db.txns, db.obs)
 	}
