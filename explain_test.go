@@ -52,22 +52,18 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-// TestExplainBenchShapes pins what every operator of the three read_mix
-// statement shapes counts as actual rows (the repo benchmark derives
-// query.rows_examined_per_row.* from the leaves' counts): a leaf counts
-// each row it yields, a filter each row it passes, a join each joined row,
-// the sink each row it puts out.
-func TestExplainBenchShapes(t *testing.T) {
+// benchShapesDB opens an engine holding the repo benchmark's schema in
+// small: 40 stocks priced 100..139, two composites of five members each,
+// every join and lookup column indexed.
+func benchShapesDB(t *testing.T) *DB {
+	t.Helper()
 	db := MustOpen(Config{Workers: 1})
-	defer db.Close()
 	exec := func(sql string) {
 		t.Helper()
 		if _, err := db.Exec(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	// The benchmark's schema in small: 40 stocks priced 100..139, two
-	// composites of five members each.
 	exec(`create table stocks (symbol text, price int)`)
 	exec(`create table comps_list (comp text, symbol text, weight int)`)
 	for i := 0; i < 40; i++ {
@@ -81,7 +77,17 @@ func TestExplainBenchShapes(t *testing.T) {
 	exec(`create index on stocks (symbol)`)
 	exec(`create index on comps_list (symbol)`)
 	exec(`create index on comps_list (comp)`)
+	return db
+}
 
+// TestExplainBenchShapes pins what every operator of the three read_mix
+// statement shapes counts as actual rows (the repo benchmark derives
+// query.rows_examined_per_row.* from the leaves' counts): a leaf counts
+// each row it yields, a filter each row it passes, a join each joined row,
+// the sink each row it puts out.
+func TestExplainBenchShapes(t *testing.T) {
+	db := benchShapesDB(t)
+	defer db.Close()
 	for _, tc := range []struct {
 		sql  string
 		want []string // operator and its act=, top down
@@ -107,5 +113,89 @@ func TestExplainBenchShapes(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s:\n%s operators count %v, want %v", tc.sql, text, got, tc.want)
 		}
+	}
+}
+
+// TestExplainGoldens pins the whole EXPLAIN text of six plan shapes, byte
+// for byte: which operators a run reports, in which order, with which
+// details and estimates, and what each counted when the run stopped early
+// (LIMIT) or never reached a level (an outer filter rejecting every row, a
+// constant-false WHERE).
+func TestExplainGoldens(t *testing.T) {
+	db := benchShapesDB(t)
+	defer db.Close()
+	for _, tc := range []struct{ name, sql, want string }{
+		{"filtered scan", `select symbol, price from stocks where price >= 120`, `
+project symbol, price (est=13.3 act=20)
+  filter price >= 120 (est=13.3 act=20)
+    scan stocks snapshot (est=40 act=40)
+`},
+		{"probe join with a filter", `select comp, price from comps_list, stocks
+			where comps_list.comp = 'C1' and stocks.symbol = comps_list.symbol and price > 110`, `
+project comp, price (est=1.7 act=3)
+  join nested loop (est=1.7 act=3)
+    probe comps_list.comp = C1 (est=5 act=5)
+    filter price > 110 (est=1.7 act=3)
+      probe stocks.symbol = comps_list.symbol (est=5 act=5)
+`},
+		{"join filtered empty", `select comp, price from comps_list, stocks
+			where comps_list.comp = 'C1' and weight > 100 and stocks.symbol = comps_list.symbol`, `
+project comp, price (est=1.7 act=0)
+  join nested loop (est=1.7 act=0)
+    filter weight > 100 (est=1.7 act=0)
+      probe comps_list.comp = C1 (est=5 act=5)
+    probe stocks.symbol = comps_list.symbol (est=1.7 act=0)
+`},
+		{"aggregate join under limit", `select comp, sum(weight*price) as v from comps_list, stocks
+			where stocks.symbol = comps_list.symbol group by comp limit 1`, `
+limit 1 (est=1 act=1)
+  aggregate comp, sum((weight * price)) group by comp (est=10 act=2)
+    join nested loop (est=10 act=10)
+      scan comps_list snapshot (est=10 act=10)
+      probe stocks.symbol = comps_list.symbol (est=10 act=10)
+`},
+		{"projection join under limit", `select comps_list.symbol, price from comps_list, stocks
+			where stocks.symbol = comps_list.symbol limit 1`, `
+limit 1 (est=1 act=1)
+  project comps_list.symbol, price (est=10 act=1)
+    join nested loop (est=10 act=1)
+      scan comps_list snapshot (est=10 act=1)
+      probe stocks.symbol = comps_list.symbol (est=10 act=1)
+`},
+		{"constant-false where", `select symbol from stocks where 1 = 2`, `
+project symbol (est=40 act=0)
+  scan stocks unopened (est=40 act=0)
+`},
+	} {
+		text, err := db.Explain(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := strings.TrimPrefix(tc.want, "\n"); text != want {
+			t.Errorf("%s: EXPLAIN reads\n%s\nwant\n%s", tc.name, text, want)
+		}
+	}
+}
+
+// TestEmptyAggregateNoRow pins that an aggregate without GROUP BY over no
+// input rows returns no row at all, not SQL's one row of COUNT 0.
+func TestEmptyAggregateNoRow(t *testing.T) {
+	db := MustOpen(Config{Workers: 1})
+	defer db.Close()
+	for _, sql := range []string{
+		`create table s (p int)`,
+		`insert into s values (1)`,
+		`insert into s values (2)`,
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	res, err := db.Exec(`select count(p) as n from s where p > 100`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Errorf("count over no rows returned %v, want no row", res.Rows)
 	}
 }
