@@ -16,12 +16,12 @@ type PlanNode struct {
 	Children []*PlanNode
 }
 
-// explainNode assembles the full plan tree after a run, appending the
-// post-pass operators (sort, limit) above the streamed pipeline.
-// sorted is the row count entering the limit (after any sort), final
-// the count after it.
-func (ex *exec) explainNode(root op, sorted, final int) *PlanNode {
-	n := root.node()
+// explainNode assembles the plan tree after a run: the streamed pipeline
+// rebuilt from the levels' counters (explainTree), below the post-pass
+// operators (sort, limit). sorted is the row count entering the limit
+// (after any sort), final the count after it.
+func (ex *exec) explainNode(sorted, final int) *PlanNode {
+	n := ex.explainTree()
 	if len(ex.q.OrderBy) > 0 {
 		detail := strings.Join(ex.q.OrderBy, ", ")
 		if ex.q.Desc {
@@ -49,6 +49,54 @@ func (ex *exec) explainNode(root op, sorted, final int) *PlanNode {
 		}
 	}
 	return n
+}
+
+// explainTree renders the run's levels as the operator tree they execute: a
+// left-deep chain of nested-loop joins over scan and probe leaves (each under
+// a filter when residual predicates apply), topped by the project or
+// aggregate sink. A leaf counts each row it yielded, a filter and a join
+// each row that passed their level, the sink each row it put out.
+func (ex *exec) explainTree() *PlanNode {
+	var root *PlanNode
+	for pos := range ex.c.levels {
+		lp, lv := &ex.c.levels[pos], &ex.lv[pos]
+		s := ex.srcs[lp.src]
+		n := &PlanNode{Op: "scan", EstRows: lp.estAccess, ActRows: lv.rows}
+		if lp.probe != nil {
+			n.Op = "probe"
+			n.Detail = fmt.Sprintf("%s.%s = %s", s.name, lp.probe.col, ex.text(lp.probe.expr))
+		} else if lv.mode == "" {
+			n.Detail = s.name + " unopened"
+		} else {
+			n.Detail = s.name + " " + lv.mode
+		}
+		if len(lp.resid) > 0 {
+			parts := make([]string, len(lp.resid))
+			for i, p := range lp.resid {
+				parts[i] = fmt.Sprintf("%s %s %s", ex.text(p.Left), p.Op, ex.text(p.Right))
+			}
+			n = &PlanNode{Op: "filter", Detail: strings.Join(parts, " and "),
+				EstRows: lp.estOut, ActRows: lv.passed, Children: []*PlanNode{n}}
+		}
+		if root != nil {
+			n = &PlanNode{Op: "join", Detail: "nested loop",
+				EstRows: lp.estOut, ActRows: lv.passed, Children: []*PlanNode{root, n}}
+		}
+		root = n
+	}
+	sink := &PlanNode{Op: "project", Detail: ex.itemList(), EstRows: ex.c.estRows,
+		ActRows: ex.matched, Children: []*PlanNode{root}}
+	if ex.c.agg {
+		sink.Op, sink.ActRows = "aggregate", int64(ex.groups.n)
+		if len(ex.q.GroupBy) > 0 {
+			parts := make([]string, len(ex.q.GroupBy))
+			for i, g := range ex.q.GroupBy {
+				parts[i] = g.String()
+			}
+			sink.Detail += " group by " + strings.Join(parts, ", ")
+		}
+	}
+	return sink
 }
 
 // Format renders the plan tree as indented text, one operator per line:

@@ -13,7 +13,7 @@ import (
 
 // serveOpen opens an engine with the network listener (and optionally
 // stripmon) bound to ephemeral localhost ports.
-func serveOpen(t *testing.T, cfg Config) *DB {
+func serveOpen(t testing.TB, cfg Config) *DB {
 	t.Helper()
 	cfg.ListenAddr = "127.0.0.1:0"
 	if cfg.Workers == 0 {
@@ -27,7 +27,7 @@ func serveOpen(t *testing.T, cfg Config) *DB {
 	return db
 }
 
-func serveDial(t *testing.T, db *DB, opts client.Options) *client.Client {
+func serveDial(t testing.TB, db *DB, opts client.Options) *client.Client {
 	t.Helper()
 	c, err := client.Dial(db.ServerAddr(), opts)
 	if err != nil {
