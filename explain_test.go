@@ -58,6 +58,13 @@ func TestExplain(t *testing.T) {
 func benchShapesDB(t *testing.T) *DB {
 	t.Helper()
 	db := MustOpen(Config{Workers: 1})
+	loadBenchShapes(t, db)
+	return db
+}
+
+// loadBenchShapes creates and fills benchShapesDB's tables in db.
+func loadBenchShapes(t *testing.T, db *DB) {
+	t.Helper()
 	exec := func(sql string) {
 		t.Helper()
 		if _, err := db.Exec(sql); err != nil {
@@ -77,7 +84,6 @@ func benchShapesDB(t *testing.T) *DB {
 	exec(`create index on stocks (symbol)`)
 	exec(`create index on comps_list (symbol)`)
 	exec(`create index on comps_list (comp)`)
-	return db
 }
 
 // TestExplainBenchShapes pins what every operator of the three read_mix
