@@ -72,7 +72,9 @@ func TestStatsRace(t *testing.T) {
 
 	const total = submitters * perSubmitter
 	deadline := time.Now().Add(10 * time.Second)
-	for done.Load() < total {
+	// Idle, not done: a task's Fn returns before its worker counts it
+	// completed, and the worker stops running it only after that.
+	for !s.Idle() {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d/%d tasks completed", done.Load(), total)
 		}

@@ -723,12 +723,16 @@ func (s *Scheduler) Drain() {
 }
 
 // Stats returns scheduler counters — a lock-free view over the registry
-// atomics, race-clean while workers run.
+// atomics, race-clean while workers run. A task is counted submitted before
+// it can finish, so the counters that lag it (completed, failed) are loaded
+// first: a snapshot taken mid-flight never shows more tasks finished than
+// submitted.
 func (s *Scheduler) Stats() Stats {
+	completed, failed := s.completed.Load(), s.failed.Load()
 	return Stats{
 		Submitted: s.submitted.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
+		Completed: completed,
+		Failed:    failed,
 		Shed:      s.shed.Load(),
 		Abandoned: s.abandoned.Load(),
 		Retried:   s.retried.Load(),
