@@ -665,7 +665,7 @@ func (t *Table) ReleaseVersions(horizon uint64) (dropped int64) {
 		expired := d != 0 && d != PendingLSN && d <= horizon
 		if neverVisible || expired {
 			t.dropRetired(r)
-			r.older = nil
+			unchain(r)
 			dropped++
 			continue
 		}
@@ -684,15 +684,25 @@ func (t *Table) ReleaseVersions(horizon uint64) (dropped int64) {
 func truncateChain(head *Record, horizon uint64) (dropped, kept int64) {
 	for v := head; v.older != nil; v = v.older {
 		if c := v.createLSN.Load(); c != 0 && c <= horizon {
-			for w := v.older; w != nil; w = w.older {
-				dropped++
-			}
-			v.older = nil
-			return dropped, kept
+			return unchain(v), kept
 		}
 		kept++
 	}
 	return dropped, kept
+}
+
+// unchain cuts every link of v's chain of older versions, not just v's own,
+// and returns how many versions it cut off. A stale pointer to one dropped
+// version (a pooled record set, a bound table) then keeps that version
+// alive, not the rest of the chain below it.
+func unchain(v *Record) (n int64) {
+	for v.older != nil {
+		next := v.older
+		v.older = nil
+		v = next
+		n++
+	}
+	return n
 }
 
 // VersionStats counts currently retained versions by walking the whole
