@@ -6,7 +6,6 @@ import (
 	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/retry"
 	"github.com/stripdb/strip/internal/sqlparse"
-	"github.com/stripdb/strip/internal/storage"
 )
 
 // Result reports what a statement did.
@@ -33,70 +32,63 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.execStmt(stmt, params)
+	return collect(func(rows query.RowSink) (int, error) { return db.execStmt(stmt, params, rows) })
 }
 
-// execStmt executes one prepared statement with its parameters; Exec and
-// the network server (which prepared the frame's text to classify it) both
-// end here.
-func (db *DB) execStmt(stmt sqlparse.Stmt, params []Value) (*Result, error) {
+// collect runs one statement, keeping a query's rows in one value slab.
+func collect(run func(query.RowSink) (int, error)) (*Result, error) {
+	var rows query.RowSlice
+	n, err := run(&rows)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Rows: rows.Rows(), Columns: rows.Cols, Affected: n}, nil
+}
+
+// execStmt executes one prepared statement with its parameters: a query
+// hands its rows to rows, DML reports the rows it changed. Exec and the
+// network server (which prepared the frame's text to classify it) both end
+// here.
+func (db *DB) execStmt(stmt sqlparse.Stmt, params []Value, rows query.RowSink) (int, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.CreateTable:
 		cols := make([]Column, len(s.Cols))
 		for i, c := range s.Cols {
 			cols[i] = Column{Name: c.Name, Type: c.Type}
 		}
-		return &Result{}, db.CreateTable(s.Name, cols...)
+		return 0, db.CreateTable(s.Name, cols...)
 	case *sqlparse.CreateIndex:
-		return &Result{}, db.CreateIndex(s.Table, s.Column, s.Kind)
+		return 0, db.CreateIndex(s.Table, s.Column, s.Kind)
 	case *sqlparse.CreateRule:
-		return &Result{}, db.CreateRule(s.Rule)
+		return 0, db.CreateRule(s.Rule)
 	case *sqlparse.CreateView:
 		_, err := db.CreateMaterializedView(s.Name, s.Query, ViewOptions{})
-		return &Result{}, err
+		return 0, err
 	case *sqlparse.DropTable:
-		return &Result{}, db.DropTable(s.Name)
+		return 0, db.DropTable(s.Name)
 	case *sqlparse.DropRule:
-		return &Result{}, db.DropRule(s.Name)
+		return 0, db.DropRule(s.Name)
 	case *sqlparse.SelectStmt:
 		tx := db.BeginReadOnly()
 		defer tx.Commit() //nolint:errcheck
-		return selectIn(tx, s.Query, params)
+		return 0, s.Query.RunTo(tx, query.TxnResolver{}, params, rows)
 	case *sqlparse.ExplainStmt:
 		node, err := db.explainQuery(s.Query, nil)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		res := &Result{Columns: []string{"plan"}}
+		err = rows.Columns([]string{"plan"})
 		for _, line := range node.Lines() {
-			res.Rows = append(res.Rows, []Value{Str(line)})
+			if err == nil {
+				err = rows.Row([]Value{Str(line)})
+			}
 		}
-		return res, nil
+		return 0, err
 	case *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
 		return db.runDML(func(tx *Txn) (int, error) { return dmlIn(tx, stmt, params) })
 	default:
-		return nil, fmt.Errorf("strip: unsupported statement %T", stmt)
+		return 0, fmt.Errorf("strip: unsupported statement %T", stmt)
 	}
-}
-
-// selectIn runs a select inside tx and materializes its rows.
-func selectIn(tx *Txn, q *Select, params []Value) (*Result, error) {
-	res, err := q.RunParams(tx, query.TxnResolver{}, params)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols := drain(res)
-	return &Result{Rows: rows, Columns: cols}, nil
-}
-
-// drain copies a result table out as rows and column names and retires it.
-func drain(res *storage.TempTable) ([][]Value, []string) {
-	defer res.Retire()
-	names := make([]string, res.Schema().NumCols())
-	for i := range names {
-		names[i] = res.Schema().Col(i).Name
-	}
-	return res.Rows(), names
 }
 
 // dmlIn runs one prepared INSERT, UPDATE or DELETE inside tx.
@@ -155,22 +147,19 @@ func (db *DB) explainQuery(sel *Select, params []Value) (*query.PlanNode, error)
 // lock-wait timeout) is retried under the engine's one retry policy, as a
 // rule action's is; any other error, an exhausted policy, or Close starting
 // surfaces to the caller.
-func (db *DB) runDML(run func(*Txn) (int, error)) (*Result, error) {
+func (db *DB) runDML(run func(*Txn) (int, error)) (int, error) {
 	if db.closing.Load() {
-		return nil, fmt.Errorf("strip: exec: %w", ErrShuttingDown)
+		return 0, fmt.Errorf("strip: exec: %w", ErrShuttingDown)
 	}
 	if err := db.writable("exec"); err != nil {
-		return nil, err
+		return 0, err
 	}
 	var n int
 	err := retry.Default.Do(func(err error) bool { return IsRetryable(err) && !db.closing.Load() }, func() (err error) {
 		n, err = db.tryDML(run)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Affected: n}, nil
+	return n, err
 }
 
 func (db *DB) tryDML(run func(*Txn) (int, error)) (int, error) {
@@ -206,12 +195,11 @@ func ExecAction(ctx *ActionContext, sql string) (int, error) { return ctx.Exec(s
 // the statement cache; the firing's bound tables shadow database tables of
 // the same name, exactly as for programmatic ActionContext.Query.
 func QueryAction(ctx *ActionContext, sql string) ([][]Value, []string, error) {
-	res, err := ctx.QuerySQL(sql)
-	if err != nil {
+	var rows query.RowSlice
+	if err := ctx.QuerySQL(sql, &rows); err != nil {
 		return nil, nil, err
 	}
-	rows, names := drain(res)
-	return rows, names, nil
+	return rows.Rows(), rows.Cols, nil
 }
 
 // actionSQL is the engine's statement cache as rule actions use it
@@ -226,16 +214,16 @@ func (a actionSQL) ExecIn(tx *Txn, sql string) (int, error) {
 	return dmlIn(tx, stmt, params)
 }
 
-func (a actionSQL) QueryIn(tx *Txn, res query.Resolver, sql string) (*storage.TempTable, error) {
+func (a actionSQL) QueryIn(tx *Txn, res query.Resolver, sql string, rows query.RowSink) error {
 	stmt, params, err := a.stmts.Prepare(sql)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s, ok := stmt.(*sqlparse.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("strip: statement %T is not a SELECT", stmt)
+		return fmt.Errorf("strip: statement %T is not a SELECT", stmt)
 	}
-	return s.Query.RunParams(tx, res, params)
+	return s.Query.RunTo(tx, res, params, rows)
 }
 
 // ParseSelect parses a SELECT statement into its programmatic form, for
@@ -262,18 +250,18 @@ func (db *DB) ExecIn(tx *Txn, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.execStmtIn(tx, stmt, params)
+	return collect(func(rows query.RowSink) (int, error) { return execStmtIn(tx, stmt, params, rows) })
 }
 
-// execStmtIn executes one prepared DML statement or SELECT inside tx.
-func (db *DB) execStmtIn(tx *Txn, stmt sqlparse.Stmt, params []Value) (*Result, error) {
+// execStmtIn executes one prepared DML statement or SELECT inside tx, as
+// execStmt does.
+func execStmtIn(tx *Txn, stmt sqlparse.Stmt, params []Value, rows query.RowSink) (int, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		return selectIn(tx, s.Query, params)
+		return 0, s.Query.RunTo(tx, query.TxnResolver{}, params, rows)
 	case *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
-		n, err := dmlIn(tx, stmt, params)
-		return &Result{Affected: n}, err
+		return dmlIn(tx, stmt, params)
 	default:
-		return nil, fmt.Errorf("strip: statement %T is not valid inside a transaction", stmt)
+		return 0, fmt.Errorf("strip: statement %T is not valid inside a transaction", stmt)
 	}
 }

@@ -127,12 +127,13 @@ func (c *ActionContext) Exec(sql string) (int, error) {
 }
 
 // QuerySQL is Query for a SELECT given as text, through the engine's
-// statement cache; bound tables shadow database tables.
-func (c *ActionContext) QuerySQL(sql string) (*storage.TempTable, error) {
+// statement cache, handing the rows to rows; bound tables shadow database
+// tables.
+func (c *ActionContext) QuerySQL(sql string, rows query.RowSink) error {
 	if c.engine.SQL == nil {
-		return nil, errNoSQL
+		return errNoSQL
 	}
-	return c.engine.SQL.QueryIn(c.tx, c, sql)
+	return c.engine.SQL.QueryIn(c.tx, c, sql, rows)
 }
 
 // ExecUpdate runs an UPDATE statement inside the action's transaction.

@@ -31,6 +31,8 @@ type compiled struct {
 	// (grouped-column) item i from position repKey[i] of the group's key,
 	// built from groupBy.
 	out     *catalog.Schema // shared by every run's result table
+	names   []string        // out's column names
+	order   []int           // out's columns ORDER BY sorts on
 	items   []lowered
 	aggs    []aggSpec
 	groupBy []lowered
@@ -348,6 +350,16 @@ func (c *compiled) lowerItems(srcs []*source) error {
 	var err error
 	if c.out, err = outputSchema(q, srcs); err != nil {
 		return err
+	}
+	c.names = make([]string, c.out.NumCols())
+	for i := range c.names {
+		c.names[i] = c.out.Col(i).Name
+	}
+	c.order = make([]int, len(q.OrderBy))
+	for i, name := range q.OrderBy {
+		if c.order[i] = c.out.ColIndex(name); c.order[i] < 0 {
+			return fmt.Errorf("query: ORDER BY column %q not in select list", name)
+		}
 	}
 	c.items = make([]lowered, len(q.Items))
 	for i, it := range q.Items {

@@ -19,8 +19,8 @@ type PlanNode struct {
 // explainNode assembles the plan tree after a run: the streamed pipeline
 // rebuilt from the levels' counters (explainTree), below the post-pass
 // operators (sort, limit). sorted is the row count entering the limit
-// (after any sort), final the count after it.
-func (ex *exec) explainNode(sorted, final int) *PlanNode {
+// (after any sort).
+func (ex *exec) explainNode(sorted int) *PlanNode {
 	n := ex.explainTree()
 	if len(ex.q.OrderBy) > 0 {
 		detail := strings.Join(ex.q.OrderBy, ", ")
@@ -44,7 +44,7 @@ func (ex *exec) explainNode(sorted, final int) *PlanNode {
 			Op:       "limit",
 			Detail:   fmt.Sprint(ex.q.Limit),
 			EstRows:  est,
-			ActRows:  int64(final),
+			ActRows:  int64(min(sorted, ex.q.Limit)),
 			Children: []*PlanNode{n},
 		}
 	}

@@ -43,8 +43,8 @@ var recBufs = sync.Pool{New: func() any { return new([]*storage.Record) }}
 
 // stopsAtLimit reports whether the run may stop as soon as the output
 // holds LIMIT rows: nothing downstream reorders or folds them.
-func (ex *exec) stopsAtLimit() bool {
-	return ex.q.Limit > 0 && !ex.c.agg && len(ex.q.OrderBy) == 0
+func (c *compiled) stopsAtLimit() bool {
+	return c.q.Limit > 0 && !c.agg && len(c.q.OrderBy) == 0
 }
 
 // drive runs level pos and, through it, every level below for each of its
@@ -117,7 +117,7 @@ func (ex *exec) drive(pos int) (stop bool, err error) {
 // chunk is how many rows the innermost level may hand the sink at once: a
 // full ex.sel, or what a LIMIT still wants.
 func (ex *exec) chunk() int {
-	if ex.stopsAtLimit() {
+	if ex.c.stopsAtLimit() {
 		return min(len(ex.sel), ex.q.Limit-int(ex.matched))
 	}
 	return len(ex.sel)

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/catalog"
@@ -135,7 +134,7 @@ func (q *Select) Run(tx *txn.Txn, res Resolver) (*storage.TempTable, error) {
 // and its plan are shared between concurrent runs; params belongs to this
 // one.
 func (q *Select) RunParams(tx *txn.Txn, res Resolver, params []types.Value) (*storage.TempTable, error) {
-	out, _, err := q.runTimed(tx, res, params, false)
+	out, _, err := q.runTable(tx, res, params, false)
 	return out, err
 }
 
@@ -143,26 +142,50 @@ func (q *Select) RunParams(tx *txn.Txn, res Resolver, params []types.Value) (*st
 // plan tree annotated with the planner's estimated rows and the actual
 // rows each operator produced.
 func (q *Select) RunExplain(tx *txn.Txn, res Resolver, params ...types.Value) (*storage.TempTable, *PlanNode, error) {
-	return q.runTimed(tx, res, params, true)
+	return q.runTable(tx, res, params, true)
 }
 
-func (q *Select) runTimed(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+// RunTo executes like RunParams but hands the rows to dst as the loop
+// reaches them instead of building a temp table; only ORDER BY holds them
+// back, to sort them.
+func (q *Select) RunTo(tx *txn.Txn, res Resolver, params []types.Value, dst RowSink) error {
+	_, err := q.runTimed(tx, res, params, false, &valueSink{dst: dst})
+	return err
+}
+
+// runTable runs the query into a temp table. The table under construction
+// pins the rows it points at, and the caller's transaction may commit
+// whatever this returns (a read-only one always does), so every error
+// return retires it.
+func (q *Select) runTable(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+	t := &tempSink{}
+	node, err := q.runTimed(tx, res, params, wantNode, t)
+	if err != nil {
+		if t.out != nil {
+			t.out.Retire()
+		}
+		return nil, nil, err
+	}
+	return t.out, node, nil
+}
+
+func (q *Select) runTimed(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool, out sink) (*PlanNode, error) {
 	mgr := tx.Manager()
 	start := mgr.Clock.Now()
-	out, node, err := q.runQuery(tx, res, params, wantNode)
+	node, err := q.runQuery(tx, res, params, wantNode, out)
 	mgr.Query.Selects.Inc()
 	mgr.Query.SelectMicros.Record(mgr.Clock.Now() - start)
-	return out, node, err
+	return node, err
 }
 
-func (q *Select) runQuery(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+func (q *Select) runQuery(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool, out sink) (*PlanNode, error) {
 	model := tx.Model()
 	tx.Charge(model.StmtSetup)
 	var srcs []*source
 	for _, name := range q.From {
 		tbl, tmp, err := res.Resolve(tx, name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s := &source{name: name, tbl: tbl, tmp: tmp}
 		if tbl != nil {
@@ -174,7 +197,7 @@ func (q *Select) runQuery(tx *txn.Txn, res Resolver, params []types.Value, wantN
 		tx.Charge(model.OpenCursor)
 	}
 	if len(srcs) == 0 {
-		return nil, nil, fmt.Errorf("query: select with empty FROM")
+		return nil, fmt.Errorf("query: select with empty FROM")
 	}
 	c, err := q.ensureCompiled(tx, srcs)
 	if err != nil {
@@ -187,9 +210,9 @@ func (q *Select) runQuery(tx *txn.Txn, res Resolver, params []types.Value, wantN
 				err = berr
 			}
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	return c.execute(tx, srcs, params, wantNode)
+	return c.execute(tx, srcs, params, wantNode, out)
 }
 
 // WithParams returns the query with every placeholder replaced by its value
@@ -207,13 +230,11 @@ func (q *Select) WithParams(params []types.Value) *Select {
 	return b
 }
 
-// execute runs a compiled plan against this run's resolved sources. The
-// output under construction pins the rows it points at, and the caller's
-// transaction may commit whatever this returns (a read-only one always
-// does), so every error return retires it.
-func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+// execute runs a compiled plan against this run's resolved sources,
+// writing the result to out.
+func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, wantNode bool, out sink) (*PlanNode, error) {
 	if len(params) < c.nParams {
-		return nil, nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", c.nParams, len(params))
+		return nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", c.nParams, len(params))
 	}
 	ex := &exec{
 		c:     c,
@@ -224,9 +245,13 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, wa
 		srcs:  srcs,
 		row:   newRow(srcs, params),
 		lv:    make([]levelRun, len(c.levels)),
+		out:   out,
 	}
-	if err := ex.prepareOutput(); err != nil {
-		return nil, nil, err
+	if c.agg {
+		ex.groups = newGroups(len(c.groupBy), len(c.aggs))
+	}
+	if err := out.open(c, srcs); err != nil {
+		return nil, err
 	}
 
 	// Evaluate constant predicates once; a false one proves the result
@@ -236,34 +261,22 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, wa
 		_, err = ex.drive(0)
 	}
 	ex.release()
-	var out *storage.TempTable
 	if err == nil {
-		out, err = ex.finish()
+		err = ex.finish()
 	}
 	if err != nil {
-		ex.out.Retire()
-		return nil, nil, err
+		return nil, err
 	}
 	// Selectivity feedback: only full runs report — a LIMIT may stop the
 	// drive early and would undercount against the estimate.
 	if c.q.Limit == 0 {
 		c.noteActual(ex.matched)
 	}
-	if len(c.q.OrderBy) > 0 {
-		if err := sortResult(out, c.q.OrderBy, c.q.Desc); err != nil {
-			out.Retire()
-			return nil, nil, err
-		}
+	sorted, err := out.end(c)
+	if err != nil || !wantNode {
+		return nil, err
 	}
-	sorted := out.Len()
-	if c.q.Limit > 0 {
-		out.Truncate(c.q.Limit)
-	}
-	var node *PlanNode
-	if wantNode {
-		node = ex.explainNode(sorted, out.Len())
-	}
-	return out, node, nil
+	return ex.explainNode(sorted), nil
 }
 
 // clone deep-copies the query for a private run.
@@ -296,10 +309,10 @@ func (q *Select) clone() *Select {
 
 // exec carries the per-run state of a compiled plan: the transaction,
 // this run's resolved sources, the row — the joint cursors the levels
-// write into and the run's parameters — the levels' state and the output
-// under construction. It owns every buffer the row loop writes — the
-// cursors, the levels' record sets, the projection's row scratch, the
-// grouping slabs — so a row moving through the loop allocates nothing.
+// write into and the run's parameters — the levels' state and the sink the
+// output goes to. The run owns every buffer the row loop writes — the
+// cursors, the levels' record sets, the sink's row scratch, the grouping
+// slabs — so a row moving through the loop allocates nothing.
 type exec struct {
 	c     *compiled
 	q     *Select // == c.q: the resolved, immutable query
@@ -315,14 +328,7 @@ type exec struct {
 	// it feeds selectivity feedback against the plan's estimate.
 	matched int64
 
-	out *storage.TempTable
-
-	// Projection: the output layout's pointer slots and materialized
-	// columns, and one row's worth of scratch that AppendRow copies from.
-	ptrSlots []ptrSlot
-	matCols  []int // item indexes of materialized columns
-	ptrBuf   []*storage.Record
-	valBuf   []types.Value
+	out sink
 
 	// Aggregation state; nil for a projection. accs is the one group's
 	// accumulators of a query without GROUP BY, from its first row on.
@@ -337,74 +343,6 @@ type exec struct {
 // enough to keep the records' cache misses overlapping, little enough to
 // stay in L1.
 const selCap = 128
-
-// ptrSlot identifies one pointer of the output layout: records flow either
-// directly from a standard source (tmpPtr == -1) or through a temp source's
-// own pointer tmpPtr.
-type ptrSlot struct {
-	src    int
-	tmpPtr int
-}
-
-// maxOutputReserve caps how many rows of output slab the planner's
-// estimate may reserve up front: an estimate is a guess, a wrong one must
-// not cost a large zeroed slab per run, and appends past the reservation
-// grow geometrically anyway.
-const maxOutputReserve = 1 << 10
-
-// prepareOutput builds the result temp table: schema, pointer slots, and
-// static map.
-func (ex *exec) prepareOutput() error {
-	schema := ex.c.out
-	if ex.c.agg {
-		ex.out = storage.NewValueTempTable(schema)
-		ex.groups = newGroups(len(ex.c.groupBy), len(ex.c.aggs))
-		ex.valBuf = make([]types.Value, len(ex.q.Items))
-		return nil
-	}
-
-	// Pointer layout: share one slot per distinct record origin (paper §6.1:
-	// one pointer per standard tuple contributing at least one attribute).
-	srcMap := make([]storage.ColSource, len(ex.q.Items))
-	for i, it := range ex.q.Items {
-		cr, isRef := it.Expr.(*ColRef)
-		if !isRef {
-			srcMap[i] = storage.Materialized(len(ex.matCols))
-			ex.matCols = append(ex.matCols, i)
-			continue
-		}
-		slot := ptrSlot{src: cr.src, tmpPtr: -1}
-		off := cr.col
-		if tmp := ex.srcs[cr.src].tmp; tmp != nil {
-			cs := tmp.Source(cr.col)
-			if cs.Ptr < 0 {
-				// Materialized in the source temp table; copy the value.
-				srcMap[i] = storage.Materialized(len(ex.matCols))
-				ex.matCols = append(ex.matCols, i)
-				continue
-			}
-			slot.tmpPtr, off = cs.Ptr, cs.Off
-		}
-		idx := slices.Index(ex.ptrSlots, slot)
-		if idx < 0 {
-			idx = len(ex.ptrSlots)
-			ex.ptrSlots = append(ex.ptrSlots, slot)
-		}
-		srcMap[i] = storage.FromRecord(idx, off)
-	}
-	var err error
-	if ex.out, err = storage.NewTempTable(schema, srcMap, len(ex.ptrSlots)); err != nil {
-		return err
-	}
-	ex.ptrBuf = make([]*storage.Record, len(ex.ptrSlots))
-	ex.valBuf = make([]types.Value, len(ex.matCols))
-	reserve := min(ex.c.estRows, maxOutputReserve)
-	if ex.stopsAtLimit() {
-		reserve = min(reserve, float64(ex.q.Limit))
-	}
-	ex.out.Grow(int(reserve))
-	return nil
-}
 
 func exprKind(e Expr, srcs []*source) types.Kind {
 	switch x := e.(type) {
@@ -426,7 +364,7 @@ func exprKind(e Expr, srcs []*source) types.Kind {
 	}
 }
 
-// emit appends the current joint row (ex.cur) to a projection's output. It
+// emit hands the current joint row (ex.cur) to a projection's sink. It
 // reports stop once the output holds the rows a LIMIT asks for
 // (stopsAtLimit).
 func (ex *exec) emit() (stop bool, err error) {
@@ -435,24 +373,10 @@ func (ex *exec) emit() (stop bool, err error) {
 		ex.prof.RowsMatched++
 	}
 	ex.tx.Charge(ex.model.OutputRow)
-	cur := ex.cur
-	for i, slot := range ex.ptrSlots {
-		c := &cur[slot.src]
-		if slot.tmpPtr < 0 {
-			ex.ptrBuf[i] = c.rec
-		} else {
-			ex.ptrBuf[i] = c.tmp.RowPtr(c.row, slot.tmpPtr)
-		}
-	}
-	for i, item := range ex.matCols {
-		if ex.valBuf[i], err = ex.c.items[item].eval(&ex.row); err != nil {
-			return false, err
-		}
-	}
-	if err := ex.out.AppendRow(ex.ptrBuf, ex.valBuf); err != nil {
+	if err := ex.out.project(ex.c, ex.row); err != nil {
 		return false, err
 	}
-	return ex.stopsAtLimit() && ex.matched >= int64(ex.q.Limit), nil
+	return ex.c.stopsAtLimit() && ex.matched >= int64(ex.q.Limit), nil
 }
 
 // fold adds the innermost level's passing rows sel to their groups'
@@ -537,15 +461,19 @@ func (ex *exec) foldRow(sp *aggSpec, a *accum) error {
 	return a.fold(sp, v)
 }
 
-// finish materializes grouped output (or returns the row output directly).
-func (ex *exec) finish() (*storage.TempTable, error) {
+// finish hands an aggregation's groups to the sink, one row each. Without
+// ORDER BY, a LIMIT stops it (the sink would drop the rest).
+func (ex *exec) finish() error {
 	g := ex.groups
 	if g == nil {
-		return ex.out, nil
+		return nil
 	}
-	ex.out.Grow(g.n)
-	row := ex.valBuf
-	for gi := 0; gi < g.n; gi++ {
+	n := g.n
+	if ex.q.Limit > 0 && len(ex.c.order) == 0 {
+		n = min(n, ex.q.Limit)
+	}
+	row := make([]types.Value, len(ex.q.Items))
+	for gi := 0; gi < n; gi++ {
 		for i, it := range ex.q.Items {
 			if it.Agg == AggNone {
 				row[i] = g.keys[gi*g.width+ex.c.repKey[i]]
@@ -555,34 +483,9 @@ func (ex *exec) finish() (*storage.TempTable, error) {
 			sp := &ex.c.aggs[i]
 			row[sp.item] = g.accs[gi*g.nAgg+i].result(sp)
 		}
-		if err := ex.out.AppendValues(row...); err != nil {
-			return nil, err
+		if err := ex.out.put(row); err != nil {
+			return err
 		}
 	}
-	return ex.out, nil
-}
-
-// sortResult orders a result temp table by the named output columns.
-func sortResult(tt *storage.TempTable, orderBy []string, desc bool) error {
-	cols := make([]int, len(orderBy))
-	for i, name := range orderBy {
-		ci := tt.Schema().ColIndex(name)
-		if ci < 0 {
-			return fmt.Errorf("query: ORDER BY column %q not in select list", name)
-		}
-		cols[i] = ci
-	}
-	tt.SortRows(func(a, b int) bool {
-		for _, c := range cols {
-			cmp := types.Compare(tt.At(a, c), tt.At(b, c))
-			if cmp != 0 {
-				if desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
 	return nil
 }

@@ -22,12 +22,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(EncodeWelcome(42))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		DecodeHello(data)   //nolint:errcheck
-		DecodeWelcome(data) //nolint:errcheck
-		DecodeSQL(data)     //nolint:errcheck
-		DecodeRows(data)    //nolint:errcheck
-		DecodeOK(data)      //nolint:errcheck
-		DecodeErr(data)     //nolint:errcheck
+		DecodeHelloLag(data) //nolint:errcheck
+		DecodeWelcome(data)  //nolint:errcheck
+		DecodeSQL(data)      //nolint:errcheck
+		DecodeRows(data)     //nolint:errcheck
+		DecodeOK(data)       //nolint:errcheck
+		DecodeErr(data)      //nolint:errcheck
 	})
 }
 

@@ -11,18 +11,11 @@ import (
 	"time"
 
 	"github.com/stripdb/strip/internal/obs"
+	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
 )
-
-// Result is one statement's outcome, mirroring the embedded facade's
-// result shape: Columns/Rows for selects, Affected for DML.
-type Result struct {
-	Columns  []string
-	Rows     [][]types.Value
-	Affected int
-}
 
 // Backend is what the server needs from the engine. The root strip package
 // implements it over *strip.DB (see strip's serve wiring); keeping it an
@@ -36,10 +29,12 @@ type Backend interface {
 	// it has not seen — to classify the frame, and hands the backend the
 	// prepared statement with its parameters; the backend never sees text.
 	Statements() *sqlparse.Cache
-	// Exec runs one auto-committed prepared statement.
-	Exec(stmt sqlparse.Stmt, params []types.Value) (*Result, error)
-	// ExecIn runs one prepared statement inside tx.
-	ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Value) (*Result, error)
+	// Exec runs one auto-committed prepared statement. A SELECT or EXPLAIN
+	// hands its rows to rows; any other statement reports how many rows it
+	// changed.
+	Exec(stmt sqlparse.Stmt, params []types.Value, rows query.RowSink) (int, error)
+	// ExecIn runs one prepared statement inside tx, as Exec does.
+	ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Value, rows query.RowSink) (int, error)
 	// Obs is the engine's metrics registry (server.* lands here).
 	Obs() *obs.Registry
 	// Now is engine time in microseconds, for metrics and trace events.

@@ -42,48 +42,33 @@ func (b *testBackend) Repl() ReplStreamer { return nil }
 
 func (b *testBackend) ReplicaInfo() (bool, bool, int64) { return false, false, 0 }
 
-func (b *testBackend) Exec(stmt sqlparse.Stmt, params []types.Value) (*Result, error) {
+func (b *testBackend) Exec(stmt sqlparse.Stmt, params []types.Value, rows query.RowSink) (int, error) {
 	if _, ok := stmt.(*sqlparse.SelectStmt); ok {
 		tx := b.mgr.BeginReadOnly()
 		defer tx.Commit() //nolint:errcheck
-		return b.ExecIn(tx, stmt, params)
+		return b.ExecIn(tx, stmt, params, rows)
 	}
 	tx := b.mgr.Begin()
-	res, err := b.ExecIn(tx, stmt, params)
+	n, err := b.ExecIn(tx, stmt, params, rows)
 	if err != nil {
 		tx.Abort() //nolint:errcheck
-		return nil, err
+		return 0, err
 	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return n, tx.Commit()
 }
 
-func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Value) (*Result, error) {
+func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []types.Value, rows query.RowSink) (int, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		out, err := s.Query.RunParams(tx, query.TxnResolver{}, params)
-		if err != nil {
-			return nil, err
-		}
-		defer out.Retire()
-		cols := make([]string, out.Schema().NumCols())
-		for i := range cols {
-			cols[i] = out.Schema().Col(i).Name
-		}
-		return &Result{Columns: cols, Rows: out.Rows()}, nil
+		return 0, s.Query.RunTo(tx, query.TxnResolver{}, params, rows)
 	case *sqlparse.InsertStmt:
-		n, err := s.Stmt.Run(tx)
-		return &Result{Affected: n}, err
+		return s.Stmt.Run(tx)
 	case *sqlparse.UpdateStmt:
-		n, err := s.Stmt.RunParams(tx, params)
-		return &Result{Affected: n}, err
+		return s.Stmt.RunParams(tx, params)
 	case *sqlparse.DeleteStmt:
-		n, err := s.Stmt.RunParams(tx, params)
-		return &Result{Affected: n}, err
+		return s.Stmt.RunParams(tx, params)
 	default:
-		return nil, fmt.Errorf("test backend: unsupported %T", stmt)
+		return 0, fmt.Errorf("test backend: unsupported %T", stmt)
 	}
 }
 
@@ -626,5 +611,38 @@ func TestServerParsesEachStatementOnce(t *testing.T) {
 	send(FrameExec, "delete from stocks where symbol = 'S5'", 0)
 	if rt, _ := roundTrip(t, conn, FrameCommit, nil); rt != FrameOK {
 		t.Fatalf("COMMIT answered 0x%02x", rt)
+	}
+}
+
+// TestSessionBufferCapped: a session that read a statement and served a
+// result each larger than frameBufCap keeps neither buffer, while the
+// buffers of the ordinary frames that follow are kept for reuse.
+func TestSessionBufferCapped(t *testing.T) {
+	srv, _, _ := serverEnv(t, Config{})
+	conn := dialHello(t, srv.Addr(), "", "")
+	srv.mu.Lock()
+	var sess *session
+	for _, s := range srv.sessions {
+		sess = s
+	}
+	srv.mu.Unlock()
+
+	big := strings.Repeat("x", frameBufCap)
+	if typ, p := roundTrip(t, conn, FrameExec, EncodeSQL("insert into stocks values ('"+big+"', 1)")); typ != FrameOK {
+		t.Fatalf("insert answered 0x%02x: %s", typ, p)
+	}
+	if typ, p := roundTrip(t, conn, FrameQuery, EncodeSQL("select symbol from stocks")); typ != FrameRows || len(p) <= frameBufCap {
+		t.Fatalf("big query answered 0x%02x with %d bytes", typ, len(p))
+	}
+	if typ, p := roundTrip(t, conn, FrameQuery, EncodeSQL("select price from stocks where symbol = 'S1'")); typ != FrameRows {
+		t.Fatalf("small query answered 0x%02x: %s", typ, p)
+	}
+	// Once the session has ended, its buffers are safe to read here.
+	conn.Close()
+	for srv.sessionCount() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if in, out := cap(sess.io.in), cap(sess.io.out); in > frameBufCap || out > frameBufCap || in == 0 || out == 0 {
+		t.Errorf("session keeps %d B to read frames and %d B to write them, want each in (0, %d]", in, out, frameBufCap)
 	}
 }

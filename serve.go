@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/stripdb/strip/internal/obs"
+	"github.com/stripdb/strip/internal/query"
 	"github.com/stripdb/strip/internal/server"
 	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/txn"
@@ -44,19 +45,12 @@ func (b dbBackend) Now() int64         { return b.db.clk.Now() }
 
 func (b dbBackend) Statements() *sqlparse.Cache { return b.db.stmts }
 
-func (b dbBackend) Exec(stmt sqlparse.Stmt, params []Value) (*server.Result, error) {
-	return serverResult(b.db.execStmt(stmt, params))
+func (b dbBackend) Exec(stmt sqlparse.Stmt, params []Value, rows query.RowSink) (int, error) {
+	return b.db.execStmt(stmt, params, rows)
 }
 
-func (b dbBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []Value) (*server.Result, error) {
-	return serverResult(b.db.execStmtIn(tx, stmt, params))
-}
-
-func serverResult(res *Result, err error) (*server.Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &server.Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
+func (b dbBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt, params []Value, rows query.RowSink) (int, error) {
+	return execStmtIn(tx, stmt, params, rows)
 }
 
 // Saturated rides the engine's overload machinery: when overload control

@@ -2,6 +2,7 @@ package strip
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -75,4 +76,49 @@ func BenchmarkServedSelectAgg(b *testing.B) {
 
 func BenchmarkServedSelectFilter(b *testing.B) {
 	benchServed(b, func(int) string { return "select symbol, price from stocks where price >= 145" })
+}
+
+// TestServedSelectAllocs holds a served SELECT, client and server together,
+// to a number of allocations per statement that does not grow with its
+// rows: the session encodes each row from its record straight into a frame
+// buffer it keeps, so ten times the rows cost no more allocations, and the
+// statement allocates fewer objects than servedCopyAllocs, the count when
+// the rows were copied into a temp table, a row slice and a fresh payload
+// on their way out.
+func TestServedSelectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const servedCopyAllocs = 36
+	db := serveOpen(t, Config{})
+	c := serveDial(t, db, client.Options{})
+	db.MustExec(`create table t (k text, v int)`)
+	insert := func(from, to int) {
+		for i := from; i < to; i++ {
+			db.MustExec(fmt.Sprintf(`insert into t values ('k%04d', %d)`, i, i))
+		}
+	}
+	perStatement := func(want int) float64 {
+		query := func() {
+			res, err := c.Query(`select k, v from t where v >= 0`)
+			if err != nil || len(res.Rows) != want {
+				t.Fatalf("%d rows, %v; want %d rows", len(res.Rows), err, want)
+			}
+		}
+		query()
+		return testing.AllocsPerRun(50, query)
+	}
+	// No GC while measuring: it would empty the scan's record-set pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	insert(0, 50)
+	small := perStatement(50)
+	insert(50, 500)
+	large := perStatement(500)
+	t.Logf("%.1f allocs per statement at 50 rows, %.1f at 500", small, large)
+	if large > small {
+		t.Errorf("%.1f allocs at 50 rows but %.1f at 500: the served path allocates per row", small, large)
+	}
+	if large >= servedCopyAllocs {
+		t.Errorf("%.1f allocs per statement, want fewer than %d", large, servedCopyAllocs)
+	}
 }

@@ -712,11 +712,11 @@ func (db *DB) Insert(table string, vals ...Value) error {
 func (db *DB) Query(q *Select) ([][]Value, []string, error) {
 	tx := db.BeginReadOnly()
 	defer tx.Commit() //nolint:errcheck
-	res, err := selectIn(tx, q, nil)
-	if err != nil {
+	var rows query.RowSlice
+	if err := q.RunTo(tx, query.TxnResolver{}, nil, &rows); err != nil {
 		return nil, nil, err
 	}
-	return res.Rows, res.Columns, nil
+	return rows.Rows(), rows.Cols, nil
 }
 
 // Stats returns a user function's rule-activity counters.
