@@ -227,50 +227,6 @@ func (t *Tracer) Recent(n int) []Event {
 	return out
 }
 
-// ByTrace returns every retained event whose Trace equals trace, oldest
-// first.
-func (t *Tracer) ByTrace(trace int64) []Event {
-	if trace == 0 {
-		return nil
-	}
-	var out []Event
-	t.mu.Lock()
-	have := t.next
-	if have > uint64(len(t.buf)) {
-		have = uint64(len(t.buf))
-	}
-	for i := uint64(0); i < have; i++ {
-		seq := t.next - have + i
-		if ev := t.buf[seq%uint64(len(t.buf))]; ev.Trace == trace {
-			out = append(out, ev)
-		}
-	}
-	t.mu.Unlock()
-	return out
-}
-
-// ByParent returns every retained event whose Parent equals parent, oldest
-// first.
-func (t *Tracer) ByParent(parent int64) []Event {
-	if parent == 0 {
-		return nil
-	}
-	var out []Event
-	t.mu.Lock()
-	have := t.next
-	if have > uint64(len(t.buf)) {
-		have = uint64(len(t.buf))
-	}
-	for i := uint64(0); i < have; i++ {
-		seq := t.next - have + i
-		if ev := t.buf[seq%uint64(len(t.buf))]; ev.Parent == parent {
-			out = append(out, ev)
-		}
-	}
-	t.mu.Unlock()
-	return out
-}
-
 // Span reconstructs the causal chain rooted at trace: every retained event
 // carrying the trace id, plus cross-linked events (rule.merge entries from
 // other transactions' chains) whose Parent is one of the chain's tasks.

@@ -13,7 +13,6 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -87,9 +86,6 @@ func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Time returns a timestamp value from microseconds on the engine clock.
 func Time(micros int64) Value { return Value{kind: KindTime, i: micros} }
-
-// TimeOf converts a time.Duration offset from the engine epoch to a Value.
-func TimeOf(d time.Duration) Value { return Time(d.Microseconds()) }
 
 // Kind reports the value's dynamic kind.
 func (v Value) Kind() Kind { return v.kind }

@@ -69,32 +69,6 @@ func (t *Tap) wake() {
 	}
 }
 
-// Next pops the next durable chunk, blocking until one arrives, stop
-// closes, or the tap is closed. ok=false means the tap is done: either
-// closed (log shutdown, Cancel) or lagged (subscriber fell behind and must
-// re-subscribe — see Lagged).
-func (t *Tap) Next(stop <-chan struct{}) (chunk []byte, ok bool) {
-	for {
-		t.mu.Lock()
-		if len(t.queue) > 0 {
-			chunk = t.queue[0]
-			t.queue = t.queue[1:]
-			t.mu.Unlock()
-			return chunk, true
-		}
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return nil, false
-		}
-		select {
-		case <-t.sig:
-		case <-stop:
-			return nil, false
-		}
-	}
-}
-
 // TryNext pops the next chunk without blocking.
 func (t *Tap) TryNext() (chunk []byte, ok bool) {
 	t.mu.Lock()
@@ -450,12 +424,6 @@ func WriteShippedSnapshot(dir string, raw []byte) error {
 func ParseFrame(b []byte, off int) (kind byte, lsn uint64, body []byte, next int, ok bool) {
 	return readFrame(b, off)
 }
-
-// KindEpoch reports whether a parsed frame is an epoch record.
-func KindEpoch(kind byte) bool { return kind == recEpoch }
-
-// KindCommit reports whether a parsed frame is a commit record.
-func KindCommit(kind byte) bool { return kind == recCommit }
 
 // ApplyRecord applies one parsed record to a catalog and store through the
 // recovery path: no locks, no rule firings, version stamps restored from

@@ -47,7 +47,7 @@ func drainTo(t *testing.T, sub *Subscription, last uint64) []uint64 {
 	timer := time.AfterFunc(10*time.Second, func() { close(stop) })
 	defer timer.Stop()
 	for len(got) == 0 || got[len(got)-1] < last {
-		chunk, ok := sub.Tap.Next(stop)
+		chunk, ok, _ := sub.Tap.NextTimeout(stop, time.Hour)
 		if !ok {
 			t.Fatalf("tap ended (lagged=%v) at lsn %v, want %d", sub.Tap.Lagged(), got, last)
 		}
