@@ -329,7 +329,9 @@ func render(fn string, key []types.Value, bound map[string][][]types.Value) stri
 func boundRows(names []string, tables []*storage.TempTable) map[string][][]types.Value {
 	out := map[string][][]types.Value{}
 	for i, n := range names {
-		out[n] = tables[i].Rows()
+		for r := 0; r < tables[i].Len(); r++ {
+			out[n] = append(out[n], tables[i].Row(r))
+		}
 		if len(out[n]) == 0 {
 			out[n] = nil
 		}

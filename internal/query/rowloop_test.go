@@ -289,7 +289,11 @@ func TestConcurrentRunsShareNoRecordSet(t *testing.T) {
 			return nil, err
 		}
 		defer out.Retire()
-		return out.Rows(), nil
+		rows := make([][]types.Value, out.Len())
+		for i := range rows {
+			rows[i] = out.Row(i)
+		}
+		return rows, nil
 	}
 	want, err := run()
 	if err != nil {

@@ -280,7 +280,11 @@ func outcome(mgr *txn.Manager, stmt Stmt, params []types.Value) string {
 			return "error: " + err.Error()
 		}
 		defer out.Retire()
-		return fmt.Sprintf("%v %v", out.Schema(), out.Rows())
+		rows := make([][]types.Value, out.Len())
+		for i := range rows {
+			rows[i] = out.Row(i)
+		}
+		return fmt.Sprintf("%v %v", out.Schema(), rows)
 	case *UpdateStmt:
 		n, err := s.Stmt.RunParams(tx, params)
 		return fmt.Sprintf("%d %v", n, err)

@@ -105,13 +105,12 @@ func (db *DB) CreateMaterializedView(name string, def *Select, opts ViewOptions)
 	// maintenance path replays — so the initial contents and every rebuild
 	// agree on shape (including the aggregation support count).
 	tx := db.Begin()
-	res, err := spec.LoadQuery().Run(tx, query.TxnResolver{})
-	if err != nil {
+	var loaded query.RowSlice
+	if err := spec.LoadQuery().RunTo(tx, query.TxnResolver{}, nil, &loaded); err != nil {
 		tx.Abort() //nolint:errcheck
 		return nil, err
 	}
-	rows := res.Rows()
-	res.Retire()
+	rows := loaded.Rows()
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
