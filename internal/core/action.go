@@ -136,8 +136,12 @@ func (c *ActionContext) QuerySQL(sql string, rows query.RowSink) error {
 	return c.engine.SQL.QueryIn(c.tx, c, sql, rows)
 }
 
-// ExecUpdate runs an UPDATE statement inside the action's transaction.
-func (c *ActionContext) ExecUpdate(s *query.UpdateStmt) (int, error) { return s.Run(c.tx) }
+// ExecUpdate runs an UPDATE statement inside the action's transaction, with
+// params as its placeholders' values: an action that holds its statement
+// plans it once.
+func (c *ActionContext) ExecUpdate(s *query.UpdateStmt, params ...types.Value) (int, error) {
+	return s.RunParams(c.tx, params)
+}
 
 // ExecInsert runs an INSERT statement inside the action's transaction.
 func (c *ActionContext) ExecInsert(s *query.InsertStmt) (int, error) { return s.Run(c.tx) }

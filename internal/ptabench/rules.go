@@ -112,6 +112,18 @@ func optMatchesQuery() *query.Select {
 func Install(db *strip.DB, v Variant, delay clock.Micros) (string, error) {
 	var fn strip.ActionFunc
 	var cond *query.Select
+	a := &actions{
+		compDelta: query.UpdateStmt{
+			Table: "comp_prices",
+			Set:   []query.SetClause{{Col: "price", Expr: query.Param(0, types.KindFloat), AddTo: true}},
+			Where: []query.Pred{query.Eq(query.Col("comp"), query.Param(1, types.KindString))},
+		},
+		optPrice: query.UpdateStmt{
+			Table: "option_prices",
+			Set:   []query.SetClause{{Col: "price", Expr: query.Param(0, types.KindFloat)}},
+			Where: []query.Pred{query.Eq(query.Col("option_symbol"), query.Param(1, types.KindString))},
+		},
+	}
 	name := fmt.Sprintf("fn_%d", int(v))
 	rule := &core.Rule{
 		Name:   fmt.Sprintf("rule_%d", int(v)),
@@ -121,34 +133,34 @@ func Install(db *strip.DB, v Variant, delay clock.Micros) (string, error) {
 	}
 	switch v {
 	case CompNonUnique:
-		fn, cond = computeComps1, compMatchesQuery()
+		fn, cond = a.computeComps1, compMatchesQuery()
 	case CompUnique:
-		fn, cond = computeCompsGrouped, compMatchesQuery()
+		fn, cond = a.computeCompsGrouped, compMatchesQuery()
 		rule.Unique = true
 		rule.Delay = delay
 	case CompUniqueSymbol:
-		fn, cond = computeCompsGrouped, compMatchesQuery()
+		fn, cond = a.computeCompsGrouped, compMatchesQuery()
 		rule.Unique = true
 		rule.UniqueOn = []string{"symbol"}
 		rule.Delay = delay
 	case CompUniqueComp:
-		fn, cond = computeComps3, compMatchesQuery()
+		fn, cond = a.computeComps3, compMatchesQuery()
 		rule.Unique = true
 		rule.UniqueOn = []string{"comp"}
 		rule.Delay = delay
 	case OptNonUnique:
-		fn, cond = computeOptions1, optMatchesQuery()
+		fn, cond = a.computeOptions1, optMatchesQuery()
 	case OptUnique:
-		fn, cond = computeOptionsGrouped, optMatchesQuery()
+		fn, cond = a.computeOptionsGrouped, optMatchesQuery()
 		rule.Unique = true
 		rule.Delay = delay
 	case OptUniqueSymbol:
-		fn, cond = computeOptionsSymbol, optMatchesQuery()
+		fn, cond = a.computeOptionsSymbol, optMatchesQuery()
 		rule.Unique = true
 		rule.UniqueOn = []string{"stock_symbol"}
 		rule.Delay = delay
 	case OptUniqueOption:
-		fn, cond = computeOptionsPerOption, optMatchesQuery()
+		fn, cond = a.computeOptionsPerOption, optMatchesQuery()
 		rule.Unique = true
 		rule.UniqueOn = []string{"option_symbol"}
 		rule.Delay = delay
@@ -174,19 +186,24 @@ const (
 	mcNewPrice
 )
 
+// actions are a variant's user functions and the UPDATE statements they
+// run, held for the life of the rule as query.AggView holds its own: the
+// first run plans each statement, and every later one reuses the plan with
+// its row's values.
+type actions struct {
+	compDelta query.UpdateStmt // update comp_prices set price += ?0 where comp = ?1
+	optPrice  query.UpdateStmt // update option_prices set price = ?0 where option_symbol = ?1
+}
+
 // applyCompDelta issues `update comp_prices set price += diff where comp=c`.
-func applyCompDelta(ctx *strip.ActionContext, comp types.Value, diff float64) error {
-	_, err := ctx.ExecUpdate(&query.UpdateStmt{
-		Table: "comp_prices",
-		Set:   []query.SetClause{{Col: "price", Expr: query.Const(types.Float(diff)), AddTo: true}},
-		Where: []query.Pred{query.Eq(query.Col("comp"), query.Const(comp))},
-	})
+func (a *actions) applyCompDelta(ctx *strip.ActionContext, comp types.Value, diff float64) error {
+	_, err := ctx.ExecUpdate(&a.compDelta, types.Float(diff), comp)
 	return err
 }
 
 // computeComps1 is the paper's Figure 3 user function: one incremental
 // UPDATE statement per matches row, no batching awareness.
-func computeComps1(ctx *strip.ActionContext) error {
+func (a *actions) computeComps1(ctx *strip.ActionContext) error {
 	m, ok := ctx.Bound("matches")
 	if !ok {
 		return fmt.Errorf("ptabench: no matches bound table")
@@ -196,7 +213,7 @@ func computeComps1(ctx *strip.ActionContext) error {
 		ctx.Charge(model.FetchCursor)
 		diff := m.Value(i, mcWeight).Float() *
 			(m.Value(i, mcNewPrice).Float() - m.Value(i, mcOldPrice).Float())
-		if err := applyCompDelta(ctx, m.Value(i, mcComp), diff); err != nil {
+		if err := a.applyCompDelta(ctx, m.Value(i, mcComp), diff); err != nil {
 			return err
 		}
 	}
@@ -208,7 +225,7 @@ func computeComps1(ctx *strip.ActionContext) error {
 // incremental changes per composite in application code before applying
 // each once. Also used for unique-on-symbol, where a task's rows span the
 // ~dozen composites of one stock.
-func computeCompsGrouped(ctx *strip.ActionContext) error {
+func (a *actions) computeCompsGrouped(ctx *strip.ActionContext) error {
 	m, ok := ctx.Bound("matches")
 	if !ok {
 		return fmt.Errorf("ptabench: no matches bound table")
@@ -228,7 +245,7 @@ func computeCompsGrouped(ctx *strip.ActionContext) error {
 			(m.Value(i, mcNewPrice).Float() - m.Value(i, mcOldPrice).Float())
 	}
 	for _, comp := range order {
-		if err := applyCompDelta(ctx, comp, diffs[comp]); err != nil {
+		if err := a.applyCompDelta(ctx, comp, diffs[comp]); err != nil {
 			return err
 		}
 	}
@@ -238,7 +255,7 @@ func computeCompsGrouped(ctx *strip.ActionContext) error {
 // computeComps3 is the Figure 7 user function: with `unique on comp` the
 // rule system has already partitioned matches per composite, so the loop
 // just accumulates the weighted changes and applies the total once.
-func computeComps3(ctx *strip.ActionContext) error {
+func (a *actions) computeComps3(ctx *strip.ActionContext) error {
 	m, ok := ctx.Bound("matches")
 	if !ok {
 		return fmt.Errorf("ptabench: no matches bound table")
@@ -253,7 +270,7 @@ func computeComps3(ctx *strip.ActionContext) error {
 		total += m.Value(i, mcWeight).Float() *
 			(m.Value(i, mcNewPrice).Float() - m.Value(i, mcOldPrice).Float())
 	}
-	return applyCompDelta(ctx, m.Value(0, mcComp), total)
+	return a.applyCompDelta(ctx, m.Value(0, mcComp), total)
 }
 
 // options matches column offsets.
@@ -284,17 +301,13 @@ func fetchStdev(ctx *strip.ActionContext, symbol types.Value) (float64, error) {
 
 // priceOption evaluates Black-Scholes (real computation plus its virtual
 // CPU charge) and writes option_prices.
-func priceOption(ctx *strip.ActionContext, option types.Value, s, k, t, sigma float64) error {
+func (a *actions) priceOption(ctx *strip.ActionContext, option types.Value, s, k, t, sigma float64) error {
 	ctx.Charge(ctx.Model().BlackScholes)
 	price, err := finance.BlackScholesCall(s, k, finance.RisklessRate, t, sigma)
 	if err != nil {
 		return err
 	}
-	_, err = ctx.ExecUpdate(&query.UpdateStmt{
-		Table: "option_prices",
-		Set:   []query.SetClause{{Col: "price", Expr: query.Const(types.Float(price))}},
-		Where: []query.Pred{query.Eq(query.Col("option_symbol"), query.Const(option))},
-	})
+	_, err = ctx.ExecUpdate(&a.optPrice, types.Float(price), option)
 	return err
 }
 
@@ -305,7 +318,7 @@ func priceOption(ctx *strip.ActionContext, option types.Value, s, k, t, sigma fl
 // distinct stock within the task (a non-unique task's rows all belong to
 // one update transaction, usually one stock), so the unique variants'
 // advantage comes from batching itself, as in the paper.
-func computeOptions1(ctx *strip.ActionContext) error {
+func (a *actions) computeOptions1(ctx *strip.ActionContext) error {
 	m, ok := ctx.Bound("matches")
 	if !ok {
 		return fmt.Errorf("ptabench: no matches bound table")
@@ -324,7 +337,7 @@ func computeOptions1(ctx *strip.ActionContext) error {
 			}
 			stdevs[stock] = sigma
 		}
-		if err := priceOption(ctx, m.Value(i, moOption),
+		if err := a.priceOption(ctx, m.Value(i, moOption),
 			m.Value(i, moNewPrice).Float(), m.Value(i, moStrike).Float(),
 			m.Value(i, moExpiration).Float(), sigma); err != nil {
 			return err
@@ -369,7 +382,7 @@ func groupOptions(ctx *strip.ActionContext, m *strip.TempTable) ([]types.Value, 
 // computeOptionsGrouped handles the coarse unique variant: rows span many
 // stocks; group per option, fetch each stock's stdev once, and price each
 // option once from its last underlying price.
-func computeOptionsGrouped(ctx *strip.ActionContext) error {
+func (a *actions) computeOptionsGrouped(ctx *strip.ActionContext) error {
 	m, ok := ctx.Bound("matches")
 	if !ok {
 		return fmt.Errorf("ptabench: no matches bound table")
@@ -387,7 +400,7 @@ func computeOptionsGrouped(ctx *strip.ActionContext) error {
 			}
 			stdevs[g.stock] = sigma
 		}
-		if err := priceOption(ctx, opt, g.price, g.strike, g.exp, sigma); err != nil {
+		if err := a.priceOption(ctx, opt, g.price, g.strike, g.exp, sigma); err != nil {
 			return err
 		}
 	}
@@ -397,7 +410,7 @@ func computeOptionsGrouped(ctx *strip.ActionContext) error {
 // computeOptionsSymbol handles `unique on stock_symbol`: every row shares
 // one stock, so the stdev is fetched once — the "partial results used for
 // every option computed only once" benefit (§3).
-func computeOptionsSymbol(ctx *strip.ActionContext) error {
+func (a *actions) computeOptionsSymbol(ctx *strip.ActionContext) error {
 	m, ok := ctx.Bound("matches")
 	if !ok {
 		return fmt.Errorf("ptabench: no matches bound table")
@@ -412,7 +425,7 @@ func computeOptionsSymbol(ctx *strip.ActionContext) error {
 	}
 	for _, opt := range order {
 		g := groups[opt]
-		if err := priceOption(ctx, opt, g.price, g.strike, g.exp, sigma); err != nil {
+		if err := a.priceOption(ctx, opt, g.price, g.strike, g.exp, sigma); err != nil {
 			return err
 		}
 	}
@@ -421,7 +434,7 @@ func computeOptionsSymbol(ctx *strip.ActionContext) error {
 
 // computeOptionsPerOption handles `unique on option_symbol`: one option per
 // task; take the last image and price it.
-func computeOptionsPerOption(ctx *strip.ActionContext) error {
+func (a *actions) computeOptionsPerOption(ctx *strip.ActionContext) error {
 	m, ok := ctx.Bound("matches")
 	if !ok {
 		return fmt.Errorf("ptabench: no matches bound table")
@@ -436,7 +449,7 @@ func computeOptionsPerOption(ctx *strip.ActionContext) error {
 	if err != nil {
 		return err
 	}
-	return priceOption(ctx, m.Value(last, moOption),
+	return a.priceOption(ctx, m.Value(last, moOption),
 		m.Value(last, moNewPrice).Float(), m.Value(last, moStrike).Float(),
 		m.Value(last, moExpiration).Float(), sigma)
 }

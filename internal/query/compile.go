@@ -74,7 +74,7 @@ func (c *compiled) noteActual(act int64) {
 	}
 	est := c.estRows
 	if act < driftFloor && est < driftFloor {
-		c.drift.Store(0)
+		c.settled()
 		return
 	}
 	a, e := float64(act), est
@@ -85,11 +85,20 @@ func (c *compiled) noteActual(act int64) {
 		e = 1
 	}
 	if r := a / e; r < driftThreshold && r > 1/driftThreshold {
-		c.drift.Store(0)
+		c.settled()
 		return
 	}
 	if c.drift.Add(1) >= c.driftLimit {
 		c.stale.Store(true)
+	}
+}
+
+// settled resets the drift count after a run that matched the estimate.
+// The plan is shared, so a run that finds it reset writes nothing, and
+// concurrent runs of a settled plan keep its cache line unshared.
+func (c *compiled) settled() {
+	if c.drift.Load() != 0 {
+		c.drift.Store(0)
 	}
 }
 
@@ -258,7 +267,7 @@ func compile(orig *Select, tx *txn.Txn, srcs []*source) (*compiled, error) {
 	c := &compiled{
 		q:       q,
 		agg:     agg,
-		nParams: paramCount(q.exprs()...),
+		nParams: q.paramCount(),
 		estRows: res.EstRows,
 		estCost: res.EstCost,
 		sig:     makeSig(srcs),
@@ -342,11 +351,15 @@ func (q *Select) OutputSchema(lookup func(table string) *catalog.Schema) (*catal
 	return outputSchema(resolved, srcs)
 }
 
-// lowerItems lowers the select list and fixes the output schema. For
-// an aggregation it also decides what each aggregate item tracks: the sum
-// of an INT-kinded argument stays in int64, exact past 2^53.
+// lowerItems lowers the select list and fixes the output schema (a
+// DELETE's query has neither). For an aggregation it also decides what each
+// aggregate item tracks: the sum of an INT-kinded argument stays in int64,
+// exact past 2^53.
 func (c *compiled) lowerItems(srcs []*source) error {
 	q := c.q
+	if len(q.Items) == 0 {
+		return nil
+	}
 	var err error
 	if c.out, err = outputSchema(q, srcs); err != nil {
 		return err
@@ -392,30 +405,23 @@ func (c *compiled) lowerItems(srcs []*source) error {
 	return nil
 }
 
-// paramCount reports how many parameters the placeholders in the given
-// expressions need: one past the highest index.
-func paramCount(exprs ...Expr) int {
+// paramCount reports how many parameters the query's placeholders need:
+// one past the highest index.
+func (q *Select) paramCount() int {
 	n := 0
-	for _, e := range exprs {
-		e.walk(func(x Expr) {
-			if p, ok := x.(*ParamExpr); ok && p.Index >= n {
-				n = p.Index + 1
-			}
-		})
+	note := func(x Expr) {
+		if p, ok := x.(*ParamExpr); ok && p.Index >= n {
+			n = p.Index + 1
+		}
 	}
-	return n
-}
-
-// exprs lists the query's item and predicate expressions.
-func (q *Select) exprs() []Expr {
-	out := make([]Expr, 0, len(q.Items)+2*len(q.Where))
 	for _, it := range q.Items {
-		out = append(out, it.Expr)
+		it.Expr.walk(note)
 	}
 	for _, p := range q.Where {
-		out = append(out, p.Left, p.Right)
+		p.Left.walk(note)
+		p.Right.walk(note)
 	}
-	return out
+	return n
 }
 
 // probeSide pairs a plan.Probe candidate with the executable key

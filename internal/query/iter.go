@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/stripdb/strip/internal/lock"
 	"github.com/stripdb/strip/internal/storage"
@@ -22,8 +21,8 @@ import (
 // levelRun is one level's state in a run: its record set and what it
 // counted.
 type levelRun struct {
-	// buf holds recs between runs (recBufs), its length the longest fill
-	// of this run; nil until the level first reads a standard table.
+	// buf is the exec's record buffer for this level, which holds recs;
+	// its length is the longest fill of this run.
 	buf *[]*storage.Record
 	// recs is a standard table's rows for this level: a scan's visible set,
 	// collected on the run's first visit and reused for every later outer
@@ -36,10 +35,6 @@ type levelRun struct {
 	rows   int64 // rows the access yielded
 	passed int64 // rows that passed the level's residual predicates
 }
-
-// recBufs recycles the record sets levels collect, so a scan allocates
-// nothing that grows with its table.
-var recBufs = sync.Pool{New: func() any { return new([]*storage.Record) }}
 
 // stopsAtLimit reports whether the run may stop as soon as the output
 // holds LIMIT rows: nothing downstream reorders or folds them.
@@ -60,15 +55,16 @@ func (c *compiled) stopsAtLimit() bool {
 //
 // The virtual charges follow the rows as the paper's model counts them: a
 // scan pays ScanRow per row it yields (an inner scan once per outer row,
-// though its set is collected once per run), a probe IndexProbe per lookup,
-// and every level below the first JoinRow per row it yields.
+// though its set is collected once per run), a probe IndexProbe per lookup
+// (and a statement's probe FetchCursor per row it yields), and every level
+// below the first JoinRow per row it yields.
 func (ex *exec) drive(pos int) (stop bool, err error) {
 	lp, lv := &ex.c.levels[pos], &ex.lv[pos]
 	n, err := ex.open(lp, lv)
 	if err != nil {
 		return false, err
 	}
-	var scanCost, joinCost float64
+	scanCost, joinCost := ex.fetchRow, 0.0
 	if lp.probe == nil {
 		scanCost = ex.model.ScanRow
 	}
@@ -166,7 +162,7 @@ func (ex *exec) open(lp *levelPlan, lv *levelRun) (int, error) {
 			return 0, err
 		}
 		ex.tx.Charge(ex.model.IndexProbe)
-		return lv.fetch(ex.tx, s, lp.probe.col, key)
+		return lv.fetch(ex.tx, s, ex.mode, lp.probe.col, key)
 	}
 	if s.tmp != nil {
 		lv.mode = "temp"
@@ -176,35 +172,30 @@ func (ex *exec) open(lp *levelPlan, lv *levelRun) (int, error) {
 		return len(lv.recs), nil
 	}
 	lv.mode = "locked"
-	if ex.tx.SnapshotReads() {
+	if ex.mode == lock.Shared && ex.tx.SnapshotReads() {
 		lv.mode = "snapshot"
 	}
-	return lv.fetch(ex.tx, s, "", types.Value{})
+	return lv.fetch(ex.tx, s, ex.mode, "", types.Value{})
 }
 
-// fetch reads the level's records into its pooled buffer.
-func (lv *levelRun) fetch(tx *txn.Txn, s *source, col string, key types.Value) (int, error) {
-	if lv.buf == nil {
-		lv.buf = recBufs.Get().(*[]*storage.Record)
-	}
+// fetch reads the level's records into its buffer.
+func (lv *levelRun) fetch(tx *txn.Txn, s *source, mode lock.Mode, col string, key types.Value) (int, error) {
 	var err error
-	lv.recs, err = fetchRecords(tx, s, lock.Shared, col, key, *lv.buf)
+	lv.recs, err = fetchRecords(tx, s, mode, col, key, *lv.buf)
 	if len(lv.recs) >= len(*lv.buf) {
 		*lv.buf = lv.recs // a longer fill, or the buffer grew
 	}
 	return len(lv.recs), err
 }
 
-// release returns the levels' buffers to recBufs, each cleared over the
-// longest prefix the run filled, so that a pooled buffer pins no record
-// version the table has since dropped.
+// release empties the levels' buffers, each cleared over the longest
+// prefix the run filled, so that a pooled exec pins no record version the
+// table has since dropped.
 func (ex *exec) release() {
 	for i := range ex.lv {
-		if b := ex.lv[i].buf; b != nil {
-			clear(*b)
-			*b = (*b)[:0]
-			recBufs.Put(b)
-		}
+		b := ex.lv[i].buf
+		clear(*b)
+		*b = (*b)[:0]
 	}
 }
 

@@ -319,3 +319,88 @@ func TestFetchRecordsRetriesStaleProbe(t *testing.T) {
 		}
 	}
 }
+
+// An UPDATE probes the index the planner picks, as a SELECT with the same
+// WHERE does: of `region = 'EU' and id = 6`, the unique id, not the region
+// that matches half the table. It then holds the table's IX and one record
+// X, and a writer on another EU row goes ahead without waiting.
+func TestUpdateProbeUsesPlannersIndex(t *testing.T) {
+	cat := catalog.New()
+	store := storage.NewStore()
+	schema := catalog.MustSchema("t",
+		catalog.Column{Name: "id", Kind: types.KindInt},
+		catalog.Column{Name: "region", Kind: types.KindString},
+		catalog.Column{Name: "v", Kind: types.KindInt})
+	if err := cat.Define(schema); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := store.Create(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"region", "id"} {
+		if err := tbl.CreateIndex(col, index.Hash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lm := lock.New()
+	mgr := txn.NewManager(cat, store, lm, clock.NewVirtual(), cost.NewMeter(), cost.Default())
+	tx := mgr.Begin()
+	for i := 0; i < 40; i++ {
+		region := "EU"
+		if i%2 == 1 {
+			region = "US"
+		}
+		if _, err := tx.Insert("t", []types.Value{types.Int(int64(i)), types.Str(region), types.Int(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	update := func(tx *txn.Txn, id int64) (int, error) {
+		return (&UpdateStmt{
+			Table: "t",
+			Set:   []SetClause{{Col: "v", Expr: Const(types.Int(1))}},
+			Where: []Pred{Eq(Col("region"), Const(types.Str("EU"))), Eq(Col("id"), Const(types.Int(id)))},
+		}).Run(tx)
+	}
+
+	tx1 := mgr.Begin()
+	if n, err := update(tx1, 6); err != nil || n != 1 {
+		t.Fatalf("update id 6: n=%d err=%v", n, err)
+	}
+	if got := lm.ActiveLocks(); got != 2 {
+		t.Errorf("the update holds %d locks, want 2: the table's IX and the row's X", got)
+	}
+	done := make(chan error, 1)
+	go func() {
+		tx2 := mgr.Begin()
+		if _, err := update(tx2, 8); err != nil {
+			done <- err
+			return
+		}
+		done <- tx2.Commit()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("an update of another EU row is still waiting after 5 s")
+		if err := tx1.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if w := lm.Stats().Waits; w != 0 {
+		t.Errorf("an update of another EU row waited %d times", w)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -25,15 +25,6 @@ type row struct {
 	params []types.Value
 }
 
-// newRow positions one cursor per source.
-func newRow(srcs []*source, params []types.Value) row {
-	cur := make([]cursor, len(srcs))
-	for i, s := range srcs {
-		cur[i].tmp = s.tmp
-	}
-	return row{cur: cur, params: params}
-}
-
 type lowKind uint8
 
 const (

@@ -2,7 +2,9 @@ package query
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -748,6 +750,9 @@ func TestOracleEquivalence(t *testing.T) {
 				checkOracle(t, q, label+", "+what, got, want)
 			}
 			run("built", q, want, q.toSelect(tables), nil)
+			if len(q.from) == 1 && !tables[q.from[0]].temp {
+				checkDML(t, tables, q, readMode == "snapshot", label, covered)
+			}
 			if !q.sqlable() {
 				continue
 			}
@@ -790,9 +795,90 @@ func TestOracleEquivalence(t *testing.T) {
 		"null group key", "repeated group column", "several rows in a group",
 		"min/max over text", "count only", "mixed aggregates",
 		"order+limit projection", "order+limit aggregate",
+		"dml on no rows", "dml on one row", "dml on several rows",
 	} {
 		if !covered[shape] {
 			t.Errorf("generator never produced: %s", shape)
+		}
+	}
+}
+
+// checkDML runs the WHERE of q, a query over one standard table, as a
+// DELETE and as an UPDATE that adds 1 to the table's first numeric column,
+// each on a fresh copy of the fixture, in a transaction that reads from
+// snapshots when snapshot is set (a statement must read its targets locked
+// all the same). The reference is refEval of the same WHERE: the statement
+// affects the rows it returns, and the table afterwards holds the other
+// rows as they were and those rows deleted or with the column raised.
+func checkDML(t *testing.T, tables []oracleTable, q refQuery, snapshot bool, label string, covered map[string]bool) {
+	t.Helper()
+	ot := tables[q.from[0]]
+	all := refQuery{from: q.from}
+	for ci := range ot.cols {
+		all.items = append(all.items, refItem{col: refCol{0, ci}})
+	}
+	hit := all
+	hit.preds = q.preds
+	matched := hit.refEval(tables)
+	switch {
+	case len(matched) == 0:
+		covered["dml on no rows"] = true
+	case len(matched) == 1:
+		covered["dml on one row"] = true
+	default:
+		covered["dml on several rows"] = true
+	}
+	rest := multiset(all.refEval(tables))
+	for k, n := range multiset(matched) {
+		if rest[k] -= n; rest[k] == 0 {
+			delete(rest, k)
+		}
+	}
+	type stmt struct {
+		what  string
+		run   func(tx *txn.Txn) (int, error)
+		after map[string]int // the table's rows afterwards
+	}
+	where := q.toSelect(tables).Where
+	stmts := []stmt{{"delete", (&DeleteStmt{Table: ot.name, Where: where}).Run, rest}}
+	if num := slices.IndexFunc(ot.cols, func(c catalog.Column) bool {
+		return c.Kind == types.KindInt || c.Kind == types.KindFloat
+	}); num >= 0 {
+		raised := maps.Clone(rest)
+		for _, r := range matched {
+			r = slices.Clone(r)
+			var err error
+			if r[num], err = types.Add(r[num], types.Int(1)); err != nil {
+				t.Fatal(err)
+			}
+			raised[rowKey(r)]++
+		}
+		upd := &UpdateStmt{
+			Table: ot.name,
+			Set:   []SetClause{{Col: ot.cols[num].Name, Expr: Const(types.Int(1)), AddTo: true}},
+			Where: where,
+		}
+		stmts = append(stmts, stmt{"update " + ot.cols[num].Name + " += 1", upd.Run, raised})
+	}
+	for _, st := range stmts {
+		mgr, _ := oracleEnv(t, tables)
+		tx := mgr.Begin()
+		if snapshot {
+			tx.EnableSnapshotReads()
+		}
+		n, err := st.run(tx)
+		if err != nil {
+			t.Fatalf("%s, %s: %v\nspec: %+v", label, st.what, err, q)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tbl, _ := mgr.Store.Get(ot.name)
+		var got [][]types.Value
+		tbl.Scan(func(r *storage.Record) bool { got = append(got, r.Values()); return true })
+		if n != len(matched) || !multisetEqual(multiset(got), st.after) {
+			t.Fatalf("%s, %s: affected %d rows, want %d; table rows match the reference: %t\nspec: %+v",
+				label, st.what, n, len(matched), multisetEqual(multiset(got), st.after), q)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package query
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/cost"
+	"github.com/stripdb/strip/internal/lock"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -179,40 +181,38 @@ func (q *Select) runTimed(tx *txn.Txn, res Resolver, params []types.Value, wantN
 }
 
 func (q *Select) runQuery(tx *txn.Txn, res Resolver, params []types.Value, wantNode bool, out sink) (*PlanNode, error) {
-	model := tx.Model()
+	ex := newExec(tx, lock.Shared)
+	defer ex.free()
+	model := ex.model
 	tx.Charge(model.StmtSetup)
-	var srcs []*source
 	for _, name := range q.From {
 		tbl, tmp, err := res.Resolve(tx, name)
 		if err != nil {
 			return nil, err
 		}
-		s := &source{name: name, tbl: tbl, tmp: tmp}
-		if tbl != nil {
-			s.schema = tbl.Schema()
-		} else {
-			s.schema = tmp.Schema()
-		}
-		srcs = append(srcs, s)
+		ex.addSource(name, tbl, tmp)
 		tx.Charge(model.OpenCursor)
 	}
-	if len(srcs) == 0 {
+	if len(ex.srcs) == 0 {
 		return nil, fmt.Errorf("query: select with empty FROM")
 	}
-	c, err := q.ensureCompiled(tx, srcs)
+	if len(q.Items) == 0 && !q.Star {
+		return nil, fmt.Errorf("query: select with no items")
+	}
+	c, err := q.ensureCompiled(tx, ex.srcs)
 	if err != nil {
 		if len(params) > 0 {
 			// Two compile messages quote a select item, and a template
 			// would quote a placeholder where the text had a literal:
 			// compile once more with the values written back, on this
 			// error path only, for a fresh parse's message word for word.
-			if _, berr := compile(q.WithParams(params), tx, srcs); berr != nil {
+			if _, berr := compile(q.WithParams(params), tx, ex.srcs); berr != nil {
 				err = berr
 			}
 		}
 		return nil, err
 	}
-	return c.execute(tx, srcs, params, wantNode, out)
+	return ex.run(c, params, wantNode, out)
 }
 
 // WithParams returns the query with every placeholder replaced by its value
@@ -230,27 +230,35 @@ func (q *Select) WithParams(params []types.Value) *Select {
 	return b
 }
 
-// execute runs a compiled plan against this run's resolved sources,
-// writing the result to out.
-func (c *compiled) execute(tx *txn.Txn, srcs []*source, params []types.Value, wantNode bool, out sink) (*PlanNode, error) {
+// run drives a compiled plan over the exec's resolved sources, writing
+// the result to out.
+func (ex *exec) run(c *compiled, params []types.Value, wantNode bool, out sink) (*PlanNode, error) {
 	if len(params) < c.nParams {
 		return nil, fmt.Errorf("query: statement has %d placeholders, run with %d values", c.nParams, len(params))
 	}
-	ex := &exec{
-		c:     c,
-		q:     c.q,
-		tx:    tx,
-		model: tx.Model(),
-		prof:  tx.Profile(),
-		srcs:  srcs,
-		row:   newRow(srcs, params),
-		lv:    make([]levelRun, len(c.levels)),
-		out:   out,
+	ex.c, ex.q, ex.out = c, c.q, out
+	ex.prof = ex.tx.Profile()
+	ex.fetchRow, ex.outRow = 0, ex.model.OutputRow
+	if ex.mode == lock.Exclusive {
+		ex.fetchRow, ex.outRow = ex.model.FetchCursor, 0
+	}
+	ex.cur = inline(ex.curBuf[:], len(ex.srcs))
+	for i, s := range ex.srcs {
+		ex.cur[i].tmp = s.tmp
+	}
+	// A copy: the caller's values then stay where the caller keeps them.
+	ex.params = append(ex.paramBuf[:0], params...)
+	ex.lv = inline(ex.lvBuf[:], len(c.levels))
+	for len(ex.recBufs) < len(ex.lv) {
+		ex.recBufs = append(ex.recBufs, nil)
+	}
+	for i := range ex.lv {
+		ex.lv[i].buf = &ex.recBufs[i]
 	}
 	if c.agg {
 		ex.groups = newGroups(len(c.groupBy), len(c.aggs))
 	}
-	if err := out.open(c, srcs); err != nil {
+	if err := out.open(c, ex.srcs); err != nil {
 		return nil, err
 	}
 
@@ -312,15 +320,48 @@ func (q *Select) clone() *Select {
 // write into and the run's parameters — the levels' state and the sink the
 // output goes to. The run owns every buffer the row loop writes — the
 // cursors, the levels' record sets, the sink's row scratch, the grouping
-// slabs — so a row moving through the loop allocates nothing.
+// slabs — so a row moving through the loop allocates nothing. Runs take
+// their exec from execs and put it back (free), and a plan of up to
+// inlineSrcs sources keeps its sources, cursors and levels inside it, so a
+// point or join query — or a statement finding its targets — allocates
+// nothing to set itself up.
 type exec struct {
+	runState
+
+	// sel holds a chunk of the innermost level's passing rows (drive).
+	sel [selCap]int32
+
+	// recBufs are the levels' record buffers, kept from run to run, so
+	// that a scan allocates nothing that grows with its table.
+	recBufs [][]*storage.Record
+
+	// The inline storage of a plan of up to inlineSrcs sources, of the
+	// parameters of most statements, and a statement's sink.
+	srcBuf   [inlineSrcs]source
+	srcPtrs  [inlineSrcs]*source
+	curBuf   [inlineSrcs]cursor
+	lvBuf    [inlineSrcs]levelRun
+	paramBuf [4]types.Value
+	targets  targetSink
+}
+
+// runState is what one run sets in its exec and free clears.
+type runState struct {
 	c     *compiled
 	q     *Select // == c.q: the resolved, immutable query
 	tx    *txn.Txn
-	model cost.Model
+	model *cost.Model
 	srcs  []*source
 	row
 	lv []levelRun // one per plan level
+	// mode is the lock a locked read of a standard table takes: S for a
+	// query, X for a statement finding its targets, which never reads
+	// from a snapshot.
+	mode lock.Mode
+	// fetchRow and outRow are the virtual charges per row a probe yields
+	// and per row handed to the sink: nothing and OutputRow for a query,
+	// FetchCursor and nothing for a statement's targets.
+	fetchRow, outRow float64
 	// prof receives row accounting (rows visited/matched) when the
 	// transaction carries a cost profile; nil otherwise.
 	prof *txn.TxnProfile
@@ -334,9 +375,56 @@ type exec struct {
 	// accumulators of a query without GROUP BY, from its first row on.
 	groups *groups
 	accs   []accum
+}
 
-	// sel holds a chunk of the innermost level's passing rows (drive).
-	sel [selCap]int32
+// inlineSrcs is how many sources a run holds in its exec.
+const inlineSrcs = 4
+
+var execs = sync.Pool{New: func() any { return new(exec) }}
+
+// newExec takes an exec for a run in tx whose locked reads take mode.
+func newExec(tx *txn.Txn, mode lock.Mode) *exec {
+	ex := execs.Get().(*exec)
+	ex.tx, ex.model, ex.mode, ex.srcs = tx, &tx.Manager().Model, mode, ex.srcPtrs[:0]
+	return ex
+}
+
+// addSource adds a resolved FROM entry: exactly one of tbl and tmp is set.
+func (ex *exec) addSource(name string, tbl *storage.Table, tmp *storage.TempTable) {
+	var s *source
+	if i := len(ex.srcs); i < inlineSrcs {
+		s = &ex.srcBuf[i]
+	} else {
+		s = new(source)
+	}
+	*s = source{name: name, tbl: tbl, tmp: tmp}
+	if tbl != nil {
+		s.schema = tbl.Schema()
+	} else {
+		s.schema = tmp.Schema()
+	}
+	ex.srcs = append(ex.srcs, s)
+}
+
+// free puts the exec back for another run, holding nothing of this one —
+// a pooled exec must pin no transaction, table or record — by clearing the
+// run's state and the inline slots it used. (Clearing all of them, where a
+// collector is running, costs a held UPDATE a tenth of its time.)
+func (ex *exec) free() {
+	clear(ex.srcBuf[:min(len(ex.srcs), inlineSrcs)])
+	clear(ex.curBuf[:min(len(ex.cur), inlineSrcs)])
+	clear(ex.lvBuf[:min(len(ex.lv), inlineSrcs)])
+	clear(ex.paramBuf[:min(len(ex.params), len(ex.paramBuf))])
+	ex.runState, ex.targets = runState{}, targetSink{}
+	execs.Put(ex)
+}
+
+// inline returns n elements of buf, or of a new slice when buf is short.
+func inline[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // selCap is the most rows the innermost level hands the sink at once:
@@ -372,7 +460,7 @@ func (ex *exec) emit() (stop bool, err error) {
 	if ex.prof != nil {
 		ex.prof.RowsMatched++
 	}
-	ex.tx.Charge(ex.model.OutputRow)
+	ex.tx.Charge(ex.outRow)
 	if err := ex.out.project(ex.c, ex.row); err != nil {
 		return false, err
 	}

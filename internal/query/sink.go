@@ -15,8 +15,8 @@ import (
 // the LIMIT and reports how many rows there were before the cut. A run
 // writes to one sink: a temp table for the callers that keep or bind the
 // result (tempSink), values for the callers that want rows in a format of
-// their own (valueSink). No method takes the run's exec, which then stays
-// off the heap.
+// their own (valueSink), or the records an UPDATE or DELETE is to write
+// (targetSink). No method takes the run's exec.
 type sink interface {
 	open(c *compiled, srcs []*source) error
 	project(c *compiled, jr row) error
@@ -226,6 +226,30 @@ func (s *valueSink) end(c *compiled) (sorted int, err error) {
 	}
 	return s.n, nil
 }
+
+// targetSink collects a statement's targets: the records of its one table
+// that its WHERE holds for, copied out of the level's record set before the
+// statement writes any of them, so that a statement never sees its own
+// writes. The first four fit in buf.
+type targetSink struct {
+	buf  [4]*storage.Record
+	recs []*storage.Record
+}
+
+func (t *targetSink) open(*compiled, []*source) error {
+	t.recs = t.buf[:0]
+	return nil
+}
+
+func (t *targetSink) project(_ *compiled, jr row) error {
+	t.recs = append(t.recs, jr.cur[0].rec)
+	return nil
+}
+
+// put is never called: a statement's query does not aggregate.
+func (t *targetSink) put([]types.Value) error { return nil }
+
+func (t *targetSink) end(*compiled) (int, error) { return len(t.recs), nil }
 
 // sortOrder returns the order of n rows under ORDER BY: a permutation of
 // their numbers, stable, so rows equal on every ORDER BY column keep their

@@ -1,9 +1,12 @@
 package query
 
 import (
+	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"github.com/stripdb/strip/internal/storage"
+	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
 )
 
@@ -213,5 +216,79 @@ func TestUpdateDoesNotObserveOwnWrites(t *testing.T) {
 	})
 	if got["S1"] != 40 || got["S2"] != 50 || got["S3"] != 50 {
 		t.Errorf("prices = %v", got)
+	}
+}
+
+// discardRows is a RowSink that keeps nothing.
+type discardRows struct{}
+
+func (discardRows) Columns([]string) error  { return nil }
+func (discardRows) Row([]types.Value) error { return nil }
+
+// A held UPDATE by key — begin, RunParams with the key as its one
+// parameter, commit — allocates no more than the same transaction making
+// the change with tx.Update directly: finding the target costs nothing on
+// the heap. A locked point SELECT in the same shell is logged beside it.
+func TestUpdateStmtAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	mgr := env(t)
+	tbl, _ := mgr.Store.Get("stocks")
+	// update stocks set price += 1.0 where symbol = ?0
+	upd := &UpdateStmt{
+		Table: "stocks",
+		Set:   []SetClause{{Col: "price", Expr: Const(types.Float(1)), AddTo: true}},
+		Where: []Pred{Eq(Col("symbol"), Param(0, types.KindString))},
+	}
+	sel := &Select{
+		Items: []SelectItem{Item(Col("price"), "")},
+		From:  []string{"stocks"},
+		Where: []Pred{Eq(Col("symbol"), Param(0, types.KindString))},
+	}
+	params := []types.Value{types.Str("S2")}
+	shell := func(body func(tx *txn.Txn) error) func() {
+		return func() {
+			tx := mgr.Begin()
+			if err := body(tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	held := shell(func(tx *txn.Txn) error {
+		n, err := upd.RunParams(tx, params)
+		if err == nil && n != 1 {
+			err = fmt.Errorf("updated %d rows", n)
+		}
+		return err
+	})
+	direct := shell(func(tx *txn.Txn) error {
+		if _, err := tx.WriteIntent("stocks"); err != nil {
+			return err
+		}
+		var buf [1]*storage.Record
+		recs, _ := tbl.AppendIndexLookup(buf[:0], "symbol", params[0])
+		if err := tx.LockRecordExclusive("stocks", recs[0].ID()); err != nil {
+			return err
+		}
+		vals := recs[0].Values()
+		vals[1] = types.Float(vals[1].Float() + 1)
+		_, err := tx.Update("stocks", recs[0], vals)
+		return err
+	})
+	point := shell(func(tx *txn.Txn) error { return sel.RunTo(tx, TxnResolver{}, params, discardRows{}) })
+	// No GC while measuring: it would empty the pools a run draws on.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	measure := func(f func()) float64 {
+		f()
+		return testing.AllocsPerRun(200, f)
+	}
+	got, base, sel1 := measure(held), measure(direct), measure(point)
+	t.Logf("held UPDATE %.1f allocs, direct tx.Update %.1f, locked point SELECT %.1f", got, base, sel1)
+	if got > 7 {
+		t.Errorf("a held UPDATE by key allocates %.1f times per transaction, ceiling 7", got)
 	}
 }
