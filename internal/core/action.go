@@ -136,9 +136,8 @@ func (c *ActionContext) QuerySQL(sql string, rows query.RowSink) error {
 	return c.engine.SQL.QueryIn(c.tx, c, sql, rows)
 }
 
-// ExecUpdate runs an UPDATE statement inside the action's transaction, with
-// params as its placeholders' values: an action that holds its statement
-// plans it once.
+// ExecUpdate runs an UPDATE statement, with params for its placeholders,
+// inside the action's transaction.
 func (c *ActionContext) ExecUpdate(s *query.UpdateStmt, params ...types.Value) (int, error) {
 	return s.RunParams(c.tx, params)
 }

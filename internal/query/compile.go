@@ -74,7 +74,7 @@ func (c *compiled) noteActual(act int64) {
 	}
 	est := c.estRows
 	if act < driftFloor && est < driftFloor {
-		c.settled()
+		c.drift.Store(0)
 		return
 	}
 	a, e := float64(act), est
@@ -85,20 +85,11 @@ func (c *compiled) noteActual(act int64) {
 		e = 1
 	}
 	if r := a / e; r < driftThreshold && r > 1/driftThreshold {
-		c.settled()
+		c.drift.Store(0)
 		return
 	}
 	if c.drift.Add(1) >= c.driftLimit {
 		c.stale.Store(true)
-	}
-}
-
-// settled resets the drift count after a run that matched the estimate.
-// The plan is shared, so a run that finds it reset writes nothing, and
-// concurrent runs of a settled plan keep its cache line unshared.
-func (c *compiled) settled() {
-	if c.drift.Load() != 0 {
-		c.drift.Store(0)
 	}
 }
 

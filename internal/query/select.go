@@ -321,10 +321,8 @@ func (q *Select) clone() *Select {
 // output goes to. The run owns every buffer the row loop writes — the
 // cursors, the levels' record sets, the sink's row scratch, the grouping
 // slabs — so a row moving through the loop allocates nothing. Runs take
-// their exec from execs and put it back (free), and a plan of up to
-// inlineSrcs sources keeps its sources, cursors and levels inside it, so a
-// point or join query — or a statement finding its targets — allocates
-// nothing to set itself up.
+// their exec from execs, and a plan of up to inlineSrcs sources sets up
+// its run inside it without allocating.
 type exec struct {
 	runState
 
@@ -406,16 +404,12 @@ func (ex *exec) addSource(name string, tbl *storage.Table, tmp *storage.TempTabl
 	ex.srcs = append(ex.srcs, s)
 }
 
-// free puts the exec back for another run, holding nothing of this one —
-// a pooled exec must pin no transaction, table or record — by clearing the
-// run's state and the inline slots it used. (Clearing all of them, where a
-// collector is running, costs a held UPDATE a tenth of its time.)
+// free puts the exec back for another run. It clears the run's state and
+// the levels' states; the sources, cursors, parameters and targets left in
+// the inline slots are a few pointers, which the next run overwrites.
 func (ex *exec) free() {
-	clear(ex.srcBuf[:min(len(ex.srcs), inlineSrcs)])
-	clear(ex.curBuf[:min(len(ex.cur), inlineSrcs)])
 	clear(ex.lvBuf[:min(len(ex.lv), inlineSrcs)])
-	clear(ex.paramBuf[:min(len(ex.params), len(ex.paramBuf))])
-	ex.runState, ex.targets = runState{}, targetSink{}
+	ex.runState = runState{}
 	execs.Put(ex)
 }
 

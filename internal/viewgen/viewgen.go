@@ -666,9 +666,9 @@ func (sp *Spec) deltaPerRowAction(counters deltaCounters) core.ActionFunc {
 // and reload the rows.
 func (sp *Spec) rebuildFn() core.ActionFunc {
 	view := sp.Name
-	load := sp.LoadQuery()
+	load, empty := sp.LoadQuery(), &query.DeleteStmt{Table: view}
 	return func(ctx *core.ActionContext) error {
-		if _, err := ctx.ExecDelete(&query.DeleteStmt{Table: view}); err != nil {
+		if _, err := ctx.ExecDelete(empty); err != nil {
 			return err
 		}
 		out, err := ctx.QueryLocked(load)
