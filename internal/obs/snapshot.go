@@ -55,8 +55,9 @@ const (
 	MQuerySelectMicros = "query.select_micros"
 	// MQueryPlanBuilds counts full plan compilations (clone, resolve,
 	// cost-based join ordering); MQueryPlanHits counts runs that reused a
-	// cached immutable plan. A healthy steady-state workload is nearly
-	// all hits.
+	// cached immutable plan. Both count the queries UPDATE and DELETE find
+	// their rows with; MQuerySelects counts SELECTs only. A healthy
+	// steady-state workload is nearly all hits.
 	MQueryPlanBuilds = "query.plan_builds"
 	MQueryPlanHits   = "query.plan_hits"
 	// MQueryPlanFeedbackRebuilds counts cached plans invalidated by

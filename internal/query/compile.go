@@ -67,25 +67,19 @@ const (
 )
 
 // noteActual folds one run's actual matched-row count into the plan's
-// drift state.
+// drift state. Runs share the plan, so a run that finds no drift to reset
+// writes nothing: concurrent runs of a settled plan leave its cache line
+// shared.
 func (c *compiled) noteActual(act int64) {
 	if c.stale.Load() {
 		return
 	}
 	est := c.estRows
-	if act < driftFloor && est < driftFloor {
-		c.drift.Store(0)
-		return
-	}
-	a, e := float64(act), est
-	if a < 1 {
-		a = 1
-	}
-	if e < 1 {
-		e = 1
-	}
-	if r := a / e; r < driftThreshold && r > 1/driftThreshold {
-		c.drift.Store(0)
+	r := max(float64(act), 1) / max(est, 1)
+	if act < driftFloor && est < driftFloor || r < driftThreshold && r > 1/driftThreshold {
+		if c.drift.Load() != 0 {
+			c.drift.Store(0)
+		}
 		return
 	}
 	if c.drift.Add(1) >= c.driftLimit {
