@@ -253,7 +253,7 @@ func (ex *exec) run(c *compiled, params []types.Value, wantNode bool, out sink) 
 		ex.recBufs = append(ex.recBufs, nil)
 	}
 	for i := range ex.lv {
-		ex.lv[i].buf = &ex.recBufs[i]
+		ex.lv[i] = levelRun{buf: &ex.recBufs[i]}
 	}
 	if c.agg {
 		ex.groups = newGroups(len(c.groupBy), len(c.aggs))
@@ -404,11 +404,10 @@ func (ex *exec) addSource(name string, tbl *storage.Table, tmp *storage.TempTabl
 	ex.srcs = append(ex.srcs, s)
 }
 
-// free puts the exec back for another run. It clears the run's state and
-// the levels' states; the sources, cursors, parameters and targets left in
-// the inline slots are a few pointers, which the next run overwrites.
+// free puts the exec back for another run. It clears the run's state; the
+// sources, cursors, parameters and targets left in the inline slots are a
+// few pointers, which the next run overwrites.
 func (ex *exec) free() {
-	clear(ex.lvBuf[:min(len(ex.lv), inlineSrcs)])
 	ex.runState = runState{}
 	execs.Put(ex)
 }
