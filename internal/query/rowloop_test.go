@@ -193,6 +193,64 @@ func BenchmarkScanAggChurned(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(loopStocks), "ns/row")
 }
 
+// evictBuf is larger than the last-level cache of the machines this runs on.
+var evictBuf = make([]byte, 32<<20)
+
+// evictCache writes one byte per cache line of evictBuf, so that what a
+// benchmark touched before is no longer cached. (Reads alone would not do:
+// the untouched pages of a fresh allocation all map one zero page.)
+func evictCache() {
+	for i := 0; i < len(evictBuf); i += 64 {
+		evictBuf[i]++
+	}
+}
+
+// BenchmarkScanAggColdChurned is BenchmarkScanAggChurned from a cold cache
+// over a table scattered the way a long write workload leaves it: 200k
+// committed single-row updates, each followed by an allocation of the
+// record's and its values' size classes into a ring of garbageRing slots,
+// so that replacement records land in slots freed all over a heap many
+// times the table's size rather than side by side. The ring is dropped
+// before the scans, as a workload's short-lived objects die. The cache is
+// evicted before every run, outside the timer, so ns/row is the walk's
+// per-row misses: the row container's, the records' and their values'.
+func BenchmarkScanAggColdChurned(b *testing.B) {
+	const churnUpdates, garbageRing = 200_000, 1 << 16
+	mgr := loopEnv(b, 1)
+	recGarbage := make([]*storage.Record, garbageRing)
+	valGarbage := make([][]types.Value, garbageRing)
+	up := &UpdateStmt{
+		Table: "stocks",
+		Set:   []SetClause{{Col: "price", Expr: Param(0, types.KindInt)}},
+		Where: []Pred{Eq(Col("symbol"), Param(1, types.KindString))},
+	}
+	for i := 0; i < churnUpdates; i++ {
+		tx := mgr.Begin()
+		sym := types.Str(fmt.Sprintf("S%04d", i*7919%loopStocks))
+		if n, err := up.RunParams(tx, []types.Value{types.Int(int64(100 + i%100)), sym}); err != nil || n != 1 {
+			b.Fatalf("update %d: n=%d err=%v", i, n, err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		g := i * 2654435761 % garbageRing
+		recGarbage[g] = new(storage.Record)
+		valGarbage[g] = make([]types.Value, 6)
+	}
+	runtime.GC() // the ring is garbage from here on
+	q := scanAgg()
+	runLoop(b, mgr, q)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		evictCache()
+		b.StartTimer()
+		runLoop(b, mgr, q)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(loopStocks), "ns/row")
+}
+
 func BenchmarkGroupBy1Col(b *testing.B) { benchLoop(b, groupBy("sector"), loopStocks) }
 func BenchmarkGroupBy2Col(b *testing.B) { benchLoop(b, groupBy("sector", "lot"), loopStocks) }
 func BenchmarkGroupBy4Col(b *testing.B) {

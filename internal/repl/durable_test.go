@@ -239,6 +239,11 @@ const never = time.Hour
 // points. Every restart must recover, ask the primary for exactly what
 // recovery found (never a resync), never come back below an LSN it had
 // reported durable, and end with the primary's rows.
+//
+// Whether a crash lands before or after a cadence sync is up to the
+// scheduler, so the first round holds the sync off: its follower and the
+// primary it streams from run with no cadence (never), and it crashes once
+// the whole round is applied, with all of it unsynced.
 func TestFollowerSurvivesOSCrashes(t *testing.T) {
 	const seed, rounds, perRound = 1, 10, 30
 	rng := rand.New(rand.NewSource(seed))
@@ -246,21 +251,23 @@ func TestFollowerSurvivesOSCrashes(t *testing.T) {
 	defer p.wal.Close()
 	p.createTable(t, "t")
 	srv := servePrimary(t, p, 2*time.Millisecond)
+	quiet := servePrimary(t, p, never)
 
 	rdir := t.TempDir()
 	disk := &crashDisk{rng: rng}
 	var lostBytes int64
 	var durable uint64 // what the previous life had reported fsynced
 	next := 0
-	// life opens the directory after a crash and starts a follower on it.
-	life := func(open wal.OpenFileFunc) (*env, *Follower) {
+	// life opens the directory after a crash and starts a follower on it,
+	// streaming from srv with the given cadence.
+	life := func(open wal.OpenFileFunc, srv *primarySrv, cadence time.Duration) (*env, *Follower) {
 		r := openEnvOpts(t, rdir, wal.Options{OpenFile: open})
 		recovered := r.wal.NextLSN() - 1
 		if recovered < durable {
 			t.Fatalf("recovered lsn %d is below the durable lsn %d reported before the crash", recovered, durable)
 		}
 		streams := len(srv.requested())
-		f := startFollower(t, r, srv, 2*time.Millisecond)
+		f := startFollower(t, r, srv, cadence)
 		// (A last dial of the previous life's follower may still be in the
 		// listener's queue, so this is "asked for", not "asked first for".)
 		waitFor(t, fmt.Sprintf("a stream resuming from the recovered lsn %d", recovered), func() bool {
@@ -274,7 +281,12 @@ func TestFollowerSurvivesOSCrashes(t *testing.T) {
 		return r, f
 	}
 	for round := 0; round < rounds; round++ {
-		r, f := life(disk.open)
+		held := round == 0
+		from, cadence := srv, 2*time.Millisecond
+		if held {
+			from, cadence = quiet, never
+		}
+		r, f := life(disk.open, from, cadence)
 		// Commit this round's rows one batch at a time, and pull the plug when
 		// the replica has applied a seeded number of them — with a pause before
 		// some so that crashes land on both sides of a cadence sync.
@@ -286,8 +298,14 @@ func TestFollowerSurvivesOSCrashes(t *testing.T) {
 				time.Sleep(3 * time.Millisecond)
 			}
 		}
+		if held {
+			crashAt = p.wal.NextLSN() - 1
+		}
 		waitFor(t, "the replica to reach the crash point", func() bool { return f.AppliedLSN() >= crashAt })
 		durable = f.Status().DurableLSN
+		if held && durable >= crashAt {
+			t.Fatalf("round %d: durable lsn %d with the cadence held off; want the applied %d unsynced", round, durable, crashAt)
+		}
 		lostBytes += disk.crash(t)
 		f.Close()
 		r.wal.Close() //nolint:errcheck // the crashed file refuses the final sync
@@ -300,7 +318,7 @@ func TestFollowerSurvivesOSCrashes(t *testing.T) {
 	}
 
 	// Final life: no crash. The replica converges on everything committed.
-	r, f := life(nil)
+	r, f := life(nil, srv, 2*time.Millisecond)
 	defer r.wal.Close()
 	defer f.Close()
 	last := p.wal.NextLSN() - 1

@@ -1,6 +1,7 @@
 // Package storage implements STRIP's main-memory table storage (paper §6.1).
 //
-// Standard tables are doubly-linked lists of fixed-width records, optionally
+// A standard table keeps its fixed-width records in one ordered slot array
+// (the paper links them in a list; an array walk's loads overlap), optionally
 // indexed by hash or red-black tree indexes. Records are never changed in
 // place: an update creates a new record and unlinks the old one, which is
 // retained while bound tables reference it (reference counting). Temporary
@@ -38,16 +39,15 @@ type Record struct {
 	// covering the row across versions; see Table.Update.
 	id uint64
 
-	next, prev *Record
-	table      *Table
+	// slot is the record's index in Table.rows while it is linked. Used
+	// under the table latch held exclusively.
+	slot  int
+	table *Table
 
 	// older points to the version this record superseded (copy-on-update),
 	// forming a newest-to-oldest version chain. Written under the table
 	// latch; read by snapshot scans holding the latch shared.
 	older *Record
-	// inDirty marks membership of the owning table's GC work list
-	// (Table.dirty). Guarded by the table latch held exclusively.
-	inDirty bool
 
 	// createLSN is the commit LSN of the transaction that created this
 	// version (0 while that transaction is in flight). deleteLSN is the
@@ -73,6 +73,10 @@ type Record struct {
 	// consistent without taking the table latch from Pin/Unpin (snapshot
 	// scans pin unlinked versions while holding the latch shared).
 	retiredCounted atomic.Bool
+	// inDirty marks membership of the owning table's GC work list
+	// (Table.dirty). Guarded by the table latch held exclusively. (Here,
+	// beside the flags, it keeps the record at 96 bytes.)
+	inDirty bool
 }
 
 // Value returns the record's i-th column value.

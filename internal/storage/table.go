@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -29,16 +30,17 @@ type Stats struct {
 	VersionsRetained int64
 }
 
-// Table is a standard STRIP table: a doubly-linked list of records plus
+// Table is a standard STRIP table: an ordered slot array of records plus
 // optional secondary indexes. The table latch protects structure; isolation
 // between transactions is the lock manager's job.
 type Table struct {
 	schema *catalog.Schema
 
-	mu       sync.RWMutex
-	head     *Record
-	tail     *Record
-	count    int64
+	mu sync.RWMutex
+	// rows holds the live records in scan order, with holes (nil) where
+	// records were unlinked; see link, unlink and compact.
+	rows     []*Record
+	holes    int
 	indexes  map[string]index.Index // column name -> index
 	idxKinds map[string]index.Kind  // column name -> index kind (for checkpoints)
 
@@ -101,7 +103,7 @@ func (t *Table) Name() string { return t.schema.Name() }
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return int(t.count)
+	return t.live()
 }
 
 // CreateIndex builds an index of the given kind on the named column,
@@ -117,8 +119,10 @@ func (t *Table) CreateIndex(column string, kind index.Kind) error {
 		return fmt.Errorf("storage: table %s already has an index on %q", t.Name(), column)
 	}
 	ix := index.New(kind)
-	for r := t.head; r != nil; r = r.next {
-		ix.Insert(r.vals[ci], r)
+	for _, r := range t.rows {
+		if r != nil {
+			ix.Insert(r.vals[ci], r)
+		}
 	}
 	t.indexes[column] = ix
 	t.idxKinds[column] = kind
@@ -179,7 +183,7 @@ func (t *Table) IndexStats() map[string]int {
 func (t *Table) PlanStats() (rows, indexes int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return int(t.count), len(t.indexes)
+	return t.live(), len(t.indexes)
 }
 
 // ReserveID allocates a record lock ID without creating a record, so a
@@ -218,7 +222,6 @@ func (t *Table) insertReserved(id uint64, vals []types.Value, createLSN uint64) 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.link(r)
-	t.count++
 	t.stats.inserts++
 	for col, ix := range t.indexes {
 		ix.Insert(r.vals[t.schema.ColIndex(col)], r)
@@ -266,7 +269,6 @@ func (t *Table) deleteLocked(r *Record) error {
 		return fmt.Errorf("storage: record already deleted from %s", t.Name())
 	}
 	t.unlink(r)
-	t.count--
 	t.stats.deletes++
 	for col, ix := range t.indexes {
 		ix.Delete(r.vals[t.schema.ColIndex(col)], r)
@@ -307,7 +309,6 @@ func (t *Table) Update(r *Record, vals []types.Value) (*Record, error) {
 	nr := &Record{vals: coerceRow(t.schema, vals), table: t, id: r.id, older: r}
 	t.markDirty(nr)
 	t.link(nr)
-	t.count++
 	for col, ix := range t.indexes {
 		ci := t.schema.ColIndex(col)
 		ix.Insert(nr.vals[ci], nr)
@@ -341,7 +342,6 @@ func (t *Table) relinkLocked(r *Record) error {
 	r.deleteLSN.Store(0)
 	t.dropRetired(r)
 	t.link(r)
-	t.count++
 	for col, ix := range t.indexes {
 		ix.Insert(r.vals[t.schema.ColIndex(col)], r)
 	}
@@ -386,30 +386,40 @@ func (t *Table) markDirty(r *Record) {
 	}
 }
 
+// link appends r at the end of the scan order (an insert, an update's
+// replacement and a rollback's relink alike), as tail insertion into a
+// linked list would. Caller holds the table latch exclusively.
 func (t *Table) link(r *Record) {
-	r.prev = t.tail
-	r.next = nil
-	if t.tail != nil {
-		t.tail.next = r
-	} else {
-		t.head = r
-	}
-	t.tail = r
+	r.slot = len(t.rows)
+	t.rows = append(t.rows, r)
 }
 
+// unlink leaves a hole at r's slot, compacting the array once the holes
+// pass half of it. Caller holds the table latch exclusively.
 func (t *Table) unlink(r *Record) {
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		t.head = r.next
+	t.rows[r.slot] = nil
+	t.holes++
+	if t.holes > len(t.rows)/2 {
+		t.compact()
 	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		t.tail = r.prev
-	}
-	r.prev, r.next = nil, nil
 }
+
+// compact squeezes the holes out of rows, keeping the live records' order.
+func (t *Table) compact() {
+	n := 0
+	for _, r := range t.rows {
+		if r != nil {
+			r.slot = n
+			t.rows[n] = r
+			n++
+		}
+	}
+	clear(t.rows[n:])
+	t.rows, t.holes = t.rows[:n], 0
+}
+
+// live is the live row count. Caller holds the table latch.
+func (t *Table) live() int { return len(t.rows) - t.holes }
 
 // noteRetired adjusts the retired-but-held count. Callers serialize through
 // Record.retiredCounted CAS transitions, so the counter itself needs no
@@ -418,26 +428,28 @@ func (t *Table) noteRetired(delta int64) {
 	t.stats.retiredHeld.Add(delta)
 }
 
-// AppendLive appends the live records in list order, sizing dst once under
+// AppendLive appends the live records in scan order, sizing dst once under
 // the latch. Scan leaves collect with it and visit the records only after
 // the latch is released.
 func (t *Table) AppendLive(dst []*Record) []*Record {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	dst = slices.Grow(dst, int(t.count))
-	for r := t.head; r != nil; r = r.next {
-		dst = append(dst, r)
+	dst = slices.Grow(dst, t.live())
+	for _, r := range t.rows {
+		if r != nil {
+			dst = append(dst, r)
+		}
 	}
 	return dst
 }
 
-// Scan visits live records in list order while holding the table latch in
+// Scan visits live records in scan order while holding the table latch in
 // shared mode. The walk stops when fn returns false.
 func (t *Table) Scan(fn func(*Record) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for r := t.head; r != nil; r = r.next {
-		if !fn(r) {
+	for _, r := range t.rows {
+		if r != nil && !fn(r) {
 			return
 		}
 	}
@@ -458,62 +470,68 @@ func (t *Table) AppendIndexLookup(dst []*Record, column string, v types.Value) (
 	if !found {
 		return dst, false
 	}
+	ci := t.schema.ColIndex(column)
+	key, match := t.probeKey(ci, v)
+	if !match {
+		return dst, true
+	}
 	base := len(dst)
-	refs := ix.Lookup(v)
+	refs := ix.Lookup(key)
 	dst = slices.Grow(dst, len(refs))
 	for _, ref := range refs {
 		dst = append(dst, ref.(*Record))
 	}
-	return t.checkProbeLocked(column, v, dst, base), true
+	return t.checkProbeLocked(ci, key, dst, base), true
 }
 
-// checkProbeLocked runs the fault-injection and self-validation passes over
-// the probe results dst[base:]. Caller holds t.mu.
-func (t *Table) checkProbeLocked(column string, key types.Value, dst []*Record, base int) []*Record {
-	dst = t.corruptProbeLocked(column, key, dst)
-	return dst[:base+len(t.validateProbeLocked(column, key, dst[base:]))]
+// probeKey brings a probe key to the kind of the indexed column ci, so that
+// a hash index (exact Value equality) agrees with a scan (INT and FLOAT
+// compare numerically): an INT key widens on a FLOAT column, as coerceRow
+// widens stored values; a FLOAT key on an INT column becomes the INT it holds
+// exactly, and matches nothing if it holds none.
+func (t *Table) probeKey(ci int, key types.Value) (_ types.Value, match bool) {
+	switch kind := t.schema.Col(ci).Kind; {
+	case kind == types.KindFloat && key.Kind() == types.KindInt:
+		return types.Float(float64(key.Int())), true
+	case kind == types.KindInt && key.Kind() == types.KindFloat:
+		f := key.Float()
+		return types.Int(int64(f)), f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63
+	}
+	return key, true
+}
+
+// checkProbeLocked discards probe results dst[base:] whose indexed column ci
+// does not hold the probed key — a corrupt index entry — and counts them.
+// The check always runs (one value compare per returned record): it is the
+// detection side of the storage.index_corrupt fault point, turning silent
+// wrong-row results into a counted, self-healed event. Caller holds t.mu.
+func (t *Table) checkProbeLocked(ci int, key types.Value, dst []*Record, base int) []*Record {
+	dst = t.corruptProbeLocked(ci, key, dst)
+	out := dst[:base]
+	for _, r := range dst[base:] {
+		if r.vals[ci].Equal(key) {
+			out = append(out, r)
+		} else {
+			noteIndexCorruption()
+		}
+	}
+	return out
 }
 
 // corruptProbeLocked models a corrupted index bucket when the
 // storage.index_corrupt fault point is armed: the probe result gains one
 // live record whose key does not match the probe — the kind of dangling
-// entry a torn index update would leave. Self-validation catches it.
-// Caller holds t.mu.
-func (t *Table) corruptProbeLocked(column string, key types.Value, recs []*Record) []*Record {
+// entry a torn index update would leave. Caller holds t.mu.
+func (t *Table) corruptProbeLocked(ci int, key types.Value, recs []*Record) []*Record {
 	if !fault.Armed() || !fault.Should(fault.IndexCorruptRow) {
 		return recs
 	}
-	ci := t.schema.ColIndex(column)
-	if ci < 0 {
-		return recs
-	}
-	for r := t.head; r != nil; r = r.next {
-		if len(r.vals) > ci && !r.vals[ci].Equal(key) {
+	for _, r := range t.rows {
+		if r != nil && !r.vals[ci].Equal(key) {
 			return append(recs, r)
 		}
 	}
 	return recs
-}
-
-// validateProbeLocked discards probe results whose indexed column does not
-// hold the probed key — a corrupt index entry. The check always runs (one
-// value compare per returned record): it is the detection side of the
-// storage.index_corrupt fault point, turning silent wrong-row results into
-// a counted, self-healed event. Caller holds t.mu.
-func (t *Table) validateProbeLocked(column string, key types.Value, recs []*Record) []*Record {
-	ci := t.schema.ColIndex(column)
-	if ci < 0 {
-		return recs
-	}
-	out := recs[:0]
-	for _, r := range recs {
-		if len(r.vals) > ci && r.vals[ci].Equal(key) {
-			out = append(out, r)
-			continue
-		}
-		noteIndexCorruption()
-	}
-	return out
 }
 
 // Stats returns a snapshot of the table's statistics.
@@ -525,40 +543,33 @@ func (t *Table) Stats() Stats {
 		Deletes:          t.stats.deletes,
 		Updates:          t.stats.updates,
 		RetiredHeld:      t.stats.retiredHeld.Load(),
-		Rows:             t.count,
+		Rows:             int64(t.live()),
 		VersionsRetained: t.versions,
 	}
 }
 
-// ScanSnapshot visits the newest version of each row visible at snapshot
-// LSN snap, ignoring record locks. me is the reading transaction's id, for
-// read-your-own-writes (0 for pure snapshot readers). The walk covers the
-// live list plus the retired set (rows whose delete committed after snap),
-// chasing each version chain to the first visible version. The walk stops
-// when fn returns false.
+// ScanSnapshot visits what AppendVisible(nil, snap, me) collects, in its
+// order, after the latch is released. The walk stops when fn returns false.
 func (t *Table) ScanSnapshot(snap uint64, me int64, fn func(*Record) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for r := t.head; r != nil; r = r.next {
-		if v := visibleVersion(r, snap, me); v != nil && !fn(v) {
-			return
-		}
-	}
-	for r := range t.retired {
-		if v := visibleVersion(r, snap, me); v != nil && !fn(v) {
+	for _, v := range t.AppendVisible(nil, snap, me) {
+		if !fn(v) {
 			return
 		}
 	}
 }
 
-// AppendVisible appends what ScanSnapshot(snap, me) would visit, sizing dst
-// once under the latch (live rows plus the retired set bound the visible
-// set).
+// AppendVisible appends the newest version of each row visible at snapshot
+// LSN snap, ignoring record locks. me is the reading transaction's id, for
+// read-your-own-writes (0 for pure snapshot readers). The walk covers the
+// live rows in scan order, then the retired set (rows whose delete
+// committed after snap), chasing each version chain to the first visible
+// version. dst is sized once under the latch (live rows plus the retired
+// set bound the visible set).
 func (t *Table) AppendVisible(dst []*Record, snap uint64, me int64) []*Record {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	dst = slices.Grow(dst, int(t.count)+len(t.retired))
-	for r := t.head; r != nil; r = r.next {
+	dst = slices.Grow(dst, t.live()+len(t.retired))
+	for _, r := range t.rows {
 		if v := visibleVersion(r, snap, me); v != nil {
 			dst = append(dst, v)
 		}
@@ -572,10 +583,10 @@ func (t *Table) AppendVisible(dst []*Record, snap uint64, me int64) []*Record {
 }
 
 // visibleVersion walks head's version chain newest-to-oldest and returns
-// the first version visible at (snap, me), or nil. Every chain member below
-// the head is unlinked — rollback relinks a version only after cutting its
-// successor loose (UndoUpdate) — so each row is reached through exactly one
-// head.
+// the first version visible at (snap, me), or nil (also for a nil head, a
+// hole in the row array). Every chain member below the head is unlinked —
+// rollback relinks a version only after cutting its successor loose
+// (UndoUpdate) — so each row is reached through exactly one head.
 func visibleVersion(head *Record, snap uint64, me int64) *Record {
 	for v := head; v != nil; v = v.older {
 		if v.VisibleAt(snap, me) {
@@ -600,6 +611,11 @@ func (t *Table) LookupSnapshot(column string, key types.Value, snap uint64, me i
 	if !found || t.keyChurn.Load() != 0 {
 		return dst, false
 	}
+	ci := t.schema.ColIndex(column)
+	key, match := t.probeKey(ci, key)
+	if !match {
+		return dst, true
+	}
 	base := len(dst)
 	for _, ref := range ix.Lookup(key) {
 		if v := visibleVersion(ref.(*Record), snap, me); v != nil {
@@ -616,7 +632,7 @@ func (t *Table) LookupSnapshot(column string, key types.Value, snap uint64, me i
 	// Versions never change indexed columns while keyChurn is zero (the
 	// guard above), so validating the returned versions against the probed
 	// key is exact here too.
-	return t.checkProbeLocked(column, key, dst, base), true
+	return t.checkProbeLocked(ci, key, dst, base), true
 }
 
 // KeyChurn reports how many updates changed an indexed column's value.
@@ -717,8 +733,10 @@ func (t *Table) VersionStats() (retained int64) {
 		}
 		return n
 	}
-	for r := t.head; r != nil; r = r.next {
-		retained += chainLen(r)
+	for _, r := range t.rows {
+		if r != nil {
+			retained += chainLen(r)
+		}
 	}
 	for r := range t.retired {
 		retained += 1 + chainLen(r)

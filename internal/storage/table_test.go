@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"testing"
 
 	"github.com/stripdb/strip/internal/catalog"
@@ -255,5 +256,50 @@ func TestRecordValues(t *testing.T) {
 	}
 	if r.NumCols() != 2 || r.Table() != tbl {
 		t.Error("NumCols/Table wrong")
+	}
+}
+
+// TestProbeKeyKinds: a probe finds what a scan's numeric comparison finds,
+// whatever the key's kind: INT keys on a FLOAT column, FLOAT keys holding an
+// exact int64 on an INT column; other FLOAT keys on an INT column (3.5, NaN,
+// ±Inf, out of int64 range) find nothing.
+func TestProbeKeyKinds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	s := catalog.MustSchema("t",
+		catalog.Column{Name: "id", Kind: types.KindInt},
+		catalog.Column{Name: "f", Kind: types.KindFloat})
+	for _, kind := range []index.Kind{index.Hash, index.RedBlack} {
+		tbl := NewTable(s)
+		for _, col := range []string{"id", "f"} {
+			if err := tbl.CreateIndex(col, kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustInsert(t, tbl, types.Int(3), types.Int(3))
+		mustInsert(t, tbl, types.Int(4), types.Float(4.5))
+		mustInsert(t, tbl, types.Int(math.MinInt64), types.Float(-1))
+		for _, c := range []struct {
+			col  string
+			key  types.Value
+			want int
+		}{
+			{"f", types.Int(3), 1},
+			{"f", types.Float(3), 1},
+			{"f", types.Int(4), 0},
+			{"id", types.Float(3), 1},
+			{"id", types.Float(3.5), 0},
+			{"id", types.Float(nan), 0},
+			{"id", types.Float(inf), 0},
+			{"id", types.Float(1 << 63), 0},
+			{"id", types.Float(-(1 << 63)), 1},
+			{"id", types.Str("3"), 0},
+		} {
+			live, ok := tbl.IndexLookup(c.col, c.key)
+			snap, exact := tbl.LookupSnapshot(c.col, c.key, BootstrapLSN, 0, nil)
+			if !ok || !exact || len(live) != c.want || len(snap) != c.want {
+				t.Errorf("%v index on %s, key %v (%s): live %d (ok %v), snapshot %d (exact %v), want %d",
+					kind, c.col, c.key, c.key.Kind(), len(live), ok, len(snap), exact, c.want)
+			}
+		}
 	}
 }
