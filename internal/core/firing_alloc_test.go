@@ -46,8 +46,8 @@ func TestFiringAllocs(t *testing.T) {
 	}
 	trigger, action = trigger/runs-base, action/runs
 	t.Logf("update alone %.0f allocs; trigger side +%.0f; action side +%.0f", base, trigger, action)
-	if base > 9 {
-		t.Errorf("the update alone allocates %.0f times, ceiling 9", base)
+	if base > 6 {
+		t.Errorf("the update alone allocates %.0f times, ceiling 6", base)
 	}
 	if trigger > 25 {
 		t.Errorf("trigger side allocates %.0f per firing, ceiling 25", trigger)

@@ -100,8 +100,8 @@ func newGroups(width, nAgg int) *groups {
 
 // lookup returns the accumulators of the group whose key is g.key (filled
 // by the caller), creating the group on first sight. Keys match under ==,
-// as the uniqueness tables' do: 1 and 1.0 are different groups, a NaN is
-// always a new one.
+// as the uniqueness tables' do: 1 and 1.0 are different groups, and all
+// NaNs are one group (types.Float keeps one NaN), as are −0 and +0.
 func (g *groups) lookup() []accum {
 	if g.width == 0 {
 		if g.n == 0 {

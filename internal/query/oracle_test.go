@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -52,10 +53,19 @@ func oracleTables(rng *rand.Rand) []oracleTable {
 		if i%11 == 3 {
 			sector = types.Null() // a NULL group key (and MIN/MAX input)
 		}
+		price := types.Float(float64(100 + 10*(i%4)))
+		switch i {
+		case 5, 26: // NaNs of two bit patterns: one value to every path
+			price = types.Float(math.Float64frombits(0x7ff8000000000001 | uint64(i/26)<<63))
+		case 9: // −0 and +0: one value too
+			price = types.Float(math.Copysign(0, -1))
+		case 22:
+			price = types.Float(0)
+		}
 		stocks.rows = append(stocks.rows, []types.Value{
 			types.Str(fmt.Sprintf("S%02d", i)),
 			sector,
-			types.Float(float64(100 + 10*(i%4))),
+			price,
 			types.Int(int64(i % 7)),
 		})
 	}
@@ -169,6 +179,9 @@ type refPred struct {
 	left  refCol
 	right *refCol     // nil = constant
 	c     types.Value // constant operand when right is nil
+	// cross marks a constant that crossKindLiterals drew: it keeps its
+	// value when the statement cache's literals are redrawn.
+	cross bool
 }
 
 type refItem struct {
@@ -345,13 +358,56 @@ var sqlFrontEnd struct {
 	parses func() int64
 }
 
-// sqlable reports whether the query can be written as text: the grammar
-// has no NULL literal.
+// crossKindLiterals redraws some of q's constants on numeric columns from
+// literals of the other numeric kind and from the values whose comparison
+// is special: INT literals on FLOAT columns, integral and non-integral
+// FLOATs on INT columns, ±0, NaN, ±Inf and ±2^63. It draws from its own
+// stream, so the generator's draws stay the ones the coverage list was
+// tuned on.
+func (q refQuery) crossKindLiterals(rng *rand.Rand, tables []oracleTable) refQuery {
+	out := q
+	out.preds = append([]refPred(nil), q.preds...)
+	for i, p := range out.preds {
+		if p.right != nil || !p.c.Numeric() || rng.Intn(3) > 0 {
+			continue
+		}
+		// A number near the column's data, so equality sometimes matches.
+		x := p.c.Float()
+		pool := []types.Value{
+			types.Float(math.Copysign(0, -1)), types.Float(0), types.Int(0),
+			types.Float(math.NaN()), types.Float(math.Inf(1)), types.Float(math.Inf(-1)),
+			types.Float(1 << 63), types.Float(-(1 << 63)), types.Int(math.MinInt64), types.Int(math.MaxInt64),
+		}
+		if x == x {
+			pool = append(pool, types.Float(math.Trunc(x)), types.Float(math.Trunc(x)+0.5))
+			if math.Abs(x) < 1<<62 {
+				pool = append(pool, types.Int(int64(x)), types.Int(int64(x)+1))
+			}
+		}
+		out.preds[i].c, out.preds[i].cross = pool[rng.Intn(len(pool))], true
+	}
+	return out
+}
+
+// sqlable reports whether the query can be written as text.
 func (q refQuery) sqlable() bool {
 	for _, p := range q.preds {
-		if p.right == nil && p.c.IsNull() {
+		if p.right == nil && !writable(p.c) {
 			return false
 		}
+	}
+	return true
+}
+
+// writable reports whether v can be written as a literal: the grammar has
+// no NULL, NaN or infinite literal, and no INT literal for −2^63 (its
+// magnitude is no int64).
+func writable(v types.Value) bool {
+	switch {
+	case v.IsNull(),
+		v.Kind() == types.KindFloat && (math.IsNaN(v.Float()) || math.IsInf(v.Float(), 0)),
+		v.Kind() == types.KindInt && v.Int() == math.MinInt64:
+		return false
 	}
 	return true
 }
@@ -424,12 +480,12 @@ func (q refQuery) otherLiterals(rng *rand.Rand, tables []oracleTable) refQuery {
 	out := q
 	out.preds = append([]refPred(nil), q.preds...)
 	for i, p := range out.preds {
-		if p.right != nil {
+		if p.right != nil || p.cross {
 			continue
 		}
 		rows := tables[q.from[p.left.src]].rows
 		for try := 0; try < 20; try++ {
-			if v := rows[rng.Intn(len(rows))][p.left.col]; !v.IsNull() {
+			if v := rows[rng.Intn(len(rows))][p.left.col]; writable(v) {
 				out.preds[i].c = v
 				if v != p.c {
 					break
@@ -599,10 +655,16 @@ func (q refQuery) refEval(tables []oracleTable) [][]types.Value {
 	return out
 }
 
+// rowKey renders a row under the reference's own equality: a FLOAT renders
+// with −0 as 0 and every NaN as NaN, whatever bits the value holds.
 func rowKey(r []types.Value) string {
 	parts := make([]string, len(r))
 	for i, v := range r {
-		parts[i] = fmt.Sprintf("%d:%s", v.Kind(), v.String())
+		s := v.String()
+		if v.Kind() == types.KindFloat {
+			s = strconv.FormatFloat(v.Float()+0, 'g', -1, 64) // −0 + 0 is +0
+		}
+		parts[i] = fmt.Sprintf("%d:%s", v.Kind(), s)
 	}
 	return strings.Join(parts, "\x00")
 }
@@ -710,6 +772,7 @@ func TestOracleEquivalence(t *testing.T) {
 	// Redrawn literals come from their own stream so the generator's stays
 	// what the coverage list below was tuned on.
 	litRng := rand.New(rand.NewSource(8081))
+	crossRng := rand.New(rand.NewSource(8082))
 	viaSQL := 0
 
 	// covered records which of the shapes the row loop treats differently
@@ -717,7 +780,7 @@ func TestOracleEquivalence(t *testing.T) {
 	covered := map[string]bool{}
 	const queries = 300
 	for i := 0; i < queries; i++ {
-		q := genQuery(rng, tables)
+		q := genQuery(rng, tables).crossKindLiterals(crossRng, tables)
 		want := q.refEval(tables)
 		q.noteCoverage(tables, want, covered)
 		q2 := q.otherLiterals(litRng, tables)
@@ -796,6 +859,7 @@ func TestOracleEquivalence(t *testing.T) {
 		"min/max over text", "count only", "mixed aggregates",
 		"order+limit projection", "order+limit aggregate",
 		"dml on no rows", "dml on one row", "dml on several rows",
+		"int literal on a float column", "float literal on an int column",
 	} {
 		if !covered[shape] {
 			t.Errorf("generator never produced: %s", shape)
@@ -885,6 +949,15 @@ func checkDML(t *testing.T, tables []oracleTable, q refQuery, snapshot bool, lab
 
 // noteCoverage marks the shapes q exercises; want is its reference result.
 func (q refQuery) noteCoverage(tables []oracleTable, want [][]types.Value, covered map[string]bool) {
+	for _, p := range q.preds {
+		if p.cross {
+			col := tables[q.from[p.left.src]].cols[p.left.col].Kind
+			covered["int literal on a float column"] = covered["int literal on a float column"] ||
+				col == types.KindFloat && p.c.Kind() == types.KindInt
+			covered["float literal on an int column"] = covered["float literal on an int column"] ||
+				col == types.KindInt && p.c.Kind() == types.KindFloat
+		}
+	}
 	kinds := map[AggKind]bool{}
 	for _, it := range q.items {
 		if it.agg == AggNone {

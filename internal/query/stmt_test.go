@@ -288,7 +288,7 @@ func TestUpdateStmtAllocs(t *testing.T) {
 	}
 	got, base, sel1 := measure(held), measure(direct), measure(point)
 	t.Logf("held UPDATE %.1f allocs, direct tx.Update %.1f, locked point SELECT %.1f", got, base, sel1)
-	if got > 7 {
-		t.Errorf("a held UPDATE by key allocates %.1f times per transaction, ceiling 7", got)
+	if got > 6 {
+		t.Errorf("a held UPDATE by key allocates %.1f times per transaction, ceiling 6", got)
 	}
 }

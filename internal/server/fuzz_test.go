@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"testing"
@@ -31,10 +32,13 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzRowsRoundTrip: whatever DecodeRows accepts, EncodeRows must
-// reproduce byte-identically (the codec has one canonical form).
+// FuzzRowsRoundTrip: whatever DecodeRows accepts comes back from a second
+// round trip value for value under ==, and re-encodes byte-identically (the
+// codec has one canonical form). A FLOAT's bits decode through types.Float,
+// so a −0 or a NaN of any payload arrives as the one zero and the one NaN.
 func FuzzRowsRoundTrip(f *testing.F) {
 	f.Add(EncodeRows([]string{"sym", "price"}, nil))
+	f.Add(EncodeRows([]string{"x"}, [][]types.Value{{types.Float(0)}, {types.Float(math.NaN())}, {types.Float(math.Inf(-1))}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cols, rows, err := DecodeRows(data)
 		if err != nil {
@@ -48,6 +52,14 @@ func FuzzRowsRoundTrip(f *testing.F) {
 		if len(cols2) != len(cols) || len(rows2) != len(rows) {
 			t.Fatalf("round trip changed shape: %d/%d cols, %d/%d rows",
 				len(cols), len(cols2), len(rows), len(rows2))
+		}
+		for i := range rows {
+			if !slices.Equal(rows[i], rows2[i]) {
+				t.Fatalf("row %d: %v came back as %v", i, rows[i], rows2[i])
+			}
+		}
+		if again := EncodeRows(cols2, rows2); !slices.Equal(again, re) {
+			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", re, again)
 		}
 	})
 }

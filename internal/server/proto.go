@@ -613,7 +613,12 @@ func DecodeRows(p []byte) (cols []string, rows [][]types.Value, err error) {
 		}
 		rows[i] = row
 	}
-	return cols, rows, d.err
+	if len(d.b) != 0 {
+		// Bytes past the last row: a zero-column frame could otherwise
+		// claim one row per trailing byte, which it cannot re-encode.
+		return nil, nil, fmt.Errorf("server: %d bytes after the last row", len(d.b))
+	}
+	return cols, rows, nil
 }
 
 // EncodeOK builds an OK payload.

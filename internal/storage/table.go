@@ -215,7 +215,7 @@ func (t *Table) insertReserved(id uint64, vals []types.Value, createLSN uint64) 
 			return nil, fmt.Errorf("storage: allocate record in %s: %w", t.schema.Name(), err)
 		}
 	}
-	r := &Record{vals: coerceRow(t.schema, vals), table: t, id: id}
+	r := t.newRecord(id, vals, nil)
 	if createLSN != 0 {
 		r.createLSN.Store(createLSN)
 	}
@@ -306,7 +306,7 @@ func (t *Table) Update(r *Record, vals []types.Value) (*Record, error) {
 	// (table, id) covers the row across copy-on-update versions, and chains
 	// to it so snapshot readers older than this update's commit still find
 	// the superseded version.
-	nr := &Record{vals: coerceRow(t.schema, vals), table: t, id: r.id, older: r}
+	nr := t.newRecord(r.id, vals, r)
 	t.markDirty(nr)
 	t.link(nr)
 	for col, ix := range t.indexes {
@@ -744,16 +744,57 @@ func (t *Table) VersionStats() (retained int64) {
 	return retained
 }
 
-// coerceRow copies vals, widening INT values stored in FLOAT columns so that
-// later reads see the declared kind.
-func coerceRow(s *catalog.Schema, vals []types.Value) []types.Value {
-	out := make([]types.Value, len(vals))
+// newRecord builds one version of a row of t: the record that Insert links
+// and the replacement that copy-on-update Update links. A row of up to four
+// columns keeps its values in the record's own allocation (one object, one
+// load per row on a scan); a wider one keeps them in a slice of their own.
+func (t *Table) newRecord(id uint64, vals []types.Value, older *Record) *Record {
+	var r *Record
+	switch len(vals) {
+	case 1:
+		p := new(struct {
+			Record
+			v [1]types.Value
+		})
+		p.vals = p.v[:]
+		r = &p.Record
+	case 2:
+		p := new(struct {
+			Record
+			v [2]types.Value
+		})
+		p.vals = p.v[:]
+		r = &p.Record
+	case 3:
+		p := new(struct {
+			Record
+			v [3]types.Value
+		})
+		p.vals = p.v[:]
+		r = &p.Record
+	case 4:
+		p := new(struct {
+			Record
+			v [4]types.Value
+		})
+		p.vals = p.v[:]
+		r = &p.Record
+	default:
+		r = &Record{vals: make([]types.Value, len(vals))}
+	}
+	coerceRow(t.schema, r.vals, vals)
+	r.table, r.id, r.older = t, id, older
+	return r
+}
+
+// coerceRow copies vals into dst, widening INT values stored in FLOAT
+// columns so that later reads see the declared kind.
+func coerceRow(s *catalog.Schema, dst, vals []types.Value) {
 	for i, v := range vals {
 		if s.Col(i).Kind == types.KindFloat && v.Kind() == types.KindInt {
-			out[i] = types.Float(float64(v.Int()))
+			dst[i] = types.Float(float64(v.Int()))
 		} else {
-			out[i] = v
+			dst[i] = v
 		}
 	}
-	return out
 }

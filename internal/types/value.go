@@ -1,9 +1,18 @@
 // Package types implements STRIP's value system.
 //
-// STRIP stores fixed-length fields only (paper §6.1), so a Value is a small
-// fixed-size struct rather than an interface: it is cheap to copy, usable as
-// a map key (uniqueness hash tables key on tuples of values), and free of
-// per-value heap allocation.
+// STRIP stores fixed-length fields only (paper §6.1), so a Value is a
+// 32-byte struct rather than an interface: a kind, one 64-bit payload word
+// (an INT's or TIME's int64, or a FLOAT's bits) and a string header. It is
+// cheap to copy, usable as a map key (uniqueness hash tables key on tuples
+// of values), and free of per-value heap allocation.
+//
+// One equality rule holds for ==, Hash and Compare: Float folds −0 to +0
+// and every NaN to one canonical NaN, so two values of one kind are == when
+// and only when Compare calls them equal, and all NaNs are one value —
+// the value the red-black tree, a hash probe and GROUP BY all agree on.
+// Across kinds, only an INT and a FLOAT can compare equal (numerically);
+// they are never ==, which is why storage widens INT to FLOAT in a FLOAT
+// column before a value is stored or probed.
 package types
 
 import (
@@ -67,25 +76,43 @@ func KindFromName(name string) (Kind, error) {
 // system relies on for uniqueness hash tables.
 type Value struct {
 	kind Kind
-	i    int64 // KindInt and KindTime payload
-	f    float64
+	n    uint64 // KindInt and KindTime: the int64; KindFloat: the bits
 	s    string
 }
+
+// canonicalNaN is the one NaN a FLOAT value holds.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// int reads the payload of a KindInt or KindTime value.
+func (v *Value) int() int64 { return int64(v.n) }
+
+// float reads the payload of a KindFloat value.
+func (v *Value) float() float64 { return math.Float64frombits(v.n) }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
-// Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+// Float returns a floating-point value. −0 becomes +0 and every NaN the
+// canonical NaN, so that == agrees with Compare.
+func Float(v float64) Value {
+	n := math.Float64bits(v)
+	switch {
+	case v == 0:
+		n = 0
+	case v != v:
+		n = canonicalNaN
+	}
+	return Value{kind: KindFloat, n: n}
+}
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Time returns a timestamp value from microseconds on the engine clock.
-func Time(micros int64) Value { return Value{kind: KindTime, i: micros} }
+func Time(micros int64) Value { return Value{kind: KindTime, n: uint64(micros)} }
 
 // Kind reports the value's dynamic kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -98,7 +125,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("types: Int() on %s value", v.kind))
 	}
-	return v.i
+	return v.int()
 }
 
 // Float returns the floating-point payload, converting integers.
@@ -106,9 +133,9 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.int())
 	default:
 		panic(fmt.Sprintf("types: Float() on %s value", v.kind))
 	}
@@ -128,7 +155,7 @@ func (v Value) Micros() int64 {
 	if v.kind != KindTime {
 		panic(fmt.Sprintf("types: Micros() on %s value", v.kind))
 	}
-	return v.i
+	return v.int()
 }
 
 // Numeric reports whether the value is an INT or FLOAT.
@@ -140,13 +167,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindTime:
-		return fmt.Sprintf("@%dus", v.i)
+		return fmt.Sprintf("@%dus", v.int())
 	default:
 		return "?"
 	}
@@ -163,9 +190,9 @@ func Compare(v, o *Value) int {
 	if v.kind == o.kind {
 		switch v.kind {
 		case KindInt, KindTime:
-			return cmpInt(v.i, o.i)
+			return cmpInt(v.int(), o.int())
 		case KindFloat:
-			return cmpFloat(v.f, o.f)
+			return cmpFloat(v.float(), o.float())
 		case KindString:
 			return strings.Compare(v.s, o.s)
 		default:
@@ -193,18 +220,14 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 var hashSeed = maphash.MakeSeed()
 
 // Hash folds the value into the running hash h, consistently with ==:
-// values that compare == hash alike (so +0 and -0 do; a NaN equals
-// nothing, so its hash is free). Group-by tables chain it across exactly
-// the grouped columns.
+// values that compare == hash alike (the one zero and the one NaN that
+// Float keeps included). Group-by tables chain it across exactly the
+// grouped columns.
 func (v *Value) Hash(h uint64) uint64 {
 	var w uint64
 	switch v.kind {
-	case KindInt, KindTime:
-		w = uint64(v.i)
-	case KindFloat:
-		if v.f != 0 {
-			w = math.Float64bits(v.f)
-		}
+	case KindInt, KindTime, KindFloat:
+		w = v.n
 	case KindString:
 		w = maphash.String(hashSeed, v.s)
 	}
@@ -258,7 +281,7 @@ func arith(v, o Value, op byte) (Value, error) {
 		return Null(), fmt.Errorf("types: arithmetic %c on %s and %s", op, v.kind, o.kind)
 	}
 	if v.kind == KindInt && o.kind == KindInt {
-		a, b := v.i, o.i
+		a, b := v.int(), o.int()
 		switch op {
 		case '+':
 			return Int(a + b), nil

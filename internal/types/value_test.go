@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -276,4 +277,130 @@ func TestHashFollowsEquality(t *testing.T) {
 	if one := Int(1); one.Hash(1) == one.Hash(2) {
 		t.Error("hash ignores the running value it is chained onto")
 	}
+}
+
+// TestValueSize pins a field at 32 bytes: every record, slab row, group
+// key and decoded wire row holds values by value, so a wider one is paid
+// on every row every layer copies.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d bytes, want 32", got)
+	}
+}
+
+// checkAgreement reports how a and b break the value system's one equality
+// rule, or "" if they keep it: == implies Compare 0 and equal hashes; within
+// a kind, Compare 0 implies ==; across kinds, only an INT and a FLOAT that
+// hold the same number compare 0, and Compare is antisymmetric.
+func checkAgreement(a, b Value) string {
+	c := a.Compare(b)
+	switch {
+	case c != -b.Compare(a):
+		return "Compare is not antisymmetric"
+	case a == b && c != 0:
+		return "== but Compare != 0"
+	case a == b && a.Hash(7) != b.Hash(7):
+		return "== but the hashes differ"
+	case a.Kind() == b.Kind() && c == 0 && a != b:
+		return "one kind, Compare 0, but not =="
+	case a.Kind() != b.Kind() && a == b:
+		return "== across kinds"
+	case a.Kind() != b.Kind() && c == 0 && !(a.Numeric() && b.Numeric() && a.Float() == b.Float()):
+		return "Compare 0 across kinds that are not the same number"
+	}
+	return ""
+}
+
+// TestValueAgreement runs checkAgreement over the values whose equality is
+// special: the zeros, NaNs of several sign and payload bit patterns, the
+// infinities, INT/FLOAT pairs holding one number, and INT/TIME pairs
+// holding one payload.
+func TestValueAgreement(t *testing.T) {
+	nans := []float64{
+		math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), // signalling payload
+		math.Float64frombits(0xfff8000000000000), // negative quiet
+		math.Float64frombits(0xffffffffffffffff), // negative, every payload bit
+	}
+	vals := []Value{
+		Null(), Float(0), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Int(0), Int(3), Float(3), Int(-7), Float(-7), Int(1 << 53), Float(1 << 53),
+		Time(0), Time(3), Time(-7), Str(""), Str("3"), Float(2.5), Int(math.MinInt64), Float(-(1 << 63)),
+	}
+	for _, f := range nans {
+		vals = append(vals, Float(f))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if msg := checkAgreement(a, b); msg != "" {
+				t.Errorf("%#v, %#v: %s", a, b, msg)
+			}
+		}
+	}
+	// The rule the table relies on: all NaNs are one value, the zeros are
+	// one value, and payloads of different kinds are different values.
+	for _, f := range nans {
+		if v := Float(f); v != Float(math.NaN()) || !math.IsNaN(v.Float()) {
+			t.Errorf("Float(%#x) = %#v, want the canonical NaN", math.Float64bits(f), v)
+		}
+	}
+	if z := Float(math.Copysign(0, -1)); z != Float(0) || math.Signbit(z.Float()) || z.String() != "0" {
+		t.Errorf("Float(-0) = %#v (%s), want +0", z, z)
+	}
+	if Int(3) == Time(3) || Int(3).Compare(Time(3)) == 0 {
+		t.Error("INT 3 and TIME 3 are one value")
+	}
+	if Int(3) == Float(3) || Int(3).Compare(Float(3)) != 0 {
+		t.Error("INT 3 and FLOAT 3 must compare equal and differ under ==")
+	}
+}
+
+// fuzzValue builds a value of kind k%6 (one past TIME is NULL again) from
+// a payload word and a string, through the constructors.
+func fuzzValue(k uint8, n uint64, s string) Value {
+	switch k % 6 {
+	case 1:
+		return Int(int64(n))
+	case 2:
+		return Float(math.Float64frombits(n))
+	case 3:
+		return Str(s)
+	case 4:
+		return Time(int64(n))
+	default:
+		return Null()
+	}
+}
+
+// FuzzValueAgreement checks checkAgreement over arbitrary kind and payload
+// pairs, and that Float's fold keeps == the same as float equality, with
+// every NaN equal.
+func FuzzValueAgreement(f *testing.F) {
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	nan := math.Float64bits(math.NaN())
+	for _, seed := range []struct {
+		ka, kb uint8
+		na, nb uint64
+	}{
+		{2, 2, 0, negZero},
+		{2, 2, nan, 0xfff0000000000001},
+		{2, 2, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1))},
+		{1, 2, 3, math.Float64bits(3)},
+		{1, 4, 3, 3},
+		{1, 2, 1 << 63, math.Float64bits(-(1 << 63))},
+	} {
+		f.Add(seed.ka, seed.kb, seed.na, seed.nb, "", "")
+	}
+	f.Fuzz(func(t *testing.T, ka, kb uint8, na, nb uint64, sa, sb string) {
+		a, b := fuzzValue(ka, na, sa), fuzzValue(kb, nb, sb)
+		if msg := checkAgreement(a, b); msg != "" {
+			t.Fatalf("%#v, %#v: %s", a, b, msg)
+		}
+		if ka%6 == 2 && kb%6 == 2 {
+			x, y := math.Float64frombits(na), math.Float64frombits(nb)
+			if same := x == y || x != x && y != y; (a == b) != same {
+				t.Fatalf("Float(%v) == Float(%v) is %t", x, y, a == b)
+			}
+		}
+	})
 }
