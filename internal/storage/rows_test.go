@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/stripdb/strip/internal/catalog"
 	"github.com/stripdb/strip/internal/index"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -21,6 +22,47 @@ func TestRecordSize(t *testing.T) {
 	var r Record
 	if got := unsafe.Sizeof(r); got > 96 {
 		t.Fatalf("unsafe.Sizeof(Record{}) = %d bytes, want <= 96", got)
+	}
+}
+
+// TestRecordValuesInline: a row of up to four columns is one allocation,
+// its values right behind the record (2 and 3 columns: the 160- and
+// 192-byte size classes); a wider row keeps a slice of its own.
+func TestRecordValuesInline(t *testing.T) {
+	for _, c := range []struct {
+		size, want uintptr
+	}{{unsafe.Sizeof(record2{}), 160}, {unsafe.Sizeof(record3{}), 192}} {
+		if c.size != c.want {
+			t.Errorf("inline record is %d bytes, want %d", c.size, c.want)
+		}
+	}
+	for arity := 1; arity <= 6; arity++ {
+		cols := make([]catalog.Column, arity)
+		vals := make([]types.Value, arity)
+		for i := range cols {
+			cols[i] = catalog.Column{Name: fmt.Sprintf("c%d", i), Kind: types.KindFloat}
+			vals[i] = types.Int(int64(i)) // widened to FLOAT on the way in
+		}
+		tbl := NewTable(catalog.MustSchema("t", cols...))
+		r, err := tbl.Insert(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nr, err := tbl.Update(r, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []*Record{r, nr} {
+			off := uintptr(unsafe.Pointer(&rec.vals[0])) - uintptr(unsafe.Pointer(rec))
+			if inline := off == unsafe.Sizeof(Record{}); inline != (arity <= 4) {
+				t.Errorf("arity %d: values at offset %d from the record, inline %t", arity, off, inline)
+			}
+			for i, v := range rec.Values() {
+				if v != types.Float(float64(i)) {
+					t.Errorf("arity %d: column %d holds %#v", arity, i, v)
+				}
+			}
+		}
 	}
 }
 

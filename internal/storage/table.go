@@ -752,33 +752,17 @@ func (t *Table) newRecord(id uint64, vals []types.Value, older *Record) *Record 
 	var r *Record
 	switch len(vals) {
 	case 1:
-		p := new(struct {
-			Record
-			v [1]types.Value
-		})
-		p.vals = p.v[:]
-		r = &p.Record
+		p := new(record1)
+		p.vals, r = p.v[:], &p.Record
 	case 2:
-		p := new(struct {
-			Record
-			v [2]types.Value
-		})
-		p.vals = p.v[:]
-		r = &p.Record
+		p := new(record2)
+		p.vals, r = p.v[:], &p.Record
 	case 3:
-		p := new(struct {
-			Record
-			v [3]types.Value
-		})
-		p.vals = p.v[:]
-		r = &p.Record
+		p := new(record3)
+		p.vals, r = p.v[:], &p.Record
 	case 4:
-		p := new(struct {
-			Record
-			v [4]types.Value
-		})
-		p.vals = p.v[:]
-		r = &p.Record
+		p := new(record4)
+		p.vals, r = p.v[:], &p.Record
 	default:
 		r = &Record{vals: make([]types.Value, len(vals))}
 	}
@@ -786,6 +770,27 @@ func (t *Table) newRecord(id uint64, vals []types.Value, older *Record) *Record 
 	r.table, r.id, r.older = t, id, older
 	return r
 }
+
+// A recordN is a record with its N values inline; newRecord hands out the
+// embedded Record, whose vals point at v.
+type (
+	record1 struct {
+		Record
+		v [1]types.Value
+	}
+	record2 struct {
+		Record
+		v [2]types.Value
+	}
+	record3 struct {
+		Record
+		v [3]types.Value
+	}
+	record4 struct {
+		Record
+		v [4]types.Value
+	}
+)
 
 // coerceRow copies vals into dst, widening INT values stored in FLOAT
 // columns so that later reads see the declared kind.
